@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
-from . import riccati, simulate, static_opt
+from . import model, riccati, simulate, static_opt
 from .model import (
     HatCoefficients,
     ProblemData,
@@ -34,13 +34,13 @@ PSD_CHECK_TOL = 1e-10
 MIN_WINDOW_NODES = 5
 
 TOLERANCES = {
-    "symmetry": 1e-12,
-    "positive_definite": 1e-10,
-    "are_residual": 1e-10,
-    "are_stationarity": 1e-12,
-    "psd_order": 1e-9,
-    "kkt_residual": 1e-10,
-    "kkt_rcond": 1e-14,
+    "symmetry": model.SYMMETRY_TOL,
+    "positive_definite": riccati.PD_TOL,
+    "are_residual": riccati.RESIDUAL_TOL,
+    "are_stationarity": riccati.NEWTON_TOL,
+    "psd_order": riccati.PSD_ORDER_TOL,
+    "kkt_residual": static_opt.KKT_RESIDUAL_TOL,
+    "kkt_rcond": static_opt.KKT_RCOND_TOL,
     "log_floor": LOG_FLOOR,
 }
 

@@ -10,7 +10,10 @@ lemma-suite.  The config file is a JSON document with a `problem` block
 (see model.problem_from_dict for the field names) and optional fields
 `T`, `horizons`, `x0`, `dt`, `n_paths`, `seed`, `coupled`, `workers`,
 `steps_per_unit`, `out`, `trials`.  Command-line flags override config
-fields.  Exit codes: 0 success, 2 malformed JSON, 3 shape/field errors,
+fields.  Artifacts are written only under the `out` directory: without
+one, `are`, `static`, `value-convergence` and `lemma-suite` print their
+JSON to stdout only, and `riccati-profile` and `turnpike` exit 3.
+Exit codes: 0 success, 2 malformed JSON, 3 shape/field errors,
 4 assumption failures, 5 numerical/acceptance failures.
 """
 
@@ -49,7 +52,7 @@ class ExperimentConfig:
     horizons: tuple | None
     x0: np.ndarray | None
     steps_per_unit: int
-    out: str
+    out: str | None
     trials: int
     digest: str
 
@@ -129,7 +132,8 @@ def load_config(path, command: str = "turnpike",
         command=command, problem=problem, sim=sim, T=T,
         horizons=tuple(horizons) if horizons else None, x0=x0,
         steps_per_unit=int(resolved["steps_per_unit"]),
-        out=str(doc.get("out", ".")), trials=int(doc.get("trials", 1000)),
+        out=None if doc.get("out") is None else str(doc["out"]),
+        trials=int(doc.get("trials", 1000)),
         digest=digest)
 
 
@@ -248,8 +252,15 @@ def _cmd_lemma_suite(config, outdir):
 def run(config: ExperimentConfig) -> int:
     """Dispatch a validated config; returns the process exit code."""
     from pathlib import Path
-    outdir = Path(config.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    if config.out is None:
+        if config.command in ("riccati-profile", "turnpike"):
+            print(f"error: out: required for the {config.command} command",
+                  file=sys.stderr)
+            return EXIT_SHAPE
+        outdir = None
+    else:
+        outdir = Path(config.out)
+        outdir.mkdir(parents=True, exist_ok=True)
     handler = {
         "are": _cmd_are,
         "static": _cmd_static,

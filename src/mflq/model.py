@@ -80,6 +80,9 @@ class ProblemData:
             if arr.shape != (sizes[code],):
                 raise ValueError(f"{name} must have length {sizes[code]}, got {arr.shape}")
             object.__setattr__(self, name, arr)
+        for name in (*_MATRIX_SHAPES, *_VECTOR_SHAPES):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite, got NaN or inf")
         for name in _SYMMETRIC_BLOCKS:
             arr = getattr(self, name)
             if np.max(np.abs(arr - arr.T), initial=0.0) > SYMMETRY_TOL:
@@ -170,6 +173,25 @@ class MapEvaluation:
     RhatOf: np.ndarray
 
 
+def _maps(A, B, C, D, Q, S, R, P, M):
+    """Riccati maps of one system at (P, M), broadcasting over leading axes."""
+    DtP = D.T @ P
+    return (M @ A + A.T @ M + C.T @ P @ C + Q, B.T @ M + DtP @ C + S,
+            R + DtP @ D)
+
+
+def coefficient_maps(problem: ProblemData, P: np.ndarray):
+    """(Q(P), S(P), R(P)) for P of shape (n, n) or a (k, n, n) stack."""
+    return _maps(problem.A, problem.B, problem.C, problem.D,
+                 problem.Q, problem.S, problem.R, P, P)
+
+
+def hat_coefficient_maps(hats: HatCoefficients, P: np.ndarray, Pi: np.ndarray):
+    """(Qhat(P, Pi), Shat(P, Pi), Rhat(P)), broadcasting like coefficient_maps."""
+    return _maps(hats.Ahat, hats.Bhat, hats.Chat, hats.Dhat,
+                 hats.Qhat, hats.Shat, hats.Rhat, P, Pi)
+
+
 def evaluate_maps(problem: ProblemData, P: np.ndarray, Pi: np.ndarray) -> MapEvaluation:
     """Evaluate the six Riccati coefficient maps at (P, Pi).
 
@@ -179,22 +201,15 @@ def evaluate_maps(problem: ProblemData, P: np.ndarray, Pi: np.ndarray) -> MapEva
     QhatOf = Pi Ahat + Ahat' Pi + Chat' P Chat + Qhat
     ShatOf = Bhat' Pi + Dhat' P Chat + Shat
     RhatOf = Rhat + Dhat' P Dhat
+
+    P and Pi may be (n, n) matrices or (k, n, n) stacks.
     """
-    P = np.asarray(P, dtype=float)
-    Pi = np.asarray(Pi, dtype=float)
+    P, Pi = np.asarray(P, dtype=float), np.asarray(Pi, dtype=float)
     for name, M in (("P", P), ("Pi", Pi)):
-        if np.max(np.abs(M - M.T), initial=0.0) > SYMMETRY_TOL:
+        if np.max(np.abs(M - M.mT), initial=0.0) > SYMMETRY_TOL:
             raise ValueError(f"asymmetric input {name}")
-    h = assemble_hats(problem)
-    A, B, C, D = problem.A, problem.B, problem.C, problem.D
-    return MapEvaluation(
-        QofP=P @ A + A.T @ P + C.T @ P @ C + problem.Q,
-        SofP=B.T @ P + D.T @ P @ C + problem.S,
-        RofP=problem.R + D.T @ P @ D,
-        QhatOf=Pi @ h.Ahat + h.Ahat.T @ Pi + h.Chat.T @ P @ h.Chat + h.Qhat,
-        ShatOf=h.Bhat.T @ Pi + h.Dhat.T @ P @ h.Chat + h.Shat,
-        RhatOf=h.Rhat + h.Dhat.T @ P @ h.Dhat,
-    )
+    return MapEvaluation(*coefficient_maps(problem, P),
+                         *hat_coefficient_maps(assemble_hats(problem), P, Pi))
 
 
 @dataclass(frozen=True)

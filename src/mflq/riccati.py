@@ -14,9 +14,9 @@ thetaHat) feed the affine part of the closed-loop feedback.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy import linalg as la
 
 from .errors import NumericalFailure
 from .model import (
@@ -24,6 +24,9 @@ from .model import (
     assemble_hats,
     check_mean_system_stabilizability,
     check_ms_stability,
+    coefficient_maps,
+    hat_coefficient_maps,
+    mean_square_generator,
     require_a1,
 )
 
@@ -39,13 +42,15 @@ __all__ = [
     "write_horizon_csv",
 ]
 
-STATIONARITY_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
 PD_TOL = 1e-10
 INVERSION_TOL = 1e-12
-PSD_NODE_TOL = 1e-10
+PSD_ORDER_TOL = 1e-9
+NEWTON_TOL = 1e-13
+NEWTON_MAX_ITER = 50
+MARCH_STEP = 0.01
+MARCH_STEP_BUDGET = 10_000
 DEFAULT_STEPS_PER_UNIT = 1000
-MAX_ARE_HORIZON = 1e4
 _BLOWUP = 1e8
 
 
@@ -82,84 +87,40 @@ class RiccatiPath:
 
 
 def _sym(M):
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + M.mT)
 
 
-def _guard_invert(RofP, RhatOf):
-    if (np.min(np.linalg.eigvalsh(_sym(RofP))) < INVERSION_TOL
-            or np.min(np.linalg.eigvalsh(_sym(RhatOf))) < INVERSION_TOL):
-        raise NumericalFailure("Riccati inversion breakdown")
+def _riccati_rhs(maps):
+    """Q - S' R^{-1} S from a (Q, S, R) triple; the Riccati ODE right-hand
+    side in s = T - t (forward-in-s form of the backward ODE)."""
+    Qm, Sm, Rm = maps
+    return _sym(Qm - Sm.mT @ np.linalg.solve(Rm, Sm))
 
 
 def _rhs_P(problem: ProblemData, P):
-    """dP/ds with s = T - t (forward-in-s form of the backward ODE)."""
-    A, B, C, D = problem.A, problem.B, problem.C, problem.D
-    RofP = problem.R + D.T @ P @ D
-    SofP = B.T @ P + D.T @ P @ C + problem.S
-    QofP = P @ A + A.T @ P + C.T @ P @ C + problem.Q
-    return _sym(QofP - SofP.T @ np.linalg.solve(RofP, SofP))
+    return _riccati_rhs(coefficient_maps(problem, P))
 
 
-def _rhs_Pi(problem: ProblemData, hats, P, Pi):
-    RhatOf = hats.Rhat + hats.Dhat.T @ P @ hats.Dhat
-    ShatOf = hats.Bhat.T @ Pi + hats.Dhat.T @ P @ hats.Chat + hats.Shat
-    QhatOf = (Pi @ hats.Ahat + hats.Ahat.T @ Pi
-              + hats.Chat.T @ P @ hats.Chat + hats.Qhat)
-    return _sym(QhatOf - ShatOf.T @ np.linalg.solve(RhatOf, ShatOf))
+def _rhs_Pi(hats, P, Pi):
+    return _riccati_rhs(hat_coefficient_maps(hats, P, Pi))
+
+
+def _gain(maps):
+    """Theta = -R^{-1} S from a (Q, S, R) triple, guarding the inversion."""
+    _, Sm, Rm = maps
+    if np.min(np.linalg.eigvalsh(_sym(Rm))) < INVERSION_TOL:
+        raise NumericalFailure("Riccati inversion breakdown")
+    return -np.linalg.solve(Rm, Sm)
 
 
 def _gains(problem: ProblemData, hats, P, Pi):
-    RofP = problem.R + problem.D.T @ P @ problem.D
-    SofP = problem.B.T @ P + problem.D.T @ P @ problem.C + problem.S
-    RhatOf = hats.Rhat + hats.Dhat.T @ P @ hats.Dhat
-    ShatOf = hats.Bhat.T @ Pi + hats.Dhat.T @ P @ hats.Chat + hats.Shat
-    _guard_invert(RofP, RhatOf)
-    Theta = -np.linalg.solve(RofP, SofP)
-    ThetaHat = -np.linalg.solve(RhatOf, ShatOf)
-    return Theta, ThetaHat
+    return (_gain(coefficient_maps(problem, P)),
+            _gain(hat_coefficient_maps(hats, P, Pi)))
 
 
 def _hermite_mid(y0, y1, f0, f1, h):
     """Cubic Hermite value at the interval midpoint."""
     return 0.5 * (y0 + y1) + 0.125 * h * (f0 - f1)
-
-
-def _sym_batch(M):
-    return 0.5 * (M + np.swapaxes(M, -1, -2))
-
-
-def _rhs_P_batch(problem: ProblemData, P_stack):
-    """_rhs_P applied along the leading axis of a (k, n, n) stack."""
-    A, B, C, D = problem.A, problem.B, problem.C, problem.D
-    DtP = D.T @ P_stack
-    RofP = problem.R + DtP @ D
-    SofP = B.T @ P_stack + DtP @ C + problem.S
-    QofP = P_stack @ A + A.T @ P_stack + C.T @ P_stack @ C + problem.Q
-    return _sym_batch(QofP - np.swapaxes(SofP, -1, -2)
-                      @ np.linalg.solve(RofP, SofP))
-
-
-def _rhs_Pi_batch(problem: ProblemData, hats, P_stack, Pi_stack):
-    DtP = hats.Dhat.T @ P_stack
-    RhatOf = hats.Rhat + DtP @ hats.Dhat
-    ShatOf = hats.Bhat.T @ Pi_stack + DtP @ hats.Chat + hats.Shat
-    QhatOf = (Pi_stack @ hats.Ahat + hats.Ahat.T @ Pi_stack
-              + hats.Chat.T @ P_stack @ hats.Chat + hats.Qhat)
-    return _sym_batch(QhatOf - np.swapaxes(ShatOf, -1, -2)
-                      @ np.linalg.solve(RhatOf, ShatOf))
-
-
-def _gains_batch(problem: ProblemData, hats, P_stack, Pi_stack):
-    DtP = problem.D.T @ P_stack
-    RofP = problem.R + DtP @ problem.D
-    SofP = problem.B.T @ P_stack + DtP @ problem.C + problem.S
-    DhtP = hats.Dhat.T @ P_stack
-    RhatOf = hats.Rhat + DhtP @ hats.Dhat
-    ShatOf = hats.Bhat.T @ Pi_stack + DhtP @ hats.Chat + hats.Shat
-    if (np.min(np.linalg.eigvalsh(_sym_batch(RofP))) < INVERSION_TOL
-            or np.min(np.linalg.eigvalsh(_sym_batch(RhatOf))) < INVERSION_TOL):
-        raise NumericalFailure("Riccati inversion breakdown")
-    return -np.linalg.solve(RofP, SofP), -np.linalg.solve(RhatOf, ShatOf)
 
 
 def integrate_finite_horizon(problem: ProblemData, T: float,
@@ -207,16 +168,16 @@ def integrate_finite_horizon(problem: ProblemData, T: float,
     for j in range(K):
         P0, P1 = P_s[j], P_s[j + 1]
         Pm = _hermite_mid(P0, P1, F_s[j], F_s[j + 1], h)
-        k1 = _rhs_Pi(problem, hats, P0, Pi)
-        k2 = _rhs_Pi(problem, hats, Pm, Pi + 0.5 * h * k1)
-        k3 = _rhs_Pi(problem, hats, Pm, Pi + 0.5 * h * k2)
-        k4 = _rhs_Pi(problem, hats, P1, Pi + h * k3)
+        k1 = _rhs_Pi(hats, P0, Pi)
+        k2 = _rhs_Pi(hats, Pm, Pi + 0.5 * h * k1)
+        k3 = _rhs_Pi(hats, Pm, Pi + 0.5 * h * k2)
+        k4 = _rhs_Pi(hats, P1, Pi + h * k3)
         Pi = _sym(Pi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         Pi_s[j + 1] = Pi
 
     P_of_t = P_s[::-1].copy()
     Pi_of_t = Pi_s[::-1].copy()
-    Theta_of_t, ThetaHat_of_t = _gains_batch(problem, hats, P_of_t, Pi_of_t)
+    Theta_of_t, ThetaHat_of_t = _gains(problem, hats, P_of_t, Pi_of_t)
     return RiccatiPath(
         T=float(T), mesh=mesh, P_of_t=P_of_t, Pi_of_t=Pi_of_t,
         Theta_of_t=Theta_of_t, ThetaHat_of_t=ThetaHat_of_t,
@@ -225,34 +186,64 @@ def integrate_finite_horizon(problem: ProblemData, T: float,
     )
 
 
-def _march_to_stationarity(rhs, M0, h, label):
-    """Integrate dM/ds = rhs(M) until the derivative norm drops below
-    STATIONARITY_TOL; error out on blowup or horizon exhaustion."""
-    M = M0
-    s = 0.0
-    f = rhs(M)
-    while np.max(np.abs(f)) >= STATIONARITY_TOL:
-        if s > MAX_ARE_HORIZON or np.max(np.abs(M)) > _BLOWUP:
-            raise NumericalFailure(label)
-        for _ in range(100):
+def _stabilize(rhs, generator, M):
+    """March dM/ds = rhs(M) with RK4, in blocks of 10 steps of MARCH_STEP,
+    until generator(M), the Kronecker matrix of the closed loop at M, is
+    Hurwitz; M itself when it already is.
+
+    The march is bounded by MARCH_STEP_BUDGET steps and by |M| <= _BLOWUP.
+    """
+    h = MARCH_STEP
+    for _ in range(MARCH_STEP_BUDGET // 10 + 1):
+        if not np.max(np.abs(M)) <= _BLOWUP:
+            break
+        if np.max(np.linalg.eigvals(generator(M)).real) < 0:
+            return M
+        for _ in range(10):
             k1 = rhs(M)
             k2 = rhs(M + 0.5 * h * k1)
             k3 = rhs(M + 0.5 * h * k2)
             k4 = rhs(M + h * k3)
             M = _sym(M + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        s += 100 * h
-        f = rhs(M)
-    return M
+    raise NumericalFailure("ARE divergence (check A2)")
+
+
+def _newton(rhs, generator, M):
+    """Newton-Kleinman iteration on rhs(M) = 0, whose derivative at M is
+    the transpose of generator(M) acting on the row-major vec(M).
+
+    Stops when max|rhs(M)| is below NEWTON_TOL or, once within
+    RESIDUAL_TOL, a step stops reducing it (the rounding floor); raises
+    after NEWTON_MAX_ITER steps.
+    """
+    F = rhs(M)
+    r = np.max(np.abs(F))
+    for _ in range(NEWTON_MAX_ITER):
+        if r < NEWTON_TOL:
+            return M
+        step = np.linalg.solve(generator(M).T, -F.reshape(-1))
+        M_next = _sym(M + step.reshape(M.shape))
+        F_next = rhs(M_next)
+        r_next = np.max(np.abs(F_next))
+        if r <= RESIDUAL_TOL and not r_next < r:
+            return M
+        M, F, r = M_next, F_next, r_next
+    raise NumericalFailure(
+        f"ARE Newton iteration not converged after {NEWTON_MAX_ITER} steps "
+        f"(residual {r:.3e})")
 
 
 def solve_are(problem: ProblemData) -> ArePair:
-    """Solve the stationary algebraic Riccati pair.
+    """Solve the stationary algebraic Riccati pair in bounded time.
 
-    Each equation is integrated to stationarity (derivative max-abs below
-    1e-12) and then polished by Newton steps on the algebraic residual;
-    Pi is solved with P frozen at its converged value.  Positivity of
-    both solutions and the stabilizing property of the gains are
-    asserted before returning.
+    P is solved first, then Pi with P frozen, each from 0: a short RK4
+    march of the Riccati ODE (within MARCH_STEP_BUDGET steps) runs only
+    until the gain is stabilizing, mean-square for P and Hurwitz for Pi;
+    Newton-Kleinman steps then converge.  Both use the closed loop's
+    generator: the mean-square generator for P, the Lyapunov operator of
+    Ahat + Bhat ThetaHat for Pi.  Residuals, positivity of both solutions
+    and the stabilizing property of the gains are asserted before
+    returning.
     """
     require_a1(problem)
     hats = assemble_hats(problem)
@@ -261,38 +252,26 @@ def solve_are(problem: ProblemData) -> ArePair:
         raise NumericalFailure(
             f"ARE divergence (check A2): mean system not stabilizable, "
             f"eigenvalues {cert.violating_eigenvalues}")
-    n = problem.n
-    h = 0.01
-    P = _march_to_stationarity(lambda M: _rhs_P(problem, M),
-                               np.zeros((n, n)), h, "ARE divergence (check A2)")
-    eye = np.eye(n)
-    for _ in range(20):
-        F = _rhs_P(problem, P)
-        if np.max(np.abs(F)) < 1e-13:
-            break
-        RofP = problem.R + problem.D.T @ P @ problem.D
-        SofP = problem.B.T @ P + problem.D.T @ P @ problem.C + problem.S
-        Theta = -np.linalg.solve(RofP, SofP)
-        A_cl = problem.A + problem.B @ Theta
-        C_cl = problem.C + problem.D @ Theta
-        L = np.kron(A_cl.T, eye) + np.kron(eye, A_cl.T) + np.kron(C_cl.T, C_cl.T)
-        delta = np.linalg.solve(L, -F.reshape(-1)).reshape(n, n)
-        P = _sym(P + delta)
+    zero = np.zeros((problem.n, problem.n))
 
-    Pi = _march_to_stationarity(lambda M: _rhs_Pi(problem, hats, P, M),
-                                np.zeros((n, n)), h, "ARE divergence (check A2)")
-    for _ in range(20):
-        Fhat = _rhs_Pi(problem, hats, P, Pi)
-        if np.max(np.abs(Fhat)) < 1e-13:
-            break
-        RhatOf = hats.Rhat + hats.Dhat.T @ P @ hats.Dhat
-        ShatOf = hats.Bhat.T @ Pi + hats.Dhat.T @ P @ hats.Chat + hats.Shat
-        ThetaHat = -np.linalg.solve(RhatOf, ShatOf)
-        A_cl_hat = hats.Ahat + hats.Bhat @ ThetaHat
-        Pi = _sym(Pi + la.solve_continuous_lyapunov(A_cl_hat.T, -Fhat))
+    def ms_generator(M):
+        Theta = _gain(coefficient_maps(problem, M))
+        return mean_square_generator(problem.A + problem.B @ Theta,
+                                     problem.C + problem.D @ Theta)
+
+    rhs_P = partial(_rhs_P, problem)
+    P = _newton(rhs_P, ms_generator, _stabilize(rhs_P, ms_generator, zero))
+
+    def mean_generator(M):
+        ThetaHat = _gain(hat_coefficient_maps(hats, P, M))
+        return mean_square_generator(hats.Ahat + hats.Bhat @ ThetaHat, zero)
+
+    rhs_Pi = partial(_rhs_Pi, hats, P)
+    Pi = _newton(rhs_Pi, mean_generator,
+                 _stabilize(rhs_Pi, mean_generator, zero))
 
     residual_P = float(np.max(np.abs(_rhs_P(problem, P))))
-    residual_Pi = float(np.max(np.abs(_rhs_Pi(problem, hats, P, Pi))))
+    residual_Pi = float(np.max(np.abs(_rhs_Pi(hats, P, Pi))))
     if max(residual_P, residual_Pi) > RESIDUAL_TOL:
         raise NumericalFailure(
             f"ARE residual {max(residual_P, residual_Pi):.3e} above {RESIDUAL_TOL}")
@@ -336,13 +315,13 @@ def integrate_offsets(problem: ProblemData, are: ArePair, path: RiccatiPath,
     # half-step P, Pi via the same cubic Hermite rule used for the pair
     P_t = path.P_of_t
     Pi_t = path.Pi_of_t
-    F_t = _rhs_P_batch(problem, P_t)
-    Fh_t = _rhs_Pi_batch(problem, hats, P_t, Pi_t)
+    F_t = _rhs_P(problem, P_t)
+    Fh_t = _rhs_Pi(hats, P_t, Pi_t)
     P_mid = _hermite_mid(P_t[:-1], P_t[1:], F_t[:-1], F_t[1:], -h)
     Pi_mid = _hermite_mid(Pi_t[:-1], Pi_t[1:], Fh_t[:-1], Fh_t[1:], -h)
 
     def coeffs(P_stack, Pi_stack):
-        Theta, ThetaHat = _gains_batch(problem, hats, P_stack, Pi_stack)
+        Theta, ThetaHat = _gains(problem, hats, P_stack, Pi_stack)
         M = np.swapaxes(A + B @ Theta, -1, -2)
         Mhat = np.swapaxes(hats.Ahat + hats.Bhat @ ThetaHat, -1, -2)
         v = (P_stack - are.P) @ sig
@@ -373,9 +352,8 @@ def integrate_offsets(problem: ProblemData, are: ArePair, path: RiccatiPath,
         k4 = Mhn[i] @ (y + h * k3) + ghn[i]
         phiHat[i] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    DtP = D.T @ P_t
-    RofP = problem.R + DtP @ D
-    RhatOf = hats.Rhat + (hats.Dhat.T @ P_t) @ hats.Dhat
+    RofP = coefficient_maps(problem, P_t)[2]
+    RhatOf = hat_coefficient_maps(hats, P_t, Pi_t)[2]
     dP = (P_t - are.P) @ sig
     theta = -np.linalg.solve(RofP, (phi @ B + dP @ D)[..., None])[..., 0]
     thetaHat = -np.linalg.solve(
@@ -416,7 +394,7 @@ def horizon_monotonicity_check(problem: ProblemData, horizons,
             problem, T, steps=max(1, int(round(steps_per_unit * T))))
         pi0.append(path.Pi_of_t[0])
     verdict = all(
-        np.min(np.linalg.eigvalsh(_sym(b - a))) >= -1e-9
+        np.min(np.linalg.eigvalsh(_sym(b - a))) >= -PSD_ORDER_TOL
         for a, b in zip(pi0, pi0[1:]))
     return pi0, verdict
 

@@ -5,7 +5,7 @@ The finite-horizon optimal pair is simulated through its closed-loop
 representation: with Xt = X - x* and mean m(t) = E[Xt] from a
 deterministic ODE,
 
-    u = Theta_T (Xt - m) + ThetaHat_T m + theta_T + thetaHat_T + u*,
+    u = Theta_T (Xt - m) + ThetaHat_T m + thetaHat_T + u*,
 
 and the state follows the corresponding Euler-Maruyama recursion.  The
 turnpike comparison process solves dX* = (A + B Theta) X* dt +
@@ -133,7 +133,7 @@ def propagate_mean(problem: ProblemData, path: RiccatiPath,
     """Mean of the shifted closed-loop state, m(t) = E[X_T(t) - x*].
 
     RK4 forward on the path mesh for
-    dm/dt = [Ahat + Bhat ThetaHat_T(t)] m + Bhat [theta_T + thetaHat_T],
+    dm/dt = [Ahat + Bhat ThetaHat_T(t)] m + Bhat thetaHat_T(t),
     with half-step coefficients averaged from the adjacent nodes.
     """
     hats = assemble_hats(problem)
@@ -142,7 +142,7 @@ def propagate_mean(problem: ProblemData, path: RiccatiPath,
     K = len(path.mesh) - 1
     h = path.T / K
     Acl = hats.Ahat + np.einsum("im,kmn->kin", hats.Bhat, path.ThetaHat_of_t)
-    force = (path.theta_of_t + path.thetaHat_of_t) @ hats.Bhat.T
+    force = path.thetaHat_of_t @ hats.Bhat.T
     m = np.empty((K + 1, problem.n))
     m[0] = x0 - x_star
     for k in range(K):
@@ -167,7 +167,7 @@ class _ClosedLoop:
         A, B, C, D = problem.A, problem.B, problem.C, problem.D
         Th = path.Theta_of_t
         ThH = path.ThetaHat_of_t
-        off = path.theta_of_t + path.thetaHat_of_t          # (K+1, m)
+        off = path.thetaHat_of_t                             # (K+1, m)
         self.Acl = A + np.einsum("im,kmn->kin", B, Th)       # (K+1, n, n)
         self.Ccl = C + np.einsum("im,kmn->kin", D, Th)
         AclHat = hats.Ahat + np.einsum("im,kmn->kin", hats.Bhat, ThH)

@@ -14,7 +14,21 @@ from mflq import (
     matrix_contraction_check,
     turnpike_report,
 )
-from mflq.analysis import turnpike_pipeline
+from mflq import model, riccati, static_opt
+from mflq.analysis import LOG_FLOOR, TOLERANCES, turnpike_pipeline
+
+
+def test_tolerances_are_the_module_constants():
+    assert TOLERANCES == {
+        "symmetry": model.SYMMETRY_TOL,
+        "positive_definite": riccati.PD_TOL,
+        "are_residual": riccati.RESIDUAL_TOL,
+        "are_stationarity": riccati.NEWTON_TOL,
+        "psd_order": riccati.PSD_ORDER_TOL,
+        "kkt_residual": static_opt.KKT_RESIDUAL_TOL,
+        "kkt_rcond": static_opt.KKT_RCOND_TOL,
+        "log_floor": LOG_FLOOR,
+    }
 
 
 def test_fit_recovers_synthetic_two_sided_decay():

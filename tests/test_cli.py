@@ -71,6 +71,14 @@ def test_exit_code_3_on_shape_error(tmp_path, capsys):
     assert "problem: A" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("block, value", [("R", [[math.nan]]),
+                                          ("A", [[math.inf]])])
+def test_exit_code_3_on_nonfinite_data(tmp_path, capsys, block, value):
+    doc = {"problem": dict(SP1, **{block: value})}
+    assert main(["are", "--config", _write(tmp_path, doc)]) == 3
+    assert f"problem: {block} must be finite" in capsys.readouterr().err
+
+
 def test_exit_code_3_on_unknown_field(tmp_path):
     doc = {"problem": SP1, "Tmax": 3.0}
     assert main(["are", "--config", _write(tmp_path, doc)]) == 3
@@ -101,12 +109,14 @@ def test_are_command(tmp_path, capsys):
     assert "config_digest" in artifact and "tolerances" in artifact
 
 
-def test_static_command(tmp_path, capsys):
+def test_static_command(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     assert main(["static", "--config",
                  _write(tmp_path, {"problem": SP2})]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["x_star"] == pytest.approx([0.5])
     assert payload["V"] == pytest.approx(0.5 + 0.25 * (math.sqrt(2) - 1))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_riccati_profile_command(tmp_path):
@@ -121,12 +131,24 @@ def test_riccati_profile_command(tmp_path):
     assert len(lines) == 3 + 201
 
 
-def test_lemma_suite_command(tmp_path, capsys):
+def test_lemma_suite_command(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     doc = {"problem": SP1, "trials": 25}
     assert main(["lemma-suite", "--config", _write(tmp_path, doc)]) == 0
     captured = capsys.readouterr()
     assert json.loads(captured.out)["contraction_pass"] == 25
     assert "25/25 passed" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("command", ["riccati-profile", "turnpike"])
+def test_exit_code_3_without_out(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    doc = {"problem": SP2, "T": 1.0, "x0": [1.5], "dt": 0.01,
+           "n_paths": 10}
+    assert main([command, "--config", _write(tmp_path, doc)]) == 3
+    assert f"out: required for the {command} command" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_turnpike_command_artifacts(tmp_path):

@@ -45,6 +45,13 @@ def test_shape_validation_names_block():
         make_problem(2, 1, b=[1.0, 2.0, 3.0])
 
 
+def test_nonfinite_data_rejected_naming_block():
+    with pytest.raises(ValueError, match="R must be finite"):
+        make_problem(1, 1, A=[[-1.0]], B=[[1.0]], Q=[[1.0]], R=[[np.nan]])
+    with pytest.raises(ValueError, match="A must be finite"):
+        make_problem(1, 1, A=[[np.inf]], B=[[1.0]], Q=[[1.0]], R=[[1.0]])
+
+
 def test_symmetry_validation():
     with pytest.raises(ValueError, match="Q must be symmetric"):
         make_problem(2, 1, Q=[[1.0, 0.5], [0.0, 1.0]])
@@ -83,6 +90,18 @@ def test_evaluate_maps_scalar(sp1):
     assert ev.SofP[0, 0] == pytest.approx(2.0)
     assert ev.RofP[0, 0] == pytest.approx(1.0)
     assert ev.QhatOf[0, 0] == pytest.approx(-5.0)
+
+
+def test_evaluate_maps_broadcasts_over_stacks(random_2x2):
+    G = np.random.default_rng(3).standard_normal((3, 2, 2))
+    P = G @ np.swapaxes(G, 1, 2)
+    Pi = P + np.eye(2)
+    stacked = evaluate_maps(random_2x2, P, Pi)
+    for k in range(3):
+        single = evaluate_maps(random_2x2, P[k], Pi[k])
+        for name in ("QofP", "SofP", "RofP", "QhatOf", "ShatOf", "RhatOf"):
+            assert np.allclose(getattr(stacked, name)[k], getattr(single, name),
+                               rtol=0.0, atol=1e-13)
 
 
 def test_evaluate_maps_rejects_asymmetric(random_2x2):

@@ -1,8 +1,11 @@
+import dataclasses
 import io
 import math
+import time
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_continuous_are
 
 from mflq import (
     NumericalFailure,
@@ -13,6 +16,7 @@ from mflq import (
     make_problem,
     solve_are,
 )
+from mflq import riccati
 from mflq.riccati import write_convergence_csv, write_horizon_csv
 
 SQRT2 = math.sqrt(2.0)
@@ -58,6 +62,68 @@ def test_are_unstabilizable_raises():
     p = make_problem(1, 1, A=[[1.0]], Q=[[1.0]], R=[[1.0]])
     with pytest.raises(NumericalFailure, match="ARE divergence"):
         solve_are(p)
+
+
+def _are_slow_style():
+    """n=2, C = D = 0 problem with slow stationary closed loops."""
+    return make_problem(
+        2, 1, A=[[-0.05, 0.2], [0.0, -0.08]], Abar=[[0.02, 0.0], [0.01, 0.03]],
+        B=[[0.0], [1.0]], Bbar=[[0.1], [0.0]], Q=np.diag([0.02, 0.04]),
+        Qbar=np.diag([0.01, 0.0]), R=[[1.0]], Rbar=[[0.5]])
+
+
+def test_are_matches_scipy_care_without_multiplicative_noise(random_2x2):
+    # C = D = 0, with the noise moved to the mean blocks so that the Pi
+    # equation carries the P-dependent weights of a CARE in (Ahat, Bhat)
+    noisy_mean = dataclasses.replace(
+        random_2x2, C=np.zeros((2, 2)), D=np.zeros((2, 2)),
+        Cbar=random_2x2.C, Dbar=random_2x2.D)
+    for p in (_are_slow_style(), noisy_mean):
+        are = solve_are(p)
+        P = solve_continuous_are(p.A, p.B, p.Q, p.R, s=p.S.T)
+        Ah, Bh, Ch, Dh = p.A + p.Abar, p.B + p.Bbar, p.C + p.Cbar, p.D + p.Dbar
+        Pi = solve_continuous_are(
+            Ah, Bh, p.Q + p.Qbar + Ch.T @ P @ Ch, p.R + p.Rbar + Dh.T @ P @ Dh,
+            s=(p.S + p.Sbar + Dh.T @ P @ Ch).T)
+        assert np.max(np.abs(are.P - P)) <= 1e-10
+        assert np.max(np.abs(are.Pi - Pi)) <= 1e-10
+
+
+def test_are_slow_closed_loop_is_fast():
+    # closed-loop pole near -0.014: the Riccati ODE reaches stationarity
+    # only over a horizon of thousands of time units
+    p = make_problem(1, 1, A=[[-0.01]], B=[[1.0]], Q=[[1e-4]], R=[[1.0]])
+    start = time.perf_counter()
+    are = solve_are(p)
+    assert time.perf_counter() - start < 1.0
+    # P^2 + 0.02 P - 1e-4 = 0
+    assert are.P[0, 0] == pytest.approx(-0.01 + math.sqrt(2e-4), abs=1e-12)
+
+
+def test_are_open_loop_unstable_root():
+    # A = +1: the zero gain is not stabilizing, so the march must run
+    p = make_problem(1, 1, A=[[1.0]], B=[[1.0]], Q=[[1.0]], R=[[1.0]])
+    are = solve_are(p)
+    assert are.P[0, 0] == pytest.approx(1.0 + SQRT2, abs=1e-12)
+    assert are.Pi[0, 0] == pytest.approx(1.0 + SQRT2, abs=1e-12)
+
+
+@pytest.mark.parametrize("a", [1.0, 0.0])
+def test_are_unstabilizable_state_equation_diverges_in_bounded_time(a):
+    # (Ahat, Bhat) = (a, 1) is stabilizable, (A, B) = (a, 0) is not; P
+    # blows up for a = 1 and grows linearly, exhausting the march budget,
+    # for a = 0
+    p = make_problem(1, 1, A=[[a]], Bbar=[[1.0]], Q=[[1.0]], R=[[1.0]])
+    start = time.perf_counter()
+    with pytest.raises(NumericalFailure, match="ARE divergence"):
+        solve_are(p)
+    assert time.perf_counter() - start < 5.0
+
+
+def test_are_newton_iteration_cap(monkeypatch):
+    monkeypatch.setattr(riccati, "NEWTON_MAX_ITER", 1)
+    with pytest.raises(NumericalFailure, match="Newton iteration not converged"):
+        solve_are(_are_slow_style())
 
 
 def test_finite_horizon_terminal_and_symmetry(sp1):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_bvp
 
 from mflq import (
     NumericalFailure,
@@ -90,6 +91,46 @@ def test_propagate_mean_decay_rate(sp2):
     assert abs(-slope - SQRT2) / SQRT2 < 0.15
     # bounded by the initial offset plus a small constant
     assert np.max(np.abs(m[:, 0])) <= abs(m[0, 0]) + 0.1
+
+
+def _lq_mean_oracle(problem, x0, T, t):
+    """E[X(t)] under the optimal control when C = D = S = 0: the state
+    and adjoint of the deterministic LQ problem in the hat coefficients,
+    x' = Ahat x + Bhat u + b, u = -Rhat^{-1}(Bhat' y + r),
+    y' = -(Qhat x + q + Ahat' y), x(0) = x0, y(T) = 0, by solve_bvp."""
+    n = problem.n
+    A = problem.A + problem.Abar
+    B = problem.B + problem.Bbar
+    Q = problem.Q + problem.Qbar
+    BRinv = B @ np.linalg.inv(problem.R + problem.Rbar)
+    b, q, r = (v[:, None] for v in (problem.b, problem.q, problem.r))
+
+    def rhs(_t, z):
+        x, y = z[:n], z[n:]
+        return np.vstack([A @ x - BRinv @ (B.T @ y + r) + b,
+                          -(Q @ x + q + A.T @ y)])
+
+    def bc(za, zb):
+        return np.concatenate([za[:n] - x0, zb[n:]])
+    mesh = np.linspace(0.0, T, 401)
+    sol = solve_bvp(rhs, bc, mesh, np.zeros((2 * n, mesh.size)), tol=1e-10,
+                    max_nodes=100_000)
+    assert sol.success, sol.message
+    return sol.sol(t)[:n].T
+
+
+def test_propagate_mean_matches_lq_oracle(spmf_b):
+    mean_coupled_2d = make_problem(
+        2, 1, A=[[-1.0, 0.3], [0.0, -0.5]], Abar=[[0.2, 0.0], [0.1, 0.3]],
+        B=[[0.0], [1.0]], Bbar=[[0.3], [0.0]], Q=np.eye(2),
+        Qbar=[[0.5, 0.1], [0.1, 0.0]], R=[[1.0]], Rbar=[[0.5]],
+        b=[1.0, -0.5], sigma=[0.2, 0.1], q=[0.1, 0.0], r=[0.2])
+    T = 5.0
+    for problem, x0 in ((spmf_b, [1.5]), (mean_coupled_2d, [1.0, -1.0])):
+        are, static, path = _pipeline(problem, T, 2000)
+        mean = propagate_mean(problem, path, x0, static.x_star) + static.x_star
+        want = _lq_mean_oracle(problem, np.asarray(x0), T, path.mesh)
+        assert np.max(np.abs(mean - want)) < 1e-6
 
 
 def test_deterministic_paths_without_noise(sp1):
