@@ -151,6 +151,8 @@ def value_convergence(problem: ProblemData, x0, horizons,
             difference=res.optimal.cost_estimate / T - static.V,
             avg_gap=integral_turnpike(gap, T, res.optimal.mesh),
         ))
+        # release this horizon's path and ensembles before the next run
+        del path, res
     return rows
 
 

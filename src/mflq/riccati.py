@@ -7,13 +7,13 @@ The state-weight matrix P_T(t) solves the matrix Riccati ODE
 and the mean-weight matrix Pi_T(t) solves the analogous equation in the
 hat coefficients, consuming P but not conversely.  Dropping the time
 derivative gives the algebraic Riccati pair whose solutions (P, Pi) are
-the infinite-horizon limits.  Offset vectors (phi, phiHat, theta,
-thetaHat) feed the affine part of the closed-loop feedback.
+the infinite-horizon limits.  The mean offsets (phiHat, thetaHat) feed
+the affine part of the closed-loop feedback.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -71,7 +71,8 @@ class RiccatiPath:
     """Nodewise samples of the finite-horizon Riccati data on [0, T].
 
     Arrays are indexed by mesh node (ascending t); matrices are stored
-    as (K+1, n, n), gains as (K+1, m, n), offsets as (K+1, n) / (K+1, m).
+    as (K+1, n, n), gains as (K+1, m, n), the mean offsets phiHat as
+    (K+1, n) and thetaHat as (K+1, m).
     """
 
     T: float
@@ -80,9 +81,7 @@ class RiccatiPath:
     Pi_of_t: np.ndarray
     Theta_of_t: np.ndarray
     ThetaHat_of_t: np.ndarray
-    phi_of_t: np.ndarray
     phiHat_of_t: np.ndarray
-    theta_of_t: np.ndarray
     thetaHat_of_t: np.ndarray
 
 
@@ -123,14 +122,48 @@ def _hermite_mid(y0, y1, f0, f1, h):
     return 0.5 * (y0 + y1) + 0.125 * h * (f0 - f1)
 
 
+def _rk4(f, y0, h, steps):
+    """Classical RK4 for dy/ds = f(j, c, y) from y(0) = y0.
+
+    The stage time is s = (j + c) h: c in {0, 0.5, 1} places it inside
+    interval j.  Returns the (steps + 1, ...) stack of node values.
+    """
+    ys = np.empty((steps + 1,) + np.shape(y0))
+    y = ys[0] = y0
+    for j in range(steps):
+        k1 = f(j, 0.0, y)
+        k2 = f(j, 0.5, y + 0.5 * h * k1)
+        k3 = f(j, 0.5, y + 0.5 * h * k2)
+        k4 = f(j, 1.0, y + h * k3)
+        y = ys[j + 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return ys
+
+
+def _linear_rhs(M, g):
+    """f(j, c, y) = M y + g for _rk4, read from half-step stacks: entry
+    2j + 2c is the value at s = (j + c) h."""
+    def f(j, c, y):
+        i = 2 * j + int(2 * c)
+        return M[i] @ y + g[i]
+    return f
+
+
+def _half_steps(nodes, mids):
+    """Interleave node values and interval midpoint values, index 2j for
+    node j and 2j + 1 for the midpoint of interval j."""
+    out = np.empty((2 * len(nodes) - 1,) + nodes.shape[1:])
+    out[0::2], out[1::2] = nodes, mids
+    return out
+
+
 def integrate_finite_horizon(problem: ProblemData, T: float,
                              steps: int | None = None) -> RiccatiPath:
     """Integrate the Riccati pair backward from P_T(T) = Pi_T(T) = 0.
 
     Classical RK4 on a uniform mesh of `steps` intervals (default 1000
-    per unit time).  P is integrated first; the Pi equation consumes P
-    at matching nodes, with half-step values from a cubic Hermite
-    interpolant of the stored P nodes.  Offsets are zero-filled.
+    per unit time), marching the stacked pair (P, Pi) jointly in
+    s = T - t: the Pi equation consumes the P stage values.  The offsets
+    phiHat, thetaHat are zero-filled; integrate_offsets fills them.
     """
     if T <= 0:
         raise ValueError(f"T must be positive, got {T}")
@@ -140,49 +173,21 @@ def integrate_finite_horizon(problem: ProblemData, T: float,
     steps = int(steps)
     if steps < 1:
         raise ValueError(f"steps must be positive, got {steps}")
-    n, m = problem.n, problem.m
     hats = assemble_hats(problem)
-    h = T / steps
-    K = steps
-    mesh = np.linspace(0.0, T, K + 1)
 
-    # march P forward in s = T - t; node j in s is node K - j in t
-    P_s = np.empty((K + 1, n, n))
-    F_s = np.empty((K + 1, n, n))
-    P = np.zeros((n, n))
-    P_s[0] = P
-    F_s[0] = _rhs_P(problem, P)
-    for j in range(K):
-        k1 = F_s[j]
-        k2 = _rhs_P(problem, P + 0.5 * h * k1)
-        k3 = _rhs_P(problem, P + 0.5 * h * k2)
-        k4 = _rhs_P(problem, P + h * k3)
-        P = _sym(P + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        P_s[j + 1] = P
-        F_s[j + 1] = _rhs_P(problem, P)
+    def rhs(j, c, y):
+        return np.stack([_rhs_P(problem, y[0]), _rhs_Pi(hats, y[0], y[1])])
 
-    # march Pi on the same mesh, P interpolated at half-steps
-    Pi_s = np.empty((K + 1, n, n))
-    Pi = np.zeros((n, n))
-    Pi_s[0] = Pi
-    for j in range(K):
-        P0, P1 = P_s[j], P_s[j + 1]
-        Pm = _hermite_mid(P0, P1, F_s[j], F_s[j + 1], h)
-        k1 = _rhs_Pi(hats, P0, Pi)
-        k2 = _rhs_Pi(hats, Pm, Pi + 0.5 * h * k1)
-        k3 = _rhs_Pi(hats, Pm, Pi + 0.5 * h * k2)
-        k4 = _rhs_Pi(hats, P1, Pi + h * k3)
-        Pi = _sym(Pi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        Pi_s[j + 1] = Pi
-
-    P_of_t = P_s[::-1].copy()
-    Pi_of_t = Pi_s[::-1].copy()
+    # node j in s = T - t is node steps - j in t
+    pair = _rk4(rhs, np.zeros((2, problem.n, problem.n)), T / steps, steps)
+    P_of_t = pair[::-1, 0].copy()
+    Pi_of_t = pair[::-1, 1].copy()
     Theta_of_t, ThetaHat_of_t = _gains(problem, hats, P_of_t, Pi_of_t)
     return RiccatiPath(
-        T=float(T), mesh=mesh, P_of_t=P_of_t, Pi_of_t=Pi_of_t,
-        Theta_of_t=Theta_of_t, ThetaHat_of_t=ThetaHat_of_t,
-        phi_of_t=np.zeros((K + 1, n)), phiHat_of_t=np.zeros((K + 1, n)),
-        theta_of_t=np.zeros((K + 1, m)), thetaHat_of_t=np.zeros((K + 1, m)),
+        T=float(T), mesh=np.linspace(0.0, T, steps + 1), P_of_t=P_of_t,
+        Pi_of_t=Pi_of_t, Theta_of_t=Theta_of_t, ThetaHat_of_t=ThetaHat_of_t,
+        phiHat_of_t=np.zeros((steps + 1, problem.n)),
+        thetaHat_of_t=np.zeros((steps + 1, problem.m)),
     )
 
 
@@ -193,18 +198,12 @@ def _stabilize(rhs, generator, M):
 
     The march is bounded by MARCH_STEP_BUDGET steps and by |M| <= _BLOWUP.
     """
-    h = MARCH_STEP
     for _ in range(MARCH_STEP_BUDGET // 10 + 1):
         if not np.max(np.abs(M)) <= _BLOWUP:
             break
         if np.max(np.linalg.eigvals(generator(M)).real) < 0:
             return M
-        for _ in range(10):
-            k1 = rhs(M)
-            k2 = rhs(M + 0.5 * h * k1)
-            k3 = rhs(M + 0.5 * h * k2)
-            k4 = rhs(M + h * k3)
-            M = _sym(M + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        M = _rk4(lambda j, c, y: rhs(y), M, MARCH_STEP, 10)[-1]
     raise NumericalFailure("ARE divergence (check A2)")
 
 
@@ -295,75 +294,41 @@ def solve_are(problem: ProblemData) -> ArePair:
 def integrate_offsets(problem: ProblemData, are: ArePair, path: RiccatiPath,
                       lambda_star: np.ndarray,
                       sigma_star: np.ndarray) -> RiccatiPath:
-    """Fill the offset vectors on the mesh of an existing RiccatiPath.
+    """Fill the mean offsets on the mesh of an existing RiccatiPath.
 
-    phi solves, backward from phi(T) = -lambda*,
+    phiHat solves, backward from phiHat(T) = -lambda*,
 
-        dphi/dt + [A + B Theta_T(t)]' phi
-                + [C + D Theta_T(t)]' [P_T(t) - P] sigma* = 0,
+        dphiHat/dt + [Ahat + Bhat ThetaHat_T(t)]' phiHat
+                   + [Chat + Dhat ThetaHat_T(t)]' [P_T(t) - P] sigma* = 0,
 
-    and phiHat the hat analogue; the control offsets theta, thetaHat are
-    algebraic functions of the current node.
+    with half-step P, Pi from cubic Hermite interpolation of the nodes;
+    the control offset thetaHat is an algebraic function of the node.
     """
     lam = np.asarray(lambda_star, dtype=float).reshape(problem.n)
     sig = np.asarray(sigma_star, dtype=float).reshape(problem.n)
     hats = assemble_hats(problem)
     K = len(path.mesh) - 1
     h = path.T / K
-    A, B, C, D = problem.A, problem.B, problem.C, problem.D
-
-    # half-step P, Pi via the same cubic Hermite rule used for the pair
-    P_t = path.P_of_t
-    Pi_t = path.Pi_of_t
+    P_t, Pi_t = path.P_of_t, path.Pi_of_t
     F_t = _rhs_P(problem, P_t)
     Fh_t = _rhs_Pi(hats, P_t, Pi_t)
-    P_mid = _hermite_mid(P_t[:-1], P_t[1:], F_t[:-1], F_t[1:], -h)
-    Pi_mid = _hermite_mid(Pi_t[:-1], Pi_t[1:], Fh_t[:-1], Fh_t[1:], -h)
+    P_half = _half_steps(
+        P_t, _hermite_mid(P_t[:-1], P_t[1:], F_t[:-1], F_t[1:], -h))
+    Pi_half = _half_steps(
+        Pi_t, _hermite_mid(Pi_t[:-1], Pi_t[1:], Fh_t[:-1], Fh_t[1:], -h))
 
-    def coeffs(P_stack, Pi_stack):
-        Theta, ThetaHat = _gains(problem, hats, P_stack, Pi_stack)
-        M = np.swapaxes(A + B @ Theta, -1, -2)
-        Mhat = np.swapaxes(hats.Ahat + hats.Bhat @ ThetaHat, -1, -2)
-        v = (P_stack - are.P) @ sig
-        g = np.einsum('kji,kj->ki', C + D @ Theta, v)
-        ghat = np.einsum('kji,kj->ki', hats.Chat + hats.Dhat @ ThetaHat, v)
-        return M, Mhat, g, ghat
+    # dphiHat/ds = Mhat phiHat + ghat with s = T - t: reverse the stacks
+    ThetaHat = _gain(hat_coefficient_maps(hats, P_half, Pi_half))
+    Mhat = (hats.Ahat + hats.Bhat @ ThetaHat).mT[::-1]
+    ghat = np.einsum('kji,kj->ki', hats.Chat + hats.Dhat @ ThetaHat,
+                     (P_half - are.P) @ sig)[::-1]
+    phiHat = _rk4(_linear_rhs(Mhat, ghat), -lam, h, K)[::-1].copy()
 
-    Mn, Mhn, gn, ghn = coeffs(P_t, Pi_t)
-    Mm, Mhm, gm, ghm = coeffs(P_mid, Pi_mid)
-    phi = np.empty((K + 1, problem.n))
-    phiHat = np.empty((K + 1, problem.n))
-    phi[K] = -lam
-    phiHat[K] = -lam
-    # backward in t: dphi/ds = M(t) phi + g(t) with s = T - t
-    for k in range(K, 0, -1):
-        i = k - 1
-        y = phi[k]
-        k1 = Mn[k] @ y + gn[k]
-        k2 = Mm[i] @ (y + 0.5 * h * k1) + gm[i]
-        k3 = Mm[i] @ (y + 0.5 * h * k2) + gm[i]
-        k4 = Mn[i] @ (y + h * k3) + gn[i]
-        phi[i] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-        y = phiHat[k]
-        k1 = Mhn[k] @ y + ghn[k]
-        k2 = Mhm[i] @ (y + 0.5 * h * k1) + ghm[i]
-        k3 = Mhm[i] @ (y + 0.5 * h * k2) + ghm[i]
-        k4 = Mhn[i] @ (y + h * k3) + ghn[i]
-        phiHat[i] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    RofP = coefficient_maps(problem, P_t)[2]
     RhatOf = hat_coefficient_maps(hats, P_t, Pi_t)[2]
     dP = (P_t - are.P) @ sig
-    theta = -np.linalg.solve(RofP, (phi @ B + dP @ D)[..., None])[..., 0]
     thetaHat = -np.linalg.solve(
         RhatOf, (phiHat @ hats.Bhat + dP @ hats.Dhat)[..., None])[..., 0]
-    return RiccatiPath(
-        T=path.T, mesh=path.mesh, P_of_t=path.P_of_t, Pi_of_t=path.Pi_of_t,
-        Theta_of_t=path.Theta_of_t, ThetaHat_of_t=path.ThetaHat_of_t,
-        phi_of_t=phi, phiHat_of_t=phiHat,
-        theta_of_t=theta, thetaHat_of_t=thetaHat,
-    )
+    return replace(path, phiHat_of_t=phiHat, thetaHat_of_t=thetaHat)
 
 
 def convergence_profile(path: RiccatiPath, are: ArePair) -> np.ndarray:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .model import ProblemData, assemble_hats
-from .riccati import ArePair, RiccatiPath
+from .riccati import ArePair, RiccatiPath, _half_steps, _linear_rhs, _rk4
 from .static_opt import StaticSolution
 
 __all__ = [
@@ -140,23 +140,11 @@ def propagate_mean(problem: ProblemData, path: RiccatiPath,
     x0 = np.asarray(x0, dtype=float).reshape(problem.n)
     x_star = np.asarray(x_star, dtype=float).reshape(problem.n)
     K = len(path.mesh) - 1
-    h = path.T / K
     Acl = hats.Ahat + np.einsum("im,kmn->kin", hats.Bhat, path.ThetaHat_of_t)
     force = path.thetaHat_of_t @ hats.Bhat.T
-    m = np.empty((K + 1, problem.n))
-    m[0] = x0 - x_star
-    for k in range(K):
-        A0, A1 = Acl[k], Acl[k + 1]
-        Am = 0.5 * (A0 + A1)
-        g0, g1 = force[k], force[k + 1]
-        gm = 0.5 * (g0 + g1)
-        y = m[k]
-        k1 = A0 @ y + g0
-        k2 = Am @ (y + 0.5 * h * k1) + gm
-        k3 = Am @ (y + 0.5 * h * k2) + gm
-        k4 = A1 @ (y + h * k3) + g1
-        m[k + 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return m
+    f = _linear_rhs(_half_steps(Acl, 0.5 * (Acl[:-1] + Acl[1:])),
+                    _half_steps(force, 0.5 * (force[:-1] + force[1:])))
+    return _rk4(f, x0 - x_star, path.T / K, K)
 
 
 class _ClosedLoop:
@@ -185,20 +173,29 @@ class _ClosedLoop:
         self.Eu_t = np.einsum("kij,kj->ki", ThH, m_t) + off
 
 
-def _turnpike_coeffs(problem, are, static):
+def _turnpike_coeffs(problem, are):
     Atp = problem.A + problem.B @ are.Theta
     Ctp = problem.C + problem.D @ are.Theta
     return Atp, Ctp
 
 
-def _cost_weights(problem):
-    """Matrices of the pathwise running-cost quadratic form."""
-    return (problem.Q, problem.S, problem.R, problem.q, problem.r)
+def _adjoints(path, are, static, cl, Ctp, k, Xt, Xs):
+    """Feedback-form adjoints at node k from shifted states Xt (optimal)
+    and Xs (turnpike), each (n, L): Y, Z of the optimal pair and
+    Y_tp = P X* + lambda*, Z_tp = P[(C + D Theta) X* + sigma*]."""
+    lam = static.lambda_star
+    mk = cl.m_t[k]
+    Y = path.P_of_t[k] @ (Xt - mk[:, None]) + (path.Pi_of_t[k] @ mk
+                                               + path.phiHat_of_t[k] + lam)[:, None]
+    Z = path.P_of_t[k] @ (cl.Ccl[k] @ Xt + cl.cconst[k][:, None])
+    Y_tp = are.P @ Xs + lam[:, None]
+    Z_tp = are.P @ (Ctp @ Xs) + (are.P @ static.sigma_star)[:, None]
+    return Y, Z, Y_tp, Z_tp
 
 
 def _pathwise_cost(problem, X, u):
     """Per-path running-cost integrand (pathwise blocks only), (L,)."""
-    Q, S, R, q, r = _cost_weights(problem)
+    Q, S, R, q, r = problem.Q, problem.S, problem.R, problem.q, problem.r
     return (np.einsum("ip,ij,jp->p", X, Q, X)
             + 2.0 * np.einsum("mp,mj,jp->p", u, S, X)
             + np.einsum("mp,mj,jp->p", u, R, u)
@@ -268,8 +265,7 @@ def _run_chunk(problem, path, are, static, cl, config, mode,
     lam = static.lambda_star
     sig = static.sigma_star
     if want_tp:
-        Atp, Ctp = _turnpike_coeffs(problem, are, static)
-        Ztp_base = are.P @ sig
+        Atp, Ctp = _turnpike_coeffs(problem, are)
     Xt = None
     Xs = None
     if want_opt:
@@ -310,16 +306,9 @@ def _run_chunk(problem, path, are, static, cl, config, mode,
             du = u_sh - (u_tp - u_star[:, None])
             acc.gap_X[k] = np.einsum("ip,ip->", dX, dX)
             acc.gap_u[k] = np.einsum("ip,ip->", du, du)
-            # adjoint reconstruction at the current node
-            mk = cl.m_t[k][:, None]
-            Y = path.P_of_t[k] @ (Xt - mk) + (path.Pi_of_t[k] @ cl.m_t[k]
-                                              + path.phiHat_of_t[k] + lam)[:, None]
-            Ytp = are.P @ Xs + lam[:, None]
-            diff_opt = cl.Ccl[k] @ Xt + cl.cconst[k][:, None]
-            Z = path.P_of_t[k] @ diff_opt
-            Ztp = are.P @ (Ctp @ Xs) + Ztp_base[:, None]
-            dY = Y - Ytp
-            dZ = Z - Ztp
+            Y, Z, Y_tp, Z_tp = _adjoints(path, are, static, cl, Ctp, k, Xt, Xs)
+            dY = Y - Y_tp
+            dZ = Z - Z_tp
             acc.gap_Y[k] = np.einsum("ip,ip->", dY, dY)
             acc.gap_Z[k] = np.einsum("ip,ip->", dZ, dZ)
             # stationarity block of the optimality system, analytic means
@@ -523,23 +512,16 @@ def build_adjoint_paths(problem: ProblemData, path: RiccatiPath,
     _check_path_mesh(path, config)
     m_t = propagate_mean(problem, path, raw_optimal.x0, static.x_star)
     cl = _ClosedLoop(problem, path, static, m_t)
-    Atp, Ctp = _turnpike_coeffs(problem, are, static)
-    lam = static.lambda_star
-    sig = static.sigma_star
+    _, Ctp = _turnpike_coeffs(problem, are)
     S = len(raw_optimal.indices)
     gap_Y = np.empty(S)
     gap_Z = np.empty(S)
     for i, k in enumerate(raw_optimal.indices):
-        Xt = raw_optimal.X[i] - static.x_star[:, None]
-        Xs = raw_turnpike.X[i] - static.x_star[:, None]
-        mk = cl.m_t[k][:, None]
-        Y = path.P_of_t[k] @ (Xt - mk) + (path.Pi_of_t[k] @ cl.m_t[k]
-                                          + path.phiHat_of_t[k] + lam)[:, None]
-        Ytp = are.P @ Xs + lam[:, None]
-        Z = path.P_of_t[k] @ (cl.Ccl[k] @ Xt + cl.cconst[k][:, None])
-        Ztp = are.P @ (Ctp @ Xs + sig[:, None])
-        dY = Y - Ytp
-        dZ = Z - Ztp
+        Y, Z, Y_tp, Z_tp = _adjoints(path, are, static, cl, Ctp, k,
+                                     raw_optimal.X[i] - static.x_star[:, None],
+                                     raw_turnpike.X[i] - static.x_star[:, None])
+        dY = Y - Y_tp
+        dZ = Z - Z_tp
         gap_Y[i] = np.mean(np.einsum("ip,ip->p", dY, dY))
         gap_Z[i] = np.mean(np.einsum("ip,ip->p", dZ, dZ))
     return raw_optimal.mesh, gap_Y, gap_Z

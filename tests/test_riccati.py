@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import solve_continuous_are
 
 from mflq import (
@@ -14,6 +15,7 @@ from mflq import (
     integrate_finite_horizon,
     integrate_offsets,
     make_problem,
+    propagate_mean,
     solve_are,
 )
 from mflq import riccati
@@ -142,6 +144,17 @@ def test_finite_horizon_converges_to_stationary(sp1):
     assert abs(path.Pi_of_t[0, 0, 0] - are.Pi[0, 0]) < 1e-6
 
 
+def _mean_at_T(p, steps):
+    """propagate_mean at t = T = 1 on a path whose mean coefficients are
+    linear in t, so that the node averages it takes for the midpoints are
+    exact and the order of its RK4 march shows."""
+    path = integrate_finite_horizon(p, 1.0, steps=steps)
+    t = path.mesh[:, None]
+    path = dataclasses.replace(path, ThetaHat_of_t=(-0.5 - t)[:, :, None],
+                               thetaHat_of_t=0.3 + 0.2 * t)
+    return propagate_mean(p, path, [1.0], [0.0])[-1, 0]
+
+
 def test_integration_order_at_least_3p5(sp1, spmf):
     for p in (sp1, spmf):
         ref = integrate_finite_horizon(p, 1.0, steps=512)
@@ -151,6 +164,10 @@ def test_integration_order_at_least_3p5(sp1, spmf):
             e_c = abs(getattr(coarse, attr)[0, 0, 0] - getattr(ref, attr)[0, 0, 0])
             e_f = abs(getattr(fine, attr)[0, 0, 0] - getattr(ref, attr)[0, 0, 0])
             assert math.log2(e_c / e_f) >= 3.5
+        m_ref = _mean_at_T(p, 512)
+        e_c = abs(_mean_at_T(p, 8) - m_ref)
+        e_f = abs(_mean_at_T(p, 16) - m_ref)
+        assert math.log2(e_c / e_f) >= 3.5
 
 
 def test_finite_horizon_rejects_bad_inputs(sp1):
@@ -172,25 +189,76 @@ def _sp2_pipeline(sp2, T, steps):
 
 def test_offsets_terminal_values(sp2):
     are, static, path = _sp2_pipeline(sp2, 10.0, 2000)
-    assert path.phi_of_t[-1, 0] == pytest.approx(-static.lambda_star[0])
     assert path.phiHat_of_t[-1, 0] == pytest.approx(-static.lambda_star[0])
-    # theta(T) = -R^{-1}[B'phi(T) + D'(P_T(T)-P) sigma*] = lambda* here
-    assert path.theta_of_t[-1, 0] == pytest.approx(static.lambda_star[0])
+    # thetaHat(T) = -Rhat^{-1}[Bhat'phiHat(T) + Dhat'(P_T(T)-P) sigma*] = lambda* here
+    assert path.thetaHat_of_t[-1, 0] == pytest.approx(static.lambda_star[0])
 
 
 def test_offsets_decay_into_the_interior(sp2):
     are, static, path = _sp2_pipeline(sp2, 10.0, 2000)
-    mid = abs(path.phi_of_t[1000, 0])
+    mid = abs(path.phiHat_of_t[1000, 0])
     assert 1e-4 < mid < 5e-3
-    assert abs(path.phi_of_t[0, 0]) < abs(path.phi_of_t[-1, 0])
+    assert abs(path.phiHat_of_t[0, 0]) < abs(path.phiHat_of_t[-1, 0])
+    assert abs(path.thetaHat_of_t[1000, 0]) < 5e-3
 
 
 def test_offsets_shrink_with_horizon(sp2):
     _, _, path10 = _sp2_pipeline(sp2, 10.0, 1000)
     _, _, path20 = _sp2_pipeline(sp2, 20.0, 2000)
-    mid10 = abs(path10.phi_of_t[500, 0])
-    mid20 = abs(path20.phi_of_t[1000, 0])
-    assert mid20 < mid10 / 5.0
+    for attr in ("phiHat_of_t", "thetaHat_of_t"):
+        mid10 = abs(getattr(path10, attr)[500, 0])
+        mid20 = abs(getattr(path20, attr)[1000, 0])
+        assert mid20 < mid10 / 5.0
+
+
+def _backward_system_oracle(p, are, static, T, mesh):
+    """solve_ivp (DOP853) of the joint backward system (P, Pi, phiHat) in
+    s = T - t, written out from the Riccati maps; values at `mesh`."""
+    n = p.n
+    Ah, Bh, Ch, Dh = p.A + p.Abar, p.B + p.Bbar, p.C + p.Cbar, p.D + p.Dbar
+    Qh, Sh, Rh = p.Q + p.Qbar, p.S + p.Sbar, p.R + p.Rbar
+
+    def rhs(s, y):
+        P = y[:n * n].reshape(n, n)
+        Pi = y[n * n:2 * n * n].reshape(n, n)
+        phiHat = y[2 * n * n:]
+        SP = p.B.T @ P + p.D.T @ P @ p.C + p.S
+        RP = p.R + p.D.T @ P @ p.D
+        dP = (P @ p.A + p.A.T @ P + p.C.T @ P @ p.C + p.Q
+              - SP.T @ np.linalg.solve(RP, SP))
+        SPi = Bh.T @ Pi + Dh.T @ P @ Ch + Sh
+        RPi = Rh + Dh.T @ P @ Dh
+        ThetaHat = -np.linalg.solve(RPi, SPi)
+        dPi = Pi @ Ah + Ah.T @ Pi + Ch.T @ P @ Ch + Qh + SPi.T @ ThetaHat
+        dphiHat = ((Ah + Bh @ ThetaHat).T @ phiHat
+                   + (Ch + Dh @ ThetaHat).T @ (P - are.P) @ static.sigma_star)
+        return np.concatenate([dP.ravel(), dPi.ravel(), dphiHat])
+
+    y0 = np.concatenate([np.zeros(2 * n * n), -static.lambda_star])
+    sol = solve_ivp(rhs, (0.0, T), y0, method="DOP853", rtol=1e-11,
+                    atol=1e-11, t_eval=T - mesh[::-1])
+    assert sol.success
+    ys = sol.y.T[::-1]
+    return (ys[:, :n * n].reshape(-1, n, n),
+            ys[:, n * n:2 * n * n].reshape(-1, n, n), ys[:, 2 * n * n:])
+
+
+def test_finite_horizon_and_offsets_match_solve_ivp(random_2x2):
+    # every block that enters the backward system nonzero: C, D, b, sigma
+    p = dataclasses.replace(random_2x2, b=np.array([0.7, -0.4]),
+                            sigma=np.array([0.3, 0.5]))
+    assert np.all(p.C != 0) and np.all(p.D != 0)
+    from mflq import solve_static
+    are = solve_are(p)
+    static = solve_static(p, are.P)
+    path = integrate_finite_horizon(p, 2.0, steps=400)
+    path = integrate_offsets(p, are, path, static.lambda_star,
+                             static.sigma_star)
+    P, Pi, phiHat = _backward_system_oracle(p, are, static, 2.0, path.mesh)
+    assert np.max(np.abs(path.P_of_t - P)) <= 1e-8
+    assert np.max(np.abs(path.Pi_of_t - Pi)) <= 1e-8
+    assert np.max(np.abs(path.phiHat_of_t - phiHat)) <= 1e-8
+    assert np.max(np.abs(static.lambda_star)) > 0.1
 
 
 def test_convergence_profile_shape_and_decay(sp1):
