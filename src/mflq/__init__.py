@@ -38,14 +38,8 @@ from .simulate import (
     RawPaths,
     SimulationConfig,
     brownian_increments,
-    build_adjoint_paths,
-    estimate_cost,
     propagate_mean,
-    read_raw_paths,
-    write_raw_paths,
     run_coupled,
-    simulate_optimal_ensemble,
-    simulate_turnpike_ensemble,
 )
 from .analysis import (
     DecayFit,

@@ -278,7 +278,7 @@ def turnpike_pipeline(problem: ProblemData, x0, T: float,
         "trivial_problem": bool(trivial),
         "tolerances": dict(TOLERANCES),
         "config": {"T": cfg.T, "dt": cfg.dt, "n_paths": cfg.n_paths,
-                   "seed": cfg.seed, "coupled": cfg.coupled},
+                   "seed": cfg.seed},
         "assumption_a1": {"passed": a1.passed, "failures": a1.failures},
         "riccati": {
             "residual_P": are.residual_P,

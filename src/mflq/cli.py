@@ -8,7 +8,7 @@ Invocation:
 Commands: are, static, riccati-profile, turnpike, value-convergence,
 lemma-suite.  The config file is a JSON document with a `problem` block
 (see model.problem_from_dict for the field names) and optional fields
-`T`, `horizons`, `x0`, `dt`, `n_paths`, `seed`, `coupled`, `workers`,
+`T`, `horizons`, `x0`, `dt`, `n_paths`, `seed`, `workers`,
 `steps_per_unit`, `out`, `trials`.  Command-line flags override config
 fields.  Artifacts are written only under the `out` directory: without
 one, `are`, `static`, `value-convergence` and `lemma-suite` print their
@@ -40,7 +40,7 @@ EXIT_NUMERICAL = 5
 COMMANDS = ("are", "static", "riccati-profile", "turnpike",
             "value-convergence", "lemma-suite")
 _KNOWN_FIELDS = {"problem", "T", "horizons", "x0", "dt", "n_paths", "seed",
-                 "coupled", "workers", "steps_per_unit", "out", "trials"}
+                 "workers", "steps_per_unit", "out", "trials"}
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,6 @@ def _resolved_doc(doc: dict) -> dict:
     out["dt"] = doc.get("dt", 1e-3)
     out["n_paths"] = doc.get("n_paths", 10_000)
     out["seed"] = doc.get("seed", 42)
-    out["coupled"] = doc.get("coupled", True)
     out["steps_per_unit"] = doc.get("steps_per_unit", 1000)
     return out
 
@@ -106,8 +105,12 @@ def load_config(path, command: str = "turnpike",
     horizons = doc.get("horizons")
     if command in ("riccati-profile", "turnpike") and T is None:
         raise ValueError(f"T: required for the {command} command")
-    if command == "value-convergence" and horizons is None:
-        raise ValueError("horizons: required for the value-convergence command")
+    if command == "value-convergence":
+        if horizons is None:
+            raise ValueError(
+                "horizons: required for the value-convergence command")
+        if not isinstance(horizons, list) or not horizons:
+            raise ValueError("horizons: expected a non-empty list")
     x0 = doc.get("x0")
     if command in ("turnpike", "value-convergence"):
         if x0 is None:
@@ -116,16 +119,22 @@ def load_config(path, command: str = "turnpike",
         if x0.shape != (problem.n,):
             raise ValueError(f"x0: expected length {problem.n}, got {x0.shape}")
     resolved = _resolved_doc(doc)
-    sim_T = float(T) if T is not None else float(
-        horizons[0] if horizons else 1.0)
     try:
+        sim_T = float(T) if T is not None else float(
+            horizons[0] if horizons else 1.0)
         sim = simulate.SimulationConfig(
             T=sim_T, dt=float(resolved["dt"]),
             n_paths=int(resolved["n_paths"]), seed=int(resolved["seed"]),
-            coupled=bool(resolved["coupled"]),
             workers=int(doc.get("workers", 1)))
-    except ValueError as exc:
+        if command == "value-convergence":
+            # every horizon gets the checks its own run would make
+            for h in horizons:
+                dc_replace(sim, T=float(h))
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"simulation config: {exc}") from exc
+    trials = int(doc.get("trials", 1000))
+    if trials < 1:
+        raise ValueError(f"trials: must be >= 1, got {trials}")
     digest = hashlib.sha256(
         json.dumps(resolved, sort_keys=True, default=str).encode()).hexdigest()
     return ExperimentConfig(
@@ -133,7 +142,7 @@ def load_config(path, command: str = "turnpike",
         horizons=tuple(horizons) if horizons else None, x0=x0,
         steps_per_unit=int(resolved["steps_per_unit"]),
         out=None if doc.get("out") is None else str(doc["out"]),
-        trials=int(doc.get("trials", 1000)),
+        trials=trials,
         digest=digest)
 
 

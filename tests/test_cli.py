@@ -23,7 +23,6 @@ def test_load_config_defaults(tmp_path):
     assert cfg.sim.n_paths == 10_000
     assert cfg.sim.seed == 42
     assert cfg.steps_per_unit == 1000
-    assert cfg.sim.coupled is True
     assert len(cfg.digest) == 64
 
 
@@ -79,9 +78,37 @@ def test_exit_code_3_on_nonfinite_data(tmp_path, capsys, block, value):
     assert f"problem: {block} must be finite" in capsys.readouterr().err
 
 
-def test_exit_code_3_on_unknown_field(tmp_path):
+def test_exit_code_3_on_unknown_field(tmp_path, capsys):
     doc = {"problem": SP1, "Tmax": 3.0}
     assert main(["are", "--config", _write(tmp_path, doc)]) == 3
+    # the ensembles are always coupled; the old switch is not a field
+    doc = {"problem": SP2, "T": 1.0, "x0": [1.5], "dt": 0.01,
+           "n_paths": 10, "coupled": False}
+    assert main(["turnpike", "--config", _write(tmp_path, doc),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert "unknown config fields: ['coupled']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("horizons, message", [
+    ([1.0, 0.5], "dt=0.2 does not divide T=0.5"),
+    ([1.0, -2.0], "must be positive"),
+    ([], "horizons: expected a non-empty list"),
+    (2.0, "horizons: expected a non-empty list"),
+])
+def test_exit_code_3_on_bad_horizons(tmp_path, capsys, horizons, message):
+    doc = {"problem": SP2, "horizons": horizons, "x0": [1.5], "dt": 0.2,
+           "n_paths": 10}
+    assert main(["value-convergence", "--config", _write(tmp_path, doc)]) == 3
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_exit_code_3_on_nonpositive_trials(tmp_path, capsys, trials):
+    doc = {"problem": SP1, "trials": trials}
+    assert main(["lemma-suite", "--config", _write(tmp_path, doc)]) == 3
+    assert f"trials: must be >= 1, got {trials}" in capsys.readouterr().err
 
 
 def test_exit_code_4_on_assumption_failure(tmp_path, capsys):

@@ -3,27 +3,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import solve_bvp
 
 from mflq import (
+    MflqError,
     NumericalFailure,
     SimulationConfig,
+    assemble_hats,
     brownian_increments,
-    build_adjoint_paths,
-    estimate_cost,
     integrate_finite_horizon,
     integrate_offsets,
     make_problem,
     propagate_mean,
-    read_raw_paths,
     run_coupled,
-    simulate_optimal_ensemble,
-    simulate_turnpike_ensemble,
     solve_are,
     solve_static,
-    write_raw_paths,
+    validate_assumption_a1,
 )
-from mflq.simulate import write_ensemble_csv
+from mflq.simulate import PATH_CHUNK, write_ensemble_csv
 
 SQRT2 = math.sqrt(2.0)
 
@@ -50,16 +50,21 @@ def test_config_validation():
 
 
 def test_brownian_increments_are_addressed():
-    a = brownian_increments(42, 0, 1, 7, 100, 0.01)
-    b = brownian_increments(42, 0, 1, 7, 100, 0.01)
+    a = brownian_increments(42, 1, 7, 100, 0.01)
+    b = brownian_increments(42, 1, 7, 100, 0.01)
     assert np.array_equal(a, b)
-    c = brownian_increments(42, 1, 1, 7, 100, 0.01)
-    d = brownian_increments(43, 0, 1, 7, 100, 0.01)
-    e = brownian_increments(42, 0, 1, 8, 100, 0.01)
+    # the address is Philox key [seed, 0] and counter [0, 0, chunk, step]
+    gen = np.random.Generator(np.random.Philox(
+        counter=np.array([0, 0, 1, 7], dtype=np.uint64),
+        key=np.array([42, 0], dtype=np.uint64)))
+    assert np.array_equal(a, gen.standard_normal(100) * 0.1)
+    c = brownian_increments(42, 2, 7, 100, 0.01)
+    d = brownian_increments(43, 1, 7, 100, 0.01)
+    e = brownian_increments(42, 1, 8, 100, 0.01)
     for other in (c, d, e):
         assert not np.array_equal(a, other)
     # variance scale
-    big = brownian_increments(1, 0, 0, 0, 200_000, 0.25)
+    big = brownian_increments(1, 0, 0, 200_000, 0.25)
     assert np.std(big) == pytest.approx(0.5, rel=0.02)
 
 
@@ -136,7 +141,8 @@ def test_propagate_mean_matches_lq_oracle(spmf_b):
 def test_deterministic_paths_without_noise(sp1):
     are, static, path = _pipeline(sp1, 2.0, 1000)
     cfg = SimulationConfig(T=2.0, dt=0.002, n_paths=50, seed=1)
-    raw, stats = simulate_optimal_ensemble(sp1, path, static, [1.0], cfg)
+    res = run_coupled(sp1, path, are, static, [1.0], cfg)
+    raw, stats = res.raw_optimal, res.optimal
     # zero diffusion: every path equals the mean, exactly
     assert np.max(np.abs(raw.X - raw.X[:, :, :1])) == 0.0
     assert np.max(np.abs(stats.second_moment_X
@@ -150,8 +156,7 @@ def test_deterministic_paths_without_noise(sp1):
 def test_optimal_mean_tracks_turnpike(sp2):
     are, static, path = _pipeline(sp2, 10.0, 1000)
     cfg = SimulationConfig(T=10.0, dt=0.01, n_paths=4000, seed=9)
-    raw, stats = simulate_optimal_ensemble(sp2, path, static,
-                                           static.x_star, cfg)
+    stats = run_coupled(sp2, path, are, static, static.x_star, cfg).optimal
     m = propagate_mean(sp2, path, static.x_star, static.x_star)
     se = np.sqrt(np.maximum(stats.second_moment_X
                             - stats.mean_X[:, 0] ** 2, 0.0)
@@ -166,39 +171,45 @@ def test_optimal_mean_tracks_turnpike(sp2):
 
 
 def test_turnpike_without_noise_sits_at_steady_state(spmf_b):
-    are = solve_are(spmf_b)
-    static = solve_static(spmf_b, are.P)
+    are, static, path = _pipeline(spmf_b, 2.0, 200)
     cfg = SimulationConfig(T=2.0, dt=0.01, n_paths=20, seed=2)
-    raw, stats = simulate_turnpike_ensemble(spmf_b, are, static, cfg)
-    assert np.max(np.abs(stats.mean_X - static.x_star)) < 1e-12
-    assert np.max(np.abs(raw.u - static.u_star[0])) < 1e-12
+    res = run_coupled(spmf_b, path, are, static, [1.5], cfg)
+    assert np.max(np.abs(res.turnpike.mean_X - static.x_star)) < 1e-12
+    assert np.max(np.abs(res.raw_turnpike.u - static.u_star[0])) < 1e-12
 
 
 def test_turnpike_stationary_variance(sp2):
-    are = solve_are(sp2)
-    static = solve_static(sp2, are.P)
+    are, static, path = _pipeline(sp2, 10.0, 1000)
     cfg = SimulationConfig(T=10.0, dt=0.01, n_paths=8000, seed=12)
-    raw, stats = simulate_turnpike_ensemble(sp2, are, static, cfg)
+    stats = run_coupled(sp2, path, are, static, [1.5], cfg).turnpike
     # E|X*|^2 around x*^2 + sigma*^2/(2 sqrt 2) at stationarity
     target = 0.25 + 0.25 / (2.0 * SQRT2)
     assert stats.second_moment_X[-1] == pytest.approx(target, rel=0.1)
 
 
 def test_coupled_matches_separate_runs_exactly(sp2):
+    # each ensemble of the lockstep run against its own Euler recursion,
+    # both driven by the increments at addresses (seed, chunk 0, step k)
     are, static, path = _pipeline(sp2, 2.0, 200)
     cfg = SimulationConfig(T=2.0, dt=0.01, n_paths=3000, seed=5)
     res = run_coupled(sp2, path, are, static, [1.5], cfg)
-    raw_o, st_o = simulate_optimal_ensemble(sp2, path, static, [1.5], cfg)
-    raw_t, st_t = simulate_turnpike_ensemble(sp2, are, static, cfg)
-    assert np.array_equal(res.optimal.mean_X, st_o.mean_X)
-    assert np.array_equal(res.raw_optimal.X, raw_o.X)
-    assert np.array_equal(res.turnpike.second_moment_X,
-                          st_t.second_moment_X)
-    # uncoupled turnpike uses an independent stream
-    cfg_u = SimulationConfig(T=2.0, dt=0.01, n_paths=3000, seed=5,
-                             coupled=False)
-    _, st_u = simulate_turnpike_ensemble(sp2, are, static, cfg_u)
-    assert not np.allclose(st_u.mean_X, st_t.mean_X)
+    # sp2 has C = D = 0 and no mean coupling: u - u* = Theta_T Xt + thetaHat_T
+    A, B, sig = sp2.A[0, 0], sp2.B[0, 0], static.sigma_star[0]
+    Th, off = path.Theta_of_t[:, 0, 0], path.thetaHat_of_t[:, 0]
+    Atp = A + B * are.Theta[0, 0]
+    Xt = np.full(cfg.n_paths, 1.5 - static.x_star[0])
+    Xs = np.zeros(cfg.n_paths)
+    opt, tp = [Xt], [Xs]
+    for k in range(cfg.n_steps):
+        dW = brownian_increments(5, 0, k, cfg.n_paths, cfg.dt)
+        Xt = Xt + cfg.dt * (A * Xt + B * (Th[k] * Xt + off[k])) + sig * dW
+        Xs = Xs + cfg.dt * (Atp * Xs) + sig * dW
+        opt.append(Xt)
+        tp.append(Xs)
+    assert np.array_equal(res.raw_turnpike.X[:, 0],
+                          np.array(tp) + static.x_star[0])
+    assert np.max(np.abs(res.raw_optimal.X[:, 0]
+                         - (np.array(opt) + static.x_star[0]))) < 1e-12
 
 
 def test_worker_count_does_not_change_results(sp2):
@@ -217,45 +228,36 @@ def test_worker_count_does_not_change_results(sp2):
 def test_jensen_gap_nonnegative(sp2):
     are, static, path = _pipeline(sp2, 2.0, 200)
     cfg = SimulationConfig(T=2.0, dt=0.01, n_paths=2000, seed=8)
-    _, stats = simulate_optimal_ensemble(sp2, path, static, [1.5], cfg)
+    stats = run_coupled(sp2, path, are, static, [1.5], cfg).optimal
     gap = stats.second_moment_X - np.einsum("ki,ki->k", stats.mean_X,
                                             stats.mean_X)
     assert np.min(gap) >= -1e-12
 
 
 def test_weak_euler_order(sp2):
-    are = solve_are(sp2)
-    static = solve_static(sp2, are.P)
     T, N = 4.0, 4000
     dts = [0.04, 0.02, 0.01]
     K_fine = int(T / dts[-1])
-    fine = np.stack([brownian_increments(7, 0, 0, k, N, dts[-1])
+    fine = np.stack([brownian_increments(7, 0, k, N, dts[-1])
                      for k in range(K_fine)])
     vals = []
     for dt in dts:
         K = int(T / dt)
+        are, static, path = _pipeline(sp2, T, K)
         inc = fine.reshape(K, K_fine // K, N).sum(axis=1)
         cfg = SimulationConfig(T=T, dt=dt, n_paths=N, seed=7)
-        _, stats = simulate_turnpike_ensemble(sp2, are, static, cfg,
-                                              increments=inc)
-        vals.append(stats.second_moment_X[K // 2])
+        res = run_coupled(sp2, path, are, static, [1.5], cfg, increments=inc)
+        vals.append(res.turnpike.second_moment_X[K // 2])
     d1 = abs(vals[0] - vals[1])
     d2 = abs(vals[1] - vals[2])
     assert math.log2(d1 / d2) >= 0.8
-
-
-def test_run_coupled_requires_coupling(sp2):
-    are, static, path = _pipeline(sp2, 1.0, 100)
-    cfg = SimulationConfig(T=1.0, dt=0.01, n_paths=10, coupled=False)
-    with pytest.raises(ValueError, match="coupled"):
-        run_coupled(sp2, path, are, static, [1.5], cfg)
 
 
 def test_mesh_mismatch_rejected(sp2):
     are, static, path = _pipeline(sp2, 1.0, 50)
     cfg = SimulationConfig(T=1.0, dt=0.01, n_paths=10)
     with pytest.raises(ValueError, match="does not match"):
-        simulate_optimal_ensemble(sp2, path, static, [1.5], cfg)
+        run_coupled(sp2, path, are, static, [1.5], cfg)
 
 
 def test_nonfinite_state_is_located(sp2):
@@ -265,58 +267,7 @@ def test_nonfinite_state_is_located(sp2):
     inc[10, 2] = np.nan
     with pytest.raises(NumericalFailure,
                        match="non-finite state at path 2"):
-        simulate_optimal_ensemble(sp2, path, static, [1.0], cfg,
-                                  increments=inc)
-
-
-def test_adjoint_gap_validation(sp2):
-    are, static, path = _pipeline(sp2, 1.0, 100)
-    cfg = SimulationConfig(T=1.0, dt=0.01, n_paths=100, seed=3)
-    res = run_coupled(sp2, path, are, static, [1.5], cfg)
-    mesh, gap_Y, gap_Z = build_adjoint_paths(sp2, path, are, static,
-                                             res.raw_optimal,
-                                             res.raw_turnpike)
-    assert len(mesh) == len(gap_Y) == len(gap_Z)
-    assert np.all(gap_Y >= 0) and np.all(gap_Z >= 0)
-    with pytest.raises(ValueError, match="optimal and one turnpike"):
-        build_adjoint_paths(sp2, path, are, static, res.raw_optimal,
-                            res.raw_optimal)
-    other = SimulationConfig(T=1.0, dt=0.01, n_paths=100, seed=4)
-    res2 = run_coupled(sp2, path, are, static, [1.5], other)
-    with pytest.raises(ValueError, match="configs differ"):
-        build_adjoint_paths(sp2, path, are, static, res.raw_optimal,
-                            res2.raw_turnpike)
-
-
-def test_estimate_cost_matches_engine(sp2):
-    # with <= 200 steps the snapshots cover every node
-    are, static, path = _pipeline(sp2, 2.0, 200)
-    cfg = SimulationConfig(T=2.0, dt=0.01, n_paths=500, seed=6)
-    raw, stats = simulate_optimal_ensemble(sp2, path, static, [1.5], cfg)
-    assert len(raw.mesh) == cfg.n_steps + 1
-    mean, stderr = estimate_cost(sp2, raw.X, raw.u, raw.mesh)
-    assert mean == pytest.approx(stats.cost_estimate, rel=1e-12)
-    assert stderr == pytest.approx(stats.cost_stderr, rel=1e-12)
-    with pytest.raises(ValueError, match="mismatched"):
-        estimate_cost(sp2, raw.X[:-1], raw.u, raw.mesh)
-
-
-def test_raw_paths_binary_roundtrip(sp2, tmp_path):
-    are, static, path = _pipeline(sp2, 1.0, 100)
-    cfg = SimulationConfig(T=1.0, dt=0.01, n_paths=37, seed=3)
-    raw, _ = simulate_optimal_ensemble(sp2, path, static, [1.5], cfg)
-    fname = tmp_path / "paths.bin"
-    with open(fname, "wb") as fh:
-        write_raw_paths(raw, fh)
-    with open(fname, "rb") as fh:
-        header = np.frombuffer(fh.read(32), dtype="<i8")
-    assert list(header) == [1, 1, len(raw.mesh), 37]
-    size = 32 + 2 * 8 * len(raw.mesh) * 37
-    assert fname.stat().st_size == size
-    with open(fname, "rb") as fh:
-        X, u = read_raw_paths(fh)
-    assert np.array_equal(X, raw.X)
-    assert np.array_equal(u, raw.u)
+        run_coupled(sp2, path, are, static, [1.0], cfg, increments=inc)
 
 
 def test_ensemble_csv_format(sp2):
@@ -330,6 +281,81 @@ def test_ensemble_csv_format(sp2):
     assert lines[1] == "t,meanX0,m2X,m2u,gapX,gapu,gapY,gapZ"
     assert len(lines) == 2 + cfg.n_steps + 1
     buf = io.StringIO()
-    _, stats = simulate_optimal_ensemble(sp2, path, static, [1.5], cfg)
-    write_ensemble_csv(stats, buf)
+    write_ensemble_csv(res.turnpike, buf)
     assert buf.getvalue().splitlines()[0] == "t,meanX0,m2X,m2u"
+
+
+def _random_problem(n, m, G):
+    """Problem with every block nonzero, G(shape) drawing entries in
+    [-1, 1].  The couplings are small enough that A and Ahat are stable
+    and (A, C) is mean-square stable, so the Riccati pair exists."""
+    M, N, K, L = G((n, n)), G((n, n)), G((m, m)), G((m, m))
+    return make_problem(
+        n, m, A=-np.eye(n) + 0.3 * G((n, n)), Abar=0.1 * G((n, n)),
+        B=G((n, m)), Bbar=0.2 * G((n, m)), C=0.2 * G((n, n)),
+        Cbar=0.1 * G((n, n)), D=0.2 * G((n, m)), Dbar=0.1 * G((n, m)),
+        Q=np.eye(n) + M.T @ M / 4.0, Qbar=0.1 * N.T @ N,
+        S=0.1 * G((m, n)), Sbar=0.05 * G((m, n)),
+        R=np.eye(m) + K.T @ K / 4.0, Rbar=0.1 * L.T @ L,
+        b=0.5 * G((n,)), sigma=0.3 * G((n,)), q=0.1 * G((n,)),
+        r=0.1 * G((m,)))
+
+
+def test_first_node_gaps_are_exact():
+    # at t = 0 every optimal path sits at x0 and every turnpike path at
+    # x*, so each gap at the first node is a deterministic quadratic form
+    rng = np.random.default_rng(4)
+    p = _random_problem(2, 2, lambda shape: rng.uniform(-1.0, 1.0, shape))
+    x0 = np.array([1.0, -0.5])
+    are, static, path = _pipeline(p, 1.0, 100)
+    cfg = SimulationConfig(T=1.0, dt=0.01, n_paths=64, seed=1)
+    stats = run_coupled(p, path, are, static, x0, cfg).optimal
+    h = assemble_hats(p)
+    m0 = x0 - static.x_star
+    ThH, thH = path.ThetaHat_of_t[0], path.thetaHat_of_t[0]
+    u0 = ThH @ m0 + thH
+    Y0 = path.Pi_of_t[0] @ m0 + path.phiHat_of_t[0]
+    Z0 = (path.P_of_t[0] @ ((h.Chat + h.Dhat @ ThH) @ m0 + h.Dhat @ thH
+                            + static.sigma_star)
+          - are.P @ static.sigma_star)
+    for got, v in ((stats.gap_X, m0), (stats.gap_u, u0),
+                   (stats.gap_Y, Y0), (stats.gap_Z, Z0)):
+        assert got[0] == pytest.approx(v @ v, rel=1e-12)
+        assert v @ v > 1e-3
+
+
+@st.composite
+def _small_problems(draw):
+    n, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+
+    def G(shape):
+        return draw(hnp.arrays(np.float64, shape,
+                               elements=st.floats(-1.0, 1.0)))
+    return _random_problem(n, m, G), 1.5 * G((n,))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_small_problems())
+def test_worker_count_never_changes_results(drawn):
+    # two chunks of paths, stepped serially and on two threads
+    p, x0 = drawn
+    assume(validate_assumption_a1(p).passed)
+    try:
+        are, static, path = _pipeline(p, 1.0, 10)
+    except MflqError:
+        assume(False)
+    runs = [run_coupled(p, path, are, static, x0,
+                        SimulationConfig(T=1.0, dt=0.1,
+                                         n_paths=PATH_CHUNK + 17, seed=3,
+                                         workers=w))
+            for w in (1, 2)]
+    one, two = runs
+    for name in ("gap_X", "gap_u", "gap_Y", "gap_Z"):
+        assert np.array_equal(getattr(one.optimal, name),
+                              getattr(two.optimal, name))
+    for side in ("optimal", "turnpike"):
+        for name in ("cost_estimate", "cost_stderr"):
+            assert (getattr(getattr(one, side), name)
+                    == getattr(getattr(two, side), name))
+    assert np.array_equal(one.raw_turnpike.X, two.raw_turnpike.X)
