@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, replace as dc_replace
 
@@ -72,6 +73,25 @@ def _resolved_doc(doc: dict) -> dict:
     return out
 
 
+def _number(field, value):
+    """value as a float; ValueError naming the field unless it is a
+    finite JSON number."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ValueError(f"{field}: expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(field, value):
+    """value as an int; ValueError naming the field unless it is an
+    integral JSON number."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int)
+            or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{field}: expected an integer, got {value!r}")
+    return int(value)
+
+
 def load_config(path, command: str = "turnpike",
                 overrides: dict | None = None) -> ExperimentConfig:
     """Parse and validate an experiment config file.
@@ -115,24 +135,34 @@ def load_config(path, command: str = "turnpike",
     if command in ("turnpike", "value-convergence"):
         if x0 is None:
             raise ValueError(f"x0: required for the {command} command")
-        x0 = np.asarray(x0, dtype=float).reshape(-1)
+        x0 = np.array([_number("x0", v)
+                       for v in np.ravel(np.asarray(x0, dtype=object))])
         if x0.shape != (problem.n,):
             raise ValueError(f"x0: expected length {problem.n}, got {x0.shape}")
+    if T is not None:
+        _number("T", T)
+    for h in horizons if isinstance(horizons, list) else ():
+        _number("horizons", h)
     resolved = _resolved_doc(doc)
+    dt = _number("dt", resolved["dt"])
+    ints = {name: _integer(name, val) for name, val in (
+        ("n_paths", resolved["n_paths"]), ("seed", resolved["seed"]),
+        ("workers", doc.get("workers", 1)),
+        ("trials", doc.get("trials", 1000)),
+        ("steps_per_unit", resolved["steps_per_unit"]))}
     try:
         sim_T = float(T) if T is not None else float(
             horizons[0] if horizons else 1.0)
         sim = simulate.SimulationConfig(
-            T=sim_T, dt=float(resolved["dt"]),
-            n_paths=int(resolved["n_paths"]), seed=int(resolved["seed"]),
-            workers=int(doc.get("workers", 1)))
+            T=sim_T, dt=dt, n_paths=ints["n_paths"], seed=ints["seed"],
+            workers=ints["workers"])
         if command == "value-convergence":
             # every horizon gets the checks its own run would make
             for h in horizons:
                 dc_replace(sim, T=float(h))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"simulation config: {exc}") from exc
-    trials = int(doc.get("trials", 1000))
+    trials = ints["trials"]
     if trials < 1:
         raise ValueError(f"trials: must be >= 1, got {trials}")
     digest = hashlib.sha256(
@@ -140,7 +170,7 @@ def load_config(path, command: str = "turnpike",
     return ExperimentConfig(
         command=command, problem=problem, sim=sim, T=T,
         horizons=tuple(horizons) if horizons else None, x0=x0,
-        steps_per_unit=int(resolved["steps_per_unit"]),
+        steps_per_unit=ints["steps_per_unit"],
         out=None if doc.get("out") is None else str(doc["out"]),
         trials=trials,
         digest=digest)

@@ -174,9 +174,10 @@ class MapEvaluation:
 
 
 def _maps(A, B, C, D, Q, S, R, P, M):
-    """Riccati maps of one system at (P, M), broadcasting over leading axes."""
-    DtP = D.T @ P
-    return (M @ A + A.T @ M + C.T @ P @ C + Q, B.T @ M + DtP @ C + S,
+    """Riccati maps of one system at (P, M), broadcasting over leading
+    axes of the coefficient blocks as well as of P and M."""
+    DtP = D.mT @ P
+    return (M @ A + A.mT @ M + C.mT @ P @ C + Q, B.mT @ M + DtP @ C + S,
             R + DtP @ D)
 
 

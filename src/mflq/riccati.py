@@ -24,6 +24,7 @@ from .model import (
     assemble_hats,
     check_mean_system_stabilizability,
     check_ms_stability,
+    _maps,
     coefficient_maps,
     hat_coefficient_maps,
     mean_square_generator,
@@ -162,8 +163,10 @@ def integrate_finite_horizon(problem: ProblemData, T: float,
 
     Classical RK4 on a uniform mesh of `steps` intervals (default 1000
     per unit time), marching the stacked pair (P, Pi) jointly in
-    s = T - t: the Pi equation consumes the P stage values.  The offsets
-    phiHat, thetaHat are zero-filled; integrate_offsets fills them.
+    s = T - t: the Pi equation consumes the P stage values, and one
+    batched evaluation of the coefficient maps serves both equations.
+    The offsets phiHat, thetaHat are zero-filled; integrate_offsets
+    fills them.
     """
     if T <= 0:
         raise ValueError(f"T must be positive, got {T}")
@@ -174,9 +177,13 @@ def integrate_finite_horizon(problem: ProblemData, T: float,
     if steps < 1:
         raise ValueError(f"steps must be positive, got {steps}")
     hats = assemble_hats(problem)
+    # (problem, hats) blocks stacked on a leading axis of length 2: one
+    # _maps call at (P, (P, Pi)) gives both right-hand sides
+    blocks = [np.stack([getattr(problem, k), getattr(hats, k + "hat")])
+              for k in "ABCDQSR"]
 
     def rhs(j, c, y):
-        return np.stack([_rhs_P(problem, y[0]), _rhs_Pi(hats, y[0], y[1])])
+        return _riccati_rhs(_maps(*blocks, y[0], y))
 
     # node j in s = T - t is node steps - j in t
     pair = _rk4(rhs, np.zeros((2, problem.n, problem.n)), T / steps, steps)

@@ -11,9 +11,30 @@ and the state follows the corresponding Euler-Maruyama recursion.  The
 turnpike comparison process solves dX* = (A + B Theta) X* dt +
 [(C + D Theta) X* + sigma*] dW from zero.  Sharing Brownian increments
 between the two ensembles makes the pathwise gaps directly estimable.
-`run_coupled` steps both ensembles in lockstep and accumulates their
-moments, costs, snapshots, the state, control and adjoint gaps and the
-stationarity residual online.
+
+`run_coupled` steps both ensembles in lockstep.  A chunk of L paths is
+one stacked state Z = (Xt, Xs) of shape (2n, L), advanced by one
+Euler-Maruyama update per step,
+
+    Z <- Z + dt (A2_k Z + d2_k) + (C2_k Z + c2_k) dW_k,
+
+with block-diagonal per-node coefficients A2_k = diag(Acl_k, A + B Theta)
+and C2_k = diag(Ccl_k, C + D Theta).  Every observable of the run (the
+states and controls of both ensembles, the state, control and adjoint
+gaps, the stationarity residual) is an affine map G_k v + h_k of
+v = (Xt - Xs, Xs), and one table of these maps is built per run.  At
+each node only the path sums s1_k = sum_p v_p and s2_k = sum_p v_p v_p'
+are kept; after the loop every node series comes from the moment
+identity
+
+    sum_p |G v_p + h|^2 = tr(G s2 G') + 2 h' G s1 + L |h|^2
+
+in one vectorized pass over the nodes.  The gaps read the difference
+block Xt - Xs directly, never E|Xt|^2 - 2 E[Xt.Xs] + E|Xs|^2, so they
+stay accurate where they fall to 1e-17.  What stays per path is the
+running cost, one quadratic form v' W_k v + 2 g_k' v per ensemble and
+node (its standard error needs the per-path totals), the maximum of
+the stationarity residual over paths, and the snapshot sub-mesh.
 
 Brownian increments come from a counter-based generator: every
 increment has the fixed address (seed, path-chunk, step), independent
@@ -145,39 +166,130 @@ def propagate_mean(problem: ProblemData, path: RiccatiPath,
     return _rk4(f, x0 - x_star, path.T / K, K)
 
 
-class _ClosedLoop:
-    """Per-node coefficient stacks for the finite-horizon closed loop."""
+def _affine(K1, Gd, Gs, h):
+    """The map v = (Xt - Xs, Xs) -> Gd (Xt - Xs) + Gs Xs + h at every
+    node, as stacks G of shape (K+1, r, 2n) and h of shape (K+1, r).
+    Blocks may be per-node stacks or constant."""
+    G = np.concatenate(np.broadcast_arrays(Gd, Gs), axis=-1)
+    r = G.shape[-2]
+    return (np.broadcast_to(G, (K1, r, G.shape[-1])),
+            np.broadcast_to(h, (K1, r)))
 
-    def __init__(self, problem, path, static, m_t):
+
+class _ClosedLoop:
+    """Per-node coefficients of the coupled pair, built once per run.
+
+    The Euler step acts on Z = (Xt, Xs) of shape (2n, L) through the
+    block-diagonal stacks A2, C2 and the offsets d2, c2 ((K+1, 2n, 1)),
+    so both ensembles advance in one update.  The observables act on
+    v = T2 Z = (Xt - Xs, Xs): `maps` is the table of affine maps
+    (G_k, h_k) of v for the states and controls of both ensembles
+    (original variables), the four gaps and the stationarity residual.
+    The snapshot stacks and the per-path cost coefficients are read off
+    that table: each ensemble's trapezoid-weighted running cost at node
+    k is v' W_k v + 2 g_k' v + c_k, with W_k = G' M G, g_k = G'(M h + l),
+    c_k = h' M h + 2 l' h for the (X, u) rows (G, h) of the table,
+    M = [[Q, S'], [S, R]] and l = (q, r).
+    """
+
+    def __init__(self, problem, path, are, static, m_t, dt):
+        n, m = problem.n, problem.m
+        K1 = len(m_t)
         hats = assemble_hats(problem)
         A, B, C, D = problem.A, problem.B, problem.C, problem.D
         Th = path.Theta_of_t
         ThH = path.ThetaHat_of_t
         off = path.thetaHat_of_t                             # (K+1, m)
-        self.Acl = A + np.einsum("im,kmn->kin", B, Th)       # (K+1, n, n)
-        self.Ccl = C + np.einsum("im,kmn->kin", D, Th)
+        P_t, Pi_t = path.P_of_t, path.Pi_of_t
+        x_star, u_star = static.x_star, static.u_star
+        lam, sig = static.lambda_star, static.sigma_star
+        Acl = A + np.einsum("im,kmn->kin", B, Th)            # (K+1, n, n)
+        Ccl = C + np.einsum("im,kmn->kin", D, Th)
         AclHat = hats.Ahat + np.einsum("im,kmn->kin", hats.Bhat, ThH)
         CclHat = hats.Chat + np.einsum("im,kmn->kin", hats.Dhat, ThH)
-        sig = static.sigma_star
-        Boff = off @ hats.Bhat.T
-        Doff = off @ hats.Dhat.T
-        self.dconst = np.einsum("kij,kj->ki", AclHat - self.Acl, m_t) + Boff
-        self.cconst = (np.einsum("kij,kj->ki", CclHat - self.Ccl, m_t)
-                       + Doff + sig)
-        self.Theta = Th
-        self.uconst = np.einsum("kij,kj->ki", ThH - Th, m_t) + off
-        self.m_t = m_t
-        # analytic means of control and state in shifted variables
-        self.Eu_t = np.einsum("kij,kj->ki", ThH, m_t) + off
+        dconst = np.einsum("kij,kj->ki", AclHat - Acl, m_t) + off @ hats.Bhat.T
+        c0 = np.einsum("kij,kj->ki", CclHat - Ccl, m_t) + off @ hats.Dhat.T
+        cconst = c0 + sig
+        uconst = np.einsum("kij,kj->ki", ThH - Th, m_t) + off
+        Atp = A + B @ are.Theta
+        Ctp = C + D @ are.Theta
+
+        self.m0 = m_t[0]
+        self.A2 = np.zeros((K1, 2 * n, 2 * n))
+        self.A2[:, :n, :n], self.A2[:, n:, n:] = Acl, Atp
+        self.C2 = np.zeros((K1, 2 * n, 2 * n))
+        self.C2[:, :n, :n], self.C2[:, n:, n:] = Ccl, Ctp
+        self.d2 = np.zeros((K1, 2 * n, 1))
+        self.d2[:, :n, 0] = dconst
+        self.c2 = np.zeros((K1, 2 * n, 1))
+        self.c2[:, :n, 0], self.c2[:, n:, 0] = cconst, sig
+        I, O = np.eye(n), np.zeros((n, n))
+        self.T2 = np.block([[I, -I], [O, I]])
+
+        # feedback-form adjoints: Y = P_T (Xt - m) + Pi_T m + phiHat + lam,
+        # Z = P_T (Ccl Xt + cconst), against Y* = P Xs + lam and
+        # Z* = P (Ctp Xs + sigma*); the Xs and constant parts of the
+        # differences are formed from P_T - P and Theta_T - Theta, which
+        # vanish mid-horizon, so they carry no cancellation error
+        PC = P_t @ Ccl
+        dP = P_t - are.P
+        Pc = np.einsum("kij,kj->ki", P_t, cconst)
+        Yc = np.einsum("kij,kj->ki", Pi_t - P_t, m_t) + path.phiHat_of_t
+        # stationarity block of the optimality system, analytic means
+        Eu = np.einsum("kij,kj->ki", ThH, m_t) + off
+        EY = np.einsum("kij,kj->ki", Pi_t, m_t) + path.phiHat_of_t + lam
+        EZ = np.einsum("kij,kj->ki", P_t, m_t @ hats.Chat.T
+                       + Eu @ hats.Dhat.T + sig)
+        Gres = B.T @ P_t + D.T @ PC + problem.S + problem.R @ Th
+        hres = ((Yc + lam) @ B + Pc @ D + problem.S @ x_star
+                + (uconst + u_star) @ problem.R + EY @ problem.Bbar
+                + EZ @ problem.Dbar + (m_t + x_star) @ problem.Sbar.T
+                + (Eu + u_star) @ problem.Rbar + problem.r)
+        self.maps = {
+            "X_opt": _affine(K1, I, I, x_star),
+            "u_opt": _affine(K1, Th, Th, uconst + u_star),
+            "X_tp": _affine(K1, O, I, x_star),
+            "u_tp": _affine(K1, np.zeros((m, n)), are.Theta, u_star),
+            "gap_X": _affine(K1, I, O, np.zeros(n)),
+            "gap_u": _affine(K1, Th, Th - are.Theta, uconst),
+            "gap_Y": _affine(K1, P_t, dP, Yc),
+            "gap_Z": _affine(K1, PC, dP @ Ccl + are.P @ D @ (Th - are.Theta),
+                             np.einsum("kij,kj->ki", P_t, c0) + dP @ sig),
+            "res": _affine(K1, Gres, Gres, hres),
+        }
+        self.res_G, res_h = self.maps["res"]
+        self.res_h = res_h[..., None]
+        snap = [self.maps[name] for name in ("X_opt", "u_opt", "X_tp", "u_tp")]
+        self.snap_G = np.concatenate([G for G, _ in snap], axis=1)
+        self.snap_h = np.concatenate([h for _, h in snap], axis=1)[..., None]
+
+        w = np.full(K1, dt)
+        w[0] = w[-1] = 0.5 * dt
+        Mq = np.block([[problem.Q, problem.S.T], [problem.S, problem.R]])
+        lq = np.concatenate([problem.q, problem.r])
+        W, g, c = [], [], []
+        for side in ("opt", "tp"):
+            G = np.concatenate([self.maps["X_" + side][0],
+                                self.maps["u_" + side][0]], axis=1)
+            h = np.concatenate([self.maps["X_" + side][1],
+                                self.maps["u_" + side][1]], axis=1)
+            W.append(G.mT @ Mq @ G)
+            g.append(np.einsum("kji,kj->ki", G, h @ Mq + lq))
+            c.append(np.einsum("ki,ij,kj->k", h, Mq, h) + 2.0 * (h @ lq))
+        # (K+1, 2, ...): one block per ensemble, trapezoid weights folded in
+        self.cost_W = w[:, None, None, None] * np.stack(W, axis=1)
+        self.cost_g = 2.0 * (w[:, None, None] * np.stack(g, axis=1))[..., None]
+        self.cost_c = (w[:, None] * np.stack(c, axis=1)).sum(axis=0)
 
 
-def _pathwise_cost(problem, X, u):
-    """Per-path running-cost integrand (pathwise blocks only), (L,)."""
-    Q, S, R, q, r = problem.Q, problem.S, problem.R, problem.q, problem.r
-    return (np.einsum("ip,ij,jp->p", X, Q, X)
-            + 2.0 * np.einsum("mp,mj,jp->p", u, S, X)
-            + np.einsum("mp,mj,jp->p", u, R, u)
-            + 2.0 * (q @ X) + 2.0 * (r @ u))
+def _node_series(G, h, s1, s2, N):
+    """Path sums of G v + h and of |G v + h|^2 at every node from the
+    path sums s1 = sum_p v_p and s2 = sum_p v_p v_p' of N paths:
+    sum_p |G v_p + h|^2 = tr(G s2 G') + 2 h' G s1 + N |h|^2."""
+    Gs1 = np.einsum("kij,kj->ki", G, s1)
+    sq = ((G @ s2 * G).sum(axis=(1, 2)) + 2.0 * np.einsum("ki,ki->k", h, Gs1)
+          + N * np.einsum("ki,ki->k", h, h))
+    return Gs1 + N * h, sq
 
 
 def _mean_cost_series(problem, mean_X, mean_u):
@@ -187,44 +299,18 @@ def _mean_cost_series(problem, mean_X, mean_u):
             + np.einsum("km,mj,kj->k", mean_u, problem.Rbar, mean_u))
 
 
-class _EnsembleAcc:
-    """Node sums, per-path costs and snapshots of one ensemble over one
-    chunk of paths."""
-
-    def __init__(self, K, n, m, L, snap_count):
-        self.sum_X = np.zeros((K + 1, n))
-        self.sum_u = np.zeros((K + 1, m))
-        self.sum_sqX = np.zeros(K + 1)
-        self.sum_squ = np.zeros(K + 1)
-        self.cost = np.zeros(L)
-        self.snap_X = np.empty((snap_count, n, L))
-        self.snap_u = np.empty((snap_count, m, L))
-
-    def add(self, problem, k, w, X, u, snap):
-        """Record node k of states X and controls u (original variables),
-        with trapezoid weight w and snapshot slot snap (or None)."""
-        self.sum_X[k] = X.sum(axis=1)
-        self.sum_u[k] = u.sum(axis=1)
-        self.sum_sqX[k] = np.einsum("ip,ip->", X, X)
-        self.sum_squ[k] = np.einsum("ip,ip->", u, u)
-        self.cost += w * _pathwise_cost(problem, X, u)
-        if snap is not None:
-            self.snap_X[snap] = X
-            self.snap_u[snap] = u
-
-
 class _ChunkAcc:
-    """Accumulators for one chunk of paths: both ensembles, the gap
-    sums and the nodewise maximum stationarity residual."""
+    """Accumulators for one chunk of L paths: the per-node path sums s1
+    (K+1, 2n) and s2 (K+1, 2n, 2n) of v, the per-path costs of both
+    ensembles (2, L), the nodewise maximum stationarity residual and
+    the snapshots (nodes, 2(n + m), L) of (X, u) of both ensembles."""
 
-    def __init__(self, K, n, m, L, snap_count):
-        self.opt = _EnsembleAcc(K, n, m, L, snap_count)
-        self.tp = _EnsembleAcc(K, n, m, L, snap_count)
-        self.gap_X = np.zeros(K + 1)
-        self.gap_u = np.zeros(K + 1)
-        self.gap_Y = np.zeros(K + 1)
-        self.gap_Z = np.zeros(K + 1)
-        self.res_max = np.zeros(K + 1)
+    def __init__(self, K, n2, L, snap_rows, snap_count):
+        self.s1 = np.empty((K + 1, n2))
+        self.s2 = np.empty((K + 1, n2, n2))
+        self.cost = np.zeros((2, L))
+        self.res_max = np.empty(K + 1)
+        self.snaps = np.empty((snap_count, snap_rows, L))
 
 
 def _check_finite(X, chunk_lo, step):
@@ -235,74 +321,47 @@ def _check_finite(X, chunk_lo, step):
             f"non-finite state at path {path_idx}, step {step}")
 
 
-def _run_chunk(problem, path, are, static, cl, config,
-               chunk_idx, lo, hi, snap_idx, increments=None):
-    """Simulate paths [lo, hi) of both ensembles through all steps;
-    return their accumulators."""
-    n, m = problem.n, problem.m
+def _run_chunk(cl, config, chunk_idx, lo, hi, snap_idx, increments=None):
+    """Simulate paths [lo, hi) of both ensembles through all steps.
+
+    Per node: v = T2 Z, its path sums s1 and s2, one quadratic form per
+    ensemble for the cost, the per-path residual maximum and, on the
+    snapshot nodes, the snapshot rows; then one stacked Euler update of
+    Z.  Returns the chunk's accumulators.
+    """
     K = config.n_steps
     dt = config.dt
     L = hi - lo
-    acc = _ChunkAcc(K, n, m, L, len(snap_idx))
-    hats = assemble_hats(problem)
-
-    x_star = static.x_star
-    u_star = static.u_star
-    lam = static.lambda_star
-    sig = static.sigma_star
-    Atp = problem.A + problem.B @ are.Theta
-    Ctp = problem.C + problem.D @ are.Theta
-    Xt = np.tile((cl.m_t[0])[:, None], (1, L))   # shifted state, starts at x0 - x*
-    Xs = np.zeros((n, L))                         # shifted turnpike state
+    n2 = cl.T2.shape[0]
+    acc = _ChunkAcc(K, n2, L, cl.snap_G.shape[1], len(snap_idx))
+    Z = np.zeros((n2, L))
+    Z[:n2 // 2] = cl.m0[:, None]       # Xt starts at x0 - x*, Xs at 0
     snap_pos = {k: i for i, k in enumerate(snap_idx)}
 
     for k in range(K + 1):
-        w = dt if 0 < k < K else 0.5 * dt
-        snap = snap_pos.get(k)
-        u_sh = cl.Theta[k] @ Xt + cl.uconst[k][:, None]   # shifted control
-        X_orig = Xt + x_star[:, None]
-        u_orig = u_sh + u_star[:, None]
-        acc.opt.add(problem, k, w, X_orig, u_orig, snap)
-        u_tp = are.Theta @ Xs + u_star[:, None]
-        acc.tp.add(problem, k, w, Xs + x_star[:, None], u_tp, snap)
-
-        dX = Xt - Xs
-        du = u_sh - (u_tp - u_star[:, None])
-        acc.gap_X[k] = np.einsum("ip,ip->", dX, dX)
-        acc.gap_u[k] = np.einsum("ip,ip->", du, du)
-        # feedback-form adjoints: Y, Z of the optimal pair against
-        # Y_tp = P X* + lambda*, Z_tp = P[(C + D Theta) X* + sigma*]
-        mk = cl.m_t[k]
-        Y = path.P_of_t[k] @ (Xt - mk[:, None]) + (path.Pi_of_t[k] @ mk
-                                                   + path.phiHat_of_t[k] + lam)[:, None]
-        Z = path.P_of_t[k] @ (cl.Ccl[k] @ Xt + cl.cconst[k][:, None])
-        dY = Y - (are.P @ Xs + lam[:, None])
-        dZ = Z - (are.P @ (Ctp @ Xs) + (are.P @ sig)[:, None])
-        acc.gap_Y[k] = np.einsum("ip,ip->", dY, dY)
-        acc.gap_Z[k] = np.einsum("ip,ip->", dZ, dZ)
-        # stationarity block of the optimality system, analytic means
-        EY = path.Pi_of_t[k] @ mk + path.phiHat_of_t[k] + lam
-        EZ = path.P_of_t[k] @ (hats.Chat @ mk + hats.Dhat @ cl.Eu_t[k] + sig)
-        EX = mk + x_star
-        Eu = cl.Eu_t[k] + u_star
-        res = (problem.B.T @ Y + problem.D.T @ Z
-               + problem.S @ X_orig + problem.R @ u_orig
-               + (problem.Bbar.T @ EY + problem.Dbar.T @ EZ
-                  + problem.Sbar @ EX + problem.Rbar @ Eu
-                  + problem.r)[:, None])
+        v = cl.T2 @ Z
+        acc.s1[k] = v.sum(axis=1)
+        acc.s2[k] = v @ v.T
+        q = cl.cost_W[k] @ v             # (2, 2n, L)
+        q += cl.cost_g[k]
+        q *= v
+        acc.cost += q.sum(axis=1)
+        res = cl.res_G[k] @ v + cl.res_h[k]
         acc.res_max[k] = np.max(np.abs(res), initial=0.0)
+        snap = snap_pos.get(k)
+        if snap is not None:
+            np.matmul(cl.snap_G[k], v, out=acc.snaps[snap])
+            acc.snaps[snap] += cl.snap_h[k]
         if k == K:
             break
         if increments is not None:
             dW = increments[k, lo:hi]
         else:
             dW = brownian_increments(config.seed, chunk_idx, k, L, dt)
-        Xt = (Xt + dt * (cl.Acl[k] @ Xt + cl.dconst[k][:, None])
-              + (cl.Ccl[k] @ Xt + cl.cconst[k][:, None]) * dW)
-        Xs = Xs + dt * (Atp @ Xs) + (Ctp @ Xs + sig[:, None]) * dW
+        Z = Z + dt * (cl.A2[k] @ Z + cl.d2[k]) + (cl.C2[k] @ Z + cl.c2[k]) * dW
         if (k + 1) % FINITE_CHECK_EVERY == 0 or k + 1 == K:
-            _check_finite(Xt, lo, k + 1)
-            _check_finite(Xs, lo, k + 1)
+            _check_finite(Z, lo, k + 1)
+    acc.cost += cl.cost_c[:, None]
     return acc
 
 
@@ -323,27 +382,21 @@ def _check_path_mesh(path, config):
             f"config wants {config.n_steps} over T={config.T}")
 
 
-def _combine_ensemble(problem, mesh, accs, snap_idx, **gaps):
-    """EnsembleStats and RawPaths of one ensemble from its per-chunk
-    accumulators, combined in chunk order."""
-    cost_paths = np.concatenate([a.cost for a in accs])
+def _ensemble(problem, cl, mesh, side, s1, s2, cost_paths, **gaps):
+    """EnsembleStats of one ensemble from the combined path sums and its
+    per-path costs."""
     N = len(cost_paths)
-    mean_X = sum(a.sum_X for a in accs) / N
-    mean_u = sum(a.sum_u for a in accs) / N
-    m2X = sum(a.sum_sqX for a in accs) / N
-    m2u = sum(a.sum_squ for a in accs) / N
+    sum_X, sq_X = _node_series(*cl.maps["X_" + side], s1, s2, N)
+    sum_u, sq_u = _node_series(*cl.maps["u_" + side], s1, s2, N)
+    mean_X, mean_u = sum_X / N, sum_u / N
     mean_part = np.trapezoid(_mean_cost_series(problem, mean_X, mean_u), mesh)
     cost_paths = cost_paths + mean_part
     cost = float(np.mean(cost_paths))
     stderr = (float(np.std(cost_paths, ddof=1)) / math.sqrt(N)
               if N > 1 else 0.0)
-    stats = EnsembleStats(mesh=mesh, mean_X=mean_X, mean_u=mean_u,
-                          second_moment_X=m2X, second_moment_u=m2u,
-                          cost_estimate=cost, cost_stderr=stderr, **gaps)
-    raw = RawPaths(mesh=mesh[snap_idx], indices=snap_idx,
-                   X=np.concatenate([a.snap_X for a in accs], axis=2),
-                   u=np.concatenate([a.snap_u for a in accs], axis=2))
-    return stats, raw
+    return EnsembleStats(mesh=mesh, mean_X=mean_X, mean_u=mean_u,
+                         second_moment_X=sq_X / N, second_moment_u=sq_u / N,
+                         cost_estimate=cost, cost_stderr=stderr, **gaps)
 
 
 def run_coupled(problem: ProblemData, path: RiccatiPath, are: ArePair,
@@ -352,15 +405,17 @@ def run_coupled(problem: ProblemData, path: RiccatiPath, are: ArePair,
     """Lockstep simulation of both ensembles with shared increments.
 
     Gap series (state, control, and reconstructed adjoints) and the
-    stationarity residual of the optimality system are accumulated
-    online at full time resolution.  `increments`, when given, is a
-    (n_steps, n_paths) array of Brownian increments used in place of
-    the generated ones.
+    stationarity residual of the optimality system are computed at full
+    time resolution: the chunks' path sums of v = (Xt - Xs, Xs) are
+    added in chunk order and every node series follows from them (see
+    the module docstring).  `increments`, when given, is a
+    (n_steps, n_paths) array of Brownian increments used in place of the
+    generated ones.
     """
     _check_path_mesh(path, config)
     x0 = np.asarray(x0, dtype=float).reshape(problem.n)
     m_t = propagate_mean(problem, path, x0, static.x_star)
-    cl = _ClosedLoop(problem, path, static, m_t)
+    cl = _ClosedLoop(problem, path, are, static, m_t, config.dt)
     K = config.n_steps
     N = config.n_paths
     snap_idx = _snapshot_indices(K)
@@ -369,8 +424,7 @@ def run_coupled(problem: ProblemData, path: RiccatiPath, are: ArePair,
 
     def work(args):
         c, lo, hi = args
-        return _run_chunk(problem, path, are, static, cl, config,
-                          c, lo, hi, snap_idx, increments)
+        return _run_chunk(cl, config, c, lo, hi, snap_idx, increments)
     if config.workers == 1 or len(ranges) == 1:
         accs = [work(r) for r in ranges]
     else:
@@ -378,14 +432,19 @@ def run_coupled(problem: ProblemData, path: RiccatiPath, are: ArePair,
             accs = list(pool.map(work, ranges))
 
     mesh = np.linspace(0.0, config.T, K + 1)
-    opt_stats, raw_opt = _combine_ensemble(
-        problem, mesh, [a.opt for a in accs], snap_idx,
-        gap_X=sum(a.gap_X for a in accs) / N,
-        gap_u=sum(a.gap_u for a in accs) / N,
-        gap_Y=sum(a.gap_Y for a in accs) / N,
-        gap_Z=sum(a.gap_Z for a in accs) / N)
-    tp_stats, raw_tp = _combine_ensemble(problem, mesh, [a.tp for a in accs],
-                                         snap_idx)
+    s1 = sum(a.s1 for a in accs)
+    s2 = sum(a.s2 for a in accs)
+    cost = np.concatenate([a.cost for a in accs], axis=1)
+    gaps = {name: _node_series(*cl.maps[name], s1, s2, N)[1] / N
+            for name in ("gap_X", "gap_u", "gap_Y", "gap_Z")}
+    opt_stats = _ensemble(problem, cl, mesh, "opt", s1, s2, cost[0], **gaps)
+    tp_stats = _ensemble(problem, cl, mesh, "tp", s1, s2, cost[1])
+    snaps = np.concatenate([a.snaps for a in accs], axis=2)
+    n, m = problem.n, problem.m
+    raw_opt, raw_tp = (
+        RawPaths(mesh=mesh[snap_idx], indices=snap_idx,
+                 X=snaps[:, lo:lo + n], u=snaps[:, lo + n:lo + n + m])
+        for lo in (0, n + m))
     res = np.maximum.reduce([a.res_max for a in accs])
     res_avg = float(np.trapezoid(res, mesh) / config.T)
     return CoupledResult(optimal=opt_stats, turnpike=tp_stats,

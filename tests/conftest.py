@@ -4,6 +4,29 @@ import pytest
 from mflq import make_problem
 
 
+def random_problem(n, m, G):
+    """Problem with every block nonzero, G(shape) drawing entries in
+    [-1, 1].  The couplings are small enough that A and Ahat are stable
+    and (A, C) is mean-square stable, so the Riccati pair exists."""
+    M, N, K, L = G((n, n)), G((n, n)), G((m, m)), G((m, m))
+    return make_problem(
+        n, m, A=-np.eye(n) + 0.3 * G((n, n)), Abar=0.1 * G((n, n)),
+        B=G((n, m)), Bbar=0.2 * G((n, m)), C=0.2 * G((n, n)),
+        Cbar=0.1 * G((n, n)), D=0.2 * G((n, m)), Dbar=0.1 * G((n, m)),
+        Q=np.eye(n) + M.T @ M / 4.0, Qbar=0.1 * N.T @ N,
+        S=0.1 * G((m, n)), Sbar=0.05 * G((m, n)),
+        R=np.eye(m) + K.T @ K / 4.0, Rbar=0.1 * L.T @ L,
+        b=0.5 * G((n,)), sigma=0.3 * G((n,)), q=0.1 * G((n,)),
+        r=0.1 * G((m,)))
+
+
+@pytest.fixture(scope="session")
+def all_blocks_4x2():
+    """A fixed n=4, m=2 problem with every block nonzero."""
+    rng = np.random.default_rng(7)
+    return random_problem(4, 2, lambda shape: rng.uniform(-1.0, 1.0, shape))
+
+
 @pytest.fixture(scope="session")
 def sp1():
     """Scalar regulator: A=-1, B=Q=R=1, everything else zero."""

@@ -104,6 +104,38 @@ def test_exit_code_3_on_bad_horizons(tmp_path, capsys, horizons, message):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command, field, value, message", [
+    ("turnpike", "x0", [None], "x0: expected a finite number, got None"),
+    ("turnpike", "x0", [math.inf], "x0: expected a finite number, got inf"),
+    ("turnpike", "T", math.nan, "T: expected a finite number, got nan"),
+    ("turnpike", "dt", None, "dt: expected a finite number, got None"),
+    ("value-convergence", "horizons", [1.0, math.inf],
+     "horizons: expected a finite number, got inf"),
+    ("turnpike", "n_paths", 1.5, "n_paths: expected an integer, got 1.5"),
+    ("turnpike", "seed", 2.5, "seed: expected an integer, got 2.5"),
+    ("turnpike", "workers", 1.5, "workers: expected an integer, got 1.5"),
+    ("lemma-suite", "trials", 2.5, "trials: expected an integer, got 2.5"),
+    ("riccati-profile", "steps_per_unit", 10.5,
+     "steps_per_unit: expected an integer, got 10.5"),
+])
+def test_exit_code_3_on_nonfinite_or_fractional_field(
+        tmp_path, capsys, command, field, value, message):
+    doc = {"problem": SP2, "T": 1.0, "horizons": [1.0], "x0": [1.5],
+           "dt": 0.1, "n_paths": 10, field: value}
+    assert main([command, "--config", _write(tmp_path, doc),
+                 "--out", str(tmp_path / "out")]) == 3
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integral_float_counts_are_accepted(tmp_path):
+    doc = {"problem": SP2, "T": 1.0, "x0": [1.5], "n_paths": 100.0,
+           "seed": 3.0}
+    cfg = load_config(_write(tmp_path, doc))
+    assert (cfg.sim.n_paths, cfg.sim.seed) == (100, 3)
+
+
 @pytest.mark.parametrize("trials", [0, -3])
 def test_exit_code_3_on_nonpositive_trials(tmp_path, capsys, trials):
     doc = {"problem": SP1, "trials": trials}

@@ -10,6 +10,7 @@ from scipy.linalg import solve_continuous_are
 
 from mflq import (
     NumericalFailure,
+    assemble_hats,
     convergence_profile,
     horizon_monotonicity_check,
     integrate_finite_horizon,
@@ -19,6 +20,7 @@ from mflq import (
     solve_are,
 )
 from mflq import riccati
+from mflq.model import _maps, coefficient_maps, hat_coefficient_maps
 from mflq.riccati import write_convergence_csv, write_horizon_csv
 
 SQRT2 = math.sqrt(2.0)
@@ -185,6 +187,44 @@ def _sp2_pipeline(sp2, T, steps):
     path = integrate_offsets(sp2, are, path, static.lambda_star,
                              static.sigma_star)
     return are, static, path
+
+
+def _pair_blocks(problem):
+    hats = assemble_hats(problem)
+    return [np.stack([getattr(problem, k), getattr(hats, k + "hat")])
+            for k in "ABCDQSR"]
+
+
+def test_stacked_maps_match_single_maps(random_2x2, all_blocks_4x2):
+    rng = np.random.default_rng(3)
+    for problem in (random_2x2, all_blocks_4x2):
+        n = problem.n
+        G, H = rng.standard_normal((2, n, n))
+        P, Pi = G @ G.T, H @ H.T
+        stacked = _maps(*_pair_blocks(problem), P, np.stack([P, Pi]))
+        single = coefficient_maps(problem, P)
+        hat = hat_coefficient_maps(assemble_hats(problem), P, Pi)
+        for got, want_P, want_Pi in zip(stacked, single, hat):
+            assert np.array_equal(got[0], want_P)
+            assert np.array_equal(got[1], want_Pi)
+
+
+@pytest.mark.parametrize("name", ["random_2x2", "all_blocks_4x2"])
+def test_batched_rhs_march_is_bit_identical(request, name):
+    # the joint march against the same RK4 march with one right-hand
+    # side call per equation
+    problem = request.getfixturevalue(name)
+    hats = assemble_hats(problem)
+    T, steps = 3.0, 600
+
+    def rhs(j, c, y):
+        return np.stack([riccati._rhs_P(problem, y[0]),
+                         riccati._rhs_Pi(hats, y[0], y[1])])
+    pair = riccati._rk4(rhs, np.zeros((2, problem.n, problem.n)),
+                        T / steps, steps)
+    path = integrate_finite_horizon(problem, T, steps=steps)
+    assert np.array_equal(path.P_of_t, pair[::-1, 0])
+    assert np.array_equal(path.Pi_of_t, pair[::-1, 1])
 
 
 def test_offsets_terminal_values(sp2):

@@ -23,7 +23,9 @@ from mflq import (
     solve_static,
     validate_assumption_a1,
 )
-from mflq.simulate import PATH_CHUNK, write_ensemble_csv
+from mflq.simulate import PATH_CHUNK, _snapshot_indices, write_ensemble_csv
+
+from conftest import random_problem
 
 SQRT2 = math.sqrt(2.0)
 
@@ -285,27 +287,11 @@ def test_ensemble_csv_format(sp2):
     assert buf.getvalue().splitlines()[0] == "t,meanX0,m2X,m2u"
 
 
-def _random_problem(n, m, G):
-    """Problem with every block nonzero, G(shape) drawing entries in
-    [-1, 1].  The couplings are small enough that A and Ahat are stable
-    and (A, C) is mean-square stable, so the Riccati pair exists."""
-    M, N, K, L = G((n, n)), G((n, n)), G((m, m)), G((m, m))
-    return make_problem(
-        n, m, A=-np.eye(n) + 0.3 * G((n, n)), Abar=0.1 * G((n, n)),
-        B=G((n, m)), Bbar=0.2 * G((n, m)), C=0.2 * G((n, n)),
-        Cbar=0.1 * G((n, n)), D=0.2 * G((n, m)), Dbar=0.1 * G((n, m)),
-        Q=np.eye(n) + M.T @ M / 4.0, Qbar=0.1 * N.T @ N,
-        S=0.1 * G((m, n)), Sbar=0.05 * G((m, n)),
-        R=np.eye(m) + K.T @ K / 4.0, Rbar=0.1 * L.T @ L,
-        b=0.5 * G((n,)), sigma=0.3 * G((n,)), q=0.1 * G((n,)),
-        r=0.1 * G((m,)))
-
-
 def test_first_node_gaps_are_exact():
     # at t = 0 every optimal path sits at x0 and every turnpike path at
     # x*, so each gap at the first node is a deterministic quadratic form
     rng = np.random.default_rng(4)
-    p = _random_problem(2, 2, lambda shape: rng.uniform(-1.0, 1.0, shape))
+    p = random_problem(2, 2, lambda shape: rng.uniform(-1.0, 1.0, shape))
     x0 = np.array([1.0, -0.5])
     are, static, path = _pipeline(p, 1.0, 100)
     cfg = SimulationConfig(T=1.0, dt=0.01, n_paths=64, seed=1)
@@ -324,6 +310,110 @@ def test_first_node_gaps_are_exact():
         assert v @ v > 1e-3
 
 
+def _reference_coupled(p, path, are, static, x0, cfg, inc):
+    """Every series of run_coupled, evaluated path by path: the closed
+    loop's per-node formulas for u, Y and Z, the four gaps, the per-path
+    running cost and the plain sums over paths, driven by the Brownian
+    increments inc of shape (n_steps, n_paths)."""
+    h = assemble_hats(p)
+    K, dt, N = cfg.n_steps, cfg.dt, cfg.n_paths
+    x_star, u_star = static.x_star[:, None], static.u_star[:, None]
+    lam, sig = static.lambda_star, static.sigma_star
+    m_t = propagate_mean(p, path, x0, static.x_star)
+    Th, ThH, off = path.Theta_of_t, path.ThetaHat_of_t, path.thetaHat_of_t
+    Atp, Ctp = p.A + p.B @ are.Theta, p.C + p.D @ are.Theta
+    Xt = np.tile(m_t[0][:, None], (1, N))
+    Xs = np.zeros((p.n, N))
+    names = ("mean_X", "mean_u", "second_moment_X", "second_moment_u")
+    out = {(side, name): [] for side in ("opt", "tp") for name in names}
+    gaps = {name: [] for name in ("gap_X", "gap_u", "gap_Y", "gap_Z")}
+    cost = {"opt": np.zeros(N), "tp": np.zeros(N)}
+    snaps = {"opt": [], "tp": []}
+    snap_idx = set(_snapshot_indices(K).tolist())
+    for k in range(K + 1):
+        mk, Pk = m_t[k], path.P_of_t[k]
+        Acl, Ccl = p.A + p.B @ Th[k], p.C + p.D @ Th[k]
+        dconst = (h.Ahat + h.Bhat @ ThH[k] - Acl) @ mk + h.Bhat @ off[k]
+        cconst = (h.Chat + h.Dhat @ ThH[k] - Ccl) @ mk + h.Dhat @ off[k] + sig
+        u_sh = Th[k] @ Xt + ((ThH[k] - Th[k]) @ mk + off[k])[:, None]
+        X = {"opt": Xt + x_star, "tp": Xs + x_star}
+        u = {"opt": u_sh + u_star, "tp": are.Theta @ Xs + u_star}
+        w = dt if 0 < k < K else 0.5 * dt
+        for side in ("opt", "tp"):
+            Xp, up = X[side], u[side]
+            out[side, "mean_X"].append(Xp.sum(axis=1) / N)
+            out[side, "mean_u"].append(up.sum(axis=1) / N)
+            out[side, "second_moment_X"].append(np.sum(Xp * Xp) / N)
+            out[side, "second_moment_u"].append(np.sum(up * up) / N)
+            cost[side] += w * (np.einsum("ip,ij,jp->p", Xp, p.Q, Xp)
+                               + 2.0 * np.einsum("mp,mj,jp->p", up, p.S, Xp)
+                               + np.einsum("mp,mj,jp->p", up, p.R, up)
+                               + 2.0 * (p.q @ Xp) + 2.0 * (p.r @ up))
+            if k in snap_idx:
+                snaps[side].append((Xp, up))
+        Y = Pk @ (Xt - mk[:, None]) + (path.Pi_of_t[k] @ mk
+                                       + path.phiHat_of_t[k] + lam)[:, None]
+        Z = Pk @ (Ccl @ Xt + cconst[:, None])
+        diffs = {"gap_X": Xt - Xs, "gap_u": u["opt"] - u["tp"],
+                 "gap_Y": Y - (are.P @ Xs + lam[:, None]),
+                 "gap_Z": Z - are.P @ (Ctp @ Xs + sig[:, None])}
+        for name, d in diffs.items():
+            gaps[name].append(np.sum(d * d) / N)
+        if k == K:
+            break
+        dW = inc[k]
+        Xt = (Xt + dt * (Acl @ Xt + dconst[:, None])
+              + (Ccl @ Xt + cconst[:, None]) * dW)
+        Xs = Xs + dt * (Atp @ Xs) + (Ctp @ Xs + sig[:, None]) * dW
+    series = {key: np.array(val) for key, val in out.items()}
+    for side in ("opt", "tp"):
+        mX, mu = series[side, "mean_X"], series[side, "mean_u"]
+        mean_cost = (np.einsum("ki,ij,kj->k", mX, p.Qbar, mX)
+                     + 2.0 * np.einsum("km,mj,kj->k", mu, p.Sbar, mX)
+                     + np.einsum("km,mj,kj->k", mu, p.Rbar, mu))
+        paths = cost[side] + np.trapezoid(mean_cost, path.mesh)
+        series[side, "cost_estimate"] = np.mean(paths)
+        series[side, "cost_stderr"] = np.std(paths, ddof=1) / math.sqrt(N)
+    return series, {k: np.array(v) for k, v in gaps.items()}, snaps
+
+
+@pytest.mark.parametrize("case", ["all_blocks_2x2", "sp2_noisy_long"])
+def test_engine_matches_per_path_reference(case):
+    if case == "all_blocks_2x2":
+        rng = np.random.default_rng(4)
+        p = random_problem(2, 2, lambda shape: rng.uniform(-1.0, 1.0, shape))
+        x0, T, dt, N = np.array([1.0, -0.5]), 2.0, 0.01, 600
+    else:
+        # the gaps fall to about 3e-17 mid-horizon
+        p = make_problem(1, 1, A=[[-1.0]], B=[[1.0]], C=[[0.3]], Q=[[1.0]],
+                         R=[[1.0]], b=[1.0], sigma=[0.5])
+        x0, T, dt, N = np.array([1.5]), 24.0, 0.01, 400
+    cfg = SimulationConfig(T=T, dt=dt, n_paths=N, seed=11)
+    are, static, path = _pipeline(p, T, cfg.n_steps)
+    inc = np.stack([brownian_increments(11, 0, k, N, dt)
+                    for k in range(cfg.n_steps)])
+    res = run_coupled(p, path, are, static, x0, cfg, increments=inc)
+    series, gaps, snaps = _reference_coupled(p, path, are, static, x0, cfg,
+                                             inc)
+    for name, want in gaps.items():
+        got = getattr(res.optimal, name)
+        assert np.all(want > 0.0)
+        assert np.max(np.abs(got - want) / want) <= 1e-8, name
+    for (side, name), want in series.items():
+        got = getattr(res.optimal if side == "opt" else res.turnpike, name)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12), (side, name)
+    for side, raw in (("opt", res.raw_optimal), ("tp", res.raw_turnpike)):
+        want_X = np.array([X for X, _ in snaps[side]])
+        want_u = np.array([u for _, u in snaps[side]])
+        if side == "tp":
+            assert np.array_equal(raw.X, want_X)
+            assert np.array_equal(raw.u, want_u)
+        else:
+            assert np.max(np.abs(raw.X - want_X)) <= 1e-12
+            assert np.max(np.abs(raw.u - want_u)) <= 1e-12
+    assert np.max(res.residual_series) <= 1e-12
+
+
 @st.composite
 def _small_problems(draw):
     n, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
@@ -331,7 +421,7 @@ def _small_problems(draw):
     def G(shape):
         return draw(hnp.arrays(np.float64, shape,
                                elements=st.floats(-1.0, 1.0)))
-    return _random_problem(n, m, G), 1.5 * G((n,))
+    return random_problem(n, m, G), 1.5 * G((n,))
 
 
 @settings(max_examples=10, deadline=None, derandomize=True,
