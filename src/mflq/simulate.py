@@ -36,6 +36,13 @@ running cost, one quadratic form v' W_k v + 2 g_k' v per ensemble and
 node (its standard error needs the per-path totals), the maximum of
 the stationarity residual over paths, and the snapshot sub-mesh.
 
+Memory is allocated once.  The run holds one snapshot buffer of shape
+(nodes, 2(n + m), n_paths); each chunk writes its columns in place, and
+`RawPaths.X` and `.u` are views of it.  Each chunk allocates its (., L)
+work buffers (v, the cost forms, the residual, the drift and diffusion
+terms) before the step loop, and every step writes into them, so the
+Brownian draw is the only per-step allocation of paths' size.
+
 Brownian increments come from a counter-based generator: every
 increment has the fixed address (seed, path-chunk, step), independent
 of scheduling or worker count.  Paths are processed in fixed-size
@@ -302,65 +309,85 @@ def _mean_cost_series(problem, mean_X, mean_u):
 class _ChunkAcc:
     """Accumulators for one chunk of L paths: the per-node path sums s1
     (K+1, 2n) and s2 (K+1, 2n, 2n) of v, the per-path costs of both
-    ensembles (2, L), the nodewise maximum stationarity residual and
-    the snapshots (nodes, 2(n + m), L) of (X, u) of both ensembles."""
+    ensembles (2, L) and the nodewise maximum stationarity residual."""
 
-    def __init__(self, K, n2, L, snap_rows, snap_count):
+    def __init__(self, K, n2, L):
         self.s1 = np.empty((K + 1, n2))
         self.s2 = np.empty((K + 1, n2, n2))
         self.cost = np.zeros((2, L))
         self.res_max = np.empty(K + 1)
-        self.snaps = np.empty((snap_count, snap_rows, L))
 
 
-def _check_finite(X, chunk_lo, step):
-    if not np.all(np.isfinite(X)):
-        bad = np.argwhere(~np.isfinite(X))
+def _check_finite(X, finite, chunk_lo, step):
+    """Raise on the first non-finite entry of X, naming its path;
+    `finite` is a boolean work buffer of X's shape."""
+    if not np.isfinite(X, out=finite).all():
+        bad = np.argwhere(~finite)
         path_idx = chunk_lo + int(bad[0][-1])
         raise NumericalFailure(
             f"non-finite state at path {path_idx}, step {step}")
 
 
-def _run_chunk(cl, config, chunk_idx, lo, hi, snap_idx, increments=None):
-    """Simulate paths [lo, hi) of both ensembles through all steps.
+def _run_chunk(cl, config, chunk_idx, lo, hi, snaps, snap_idx,
+               increments=None):
+    """Simulate paths [lo, hi) of both ensembles through all steps,
+    writing their snapshots into the columns lo:hi of `snaps`.
 
     Per node: v = T2 Z, its path sums s1 and s2, one quadratic form per
     ensemble for the cost, the per-path residual maximum and, on the
     snapshot nodes, the snapshot rows; then one stacked Euler update of
-    Z.  Returns the chunk's accumulators.
+    Z.  Every (., L) buffer is allocated once, before the loop, and
+    written in place.  Returns the chunk's accumulators.
     """
     K = config.n_steps
     dt = config.dt
     L = hi - lo
     n2 = cl.T2.shape[0]
-    acc = _ChunkAcc(K, n2, L, cl.snap_G.shape[1], len(snap_idx))
+    acc = _ChunkAcc(K, n2, L)
+    own_snaps = snaps[:, :, lo:hi]
     Z = np.zeros((n2, L))
     Z[:n2 // 2] = cl.m0[:, None]       # Xt starts at x0 - x*, Xs at 0
+    v = np.empty((n2, L))
+    q = np.empty((2, n2, L))
+    q_sum = np.empty((2, L))
+    res = np.empty((cl.res_G.shape[1], L))
+    drift = np.empty((n2, L))
+    diff = np.empty((n2, L))
+    finite = np.empty((n2, L), dtype=bool)
     snap_pos = {k: i for i, k in enumerate(snap_idx)}
 
     for k in range(K + 1):
-        v = cl.T2 @ Z
-        acc.s1[k] = v.sum(axis=1)
-        acc.s2[k] = v @ v.T
-        q = cl.cost_W[k] @ v             # (2, 2n, L)
+        np.matmul(cl.T2, Z, out=v)
+        np.sum(v, axis=1, out=acc.s1[k])
+        np.matmul(v, v.T, out=acc.s2[k])
+        np.matmul(cl.cost_W[k], v, out=q)
         q += cl.cost_g[k]
         q *= v
-        acc.cost += q.sum(axis=1)
-        res = cl.res_G[k] @ v + cl.res_h[k]
-        acc.res_max[k] = np.max(np.abs(res), initial=0.0)
+        acc.cost += np.sum(q, axis=1, out=q_sum)
+        np.matmul(cl.res_G[k], v, out=res)
+        res += cl.res_h[k]
+        acc.res_max[k] = np.max(np.abs(res, out=res), initial=0.0)
         snap = snap_pos.get(k)
         if snap is not None:
-            np.matmul(cl.snap_G[k], v, out=acc.snaps[snap])
-            acc.snaps[snap] += cl.snap_h[k]
+            np.matmul(cl.snap_G[k], v, out=own_snaps[snap])
+            own_snaps[snap] += cl.snap_h[k]
         if k == K:
             break
         if increments is not None:
             dW = increments[k, lo:hi]
         else:
             dW = brownian_increments(config.seed, chunk_idx, k, L, dt)
-        Z = Z + dt * (cl.A2[k] @ Z + cl.d2[k]) + (cl.C2[k] @ Z + cl.c2[k]) * dW
+        # Z += dt (A2 Z + d2) + (C2 Z + c2) dW, both terms from the old Z
+        np.matmul(cl.A2[k], Z, out=drift)
+        drift += cl.d2[k]
+        drift *= dt
+        np.matmul(cl.C2[k], Z, out=diff)
+        diff += cl.c2[k]
+        diff *= dW
+        Z += drift
+        Z += diff
         if (k + 1) % FINITE_CHECK_EVERY == 0 or k + 1 == K:
-            _check_finite(Z, lo, k + 1)
+            _check_finite(Z, finite, lo, k + 1)
     acc.cost += cl.cost_c[:, None]
     return acc
 
@@ -421,10 +448,12 @@ def run_coupled(problem: ProblemData, path: RiccatiPath, are: ArePair,
     snap_idx = _snapshot_indices(K)
     ranges = [(c, lo, min(lo + PATH_CHUNK, N))
               for c, lo in enumerate(range(0, N, PATH_CHUNK))]
+    # one buffer for the whole run; each chunk fills its own columns
+    snaps = np.empty((len(snap_idx), cl.snap_G.shape[1], N))
 
     def work(args):
         c, lo, hi = args
-        return _run_chunk(cl, config, c, lo, hi, snap_idx, increments)
+        return _run_chunk(cl, config, c, lo, hi, snaps, snap_idx, increments)
     if config.workers == 1 or len(ranges) == 1:
         accs = [work(r) for r in ranges]
     else:
@@ -439,7 +468,6 @@ def run_coupled(problem: ProblemData, path: RiccatiPath, are: ArePair,
             for name in ("gap_X", "gap_u", "gap_Y", "gap_Z")}
     opt_stats = _ensemble(problem, cl, mesh, "opt", s1, s2, cost[0], **gaps)
     tp_stats = _ensemble(problem, cl, mesh, "tp", s1, s2, cost[1])
-    snaps = np.concatenate([a.snaps for a in accs], axis=2)
     n, m = problem.n, problem.m
     raw_opt, raw_tp = (
         RawPaths(mesh=mesh[snap_idx], indices=snap_idx,

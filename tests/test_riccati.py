@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.linalg import solve_continuous_are
+from scipy.linalg import expm, solve_continuous_are
 
 from mflq import (
     NumericalFailure,
@@ -299,6 +299,43 @@ def test_finite_horizon_and_offsets_match_solve_ivp(random_2x2):
     assert np.max(np.abs(path.Pi_of_t - Pi)) <= 1e-8
     assert np.max(np.abs(path.phiHat_of_t - phiHat)) <= 1e-8
     assert np.max(np.abs(static.lambda_star)) > 0.1
+
+
+def _radon_oracle(A, B, Q, S, R, T, mesh):
+    """P(t) on the mesh for the Riccati ODE without multiplicative noise,
+    P' + PA + A'P + Q - (PB + S') R^{-1} (B'P + S) = 0, P(T) = 0, by
+    Radon's lemma: in s = T - t, with Ar = A - B R^{-1} S,
+    Qr = Q - S' R^{-1} S and G = B R^{-1} B', P = Y X^{-1} where
+    (X; Y)(s) = expm(H s) (I; 0) and H = [[-Ar, G], [Qr, Ar']]."""
+    n = A.shape[0]
+    RiS = np.linalg.solve(R, S)
+    Ar = A - B @ RiS
+    H = np.block([[-Ar, B @ np.linalg.solve(R, B.T)], [Q - S.T @ RiS, Ar.T]])
+    out = []
+    for t in mesh:
+        XY = expm(H * (T - t))[:, :n]
+        out.append(np.linalg.solve(XY[:n].T, XY[n:].T).T)
+    return np.array(out)
+
+
+def test_finite_horizon_matches_hamiltonian_expm():
+    # C = D = 0 in both systems, S != 0: each of P and Pi solves a
+    # Riccati ODE without multiplicative noise, with the original and
+    # the hat coefficients respectively
+    p = make_problem(
+        2, 1, A=[[-0.5, 0.4], [0.1, 0.3]], Abar=[[0.2, 0.0], [0.1, -0.3]],
+        B=[[0.0], [1.0]], Bbar=[[0.4], [0.1]], Q=[[2.0, 0.3], [0.3, 1.0]],
+        Qbar=[[0.2, 0.1], [0.1, 0.3]], S=[[0.3, -0.2]], Sbar=[[0.1, 0.3]],
+        R=[[1.0]], Rbar=[[0.5]])
+    h = assemble_hats(p)
+    assert np.all(p.S != 0) and np.all(h.Shat != 0)
+    T = 3.0
+    path = integrate_finite_horizon(p, T, steps=600)
+    P = _radon_oracle(p.A, p.B, p.Q, p.S, p.R, T, path.mesh)
+    Pi = _radon_oracle(h.Ahat, h.Bhat, h.Qhat, h.Shat, h.Rhat, T, path.mesh)
+    assert np.max(np.abs(path.P_of_t - P)) <= 1e-8
+    assert np.max(np.abs(path.Pi_of_t - Pi)) <= 1e-8
+    assert np.max(np.abs(P[0])) > 0.5
 
 
 def test_convergence_profile_shape_and_decay(sp1):

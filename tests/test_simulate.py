@@ -1,5 +1,7 @@
 import io
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,15 +217,25 @@ def test_coupled_matches_separate_runs_exactly(sp2):
 
 
 def test_worker_count_does_not_change_results(sp2):
+    # three chunks on eight threads fill one shared snapshot buffer;
+    # frequent thread switches interleave their writes
     are, static, path = _pipeline(sp2, 1.0, 100)
     cfg1 = SimulationConfig(T=1.0, dt=0.01, n_paths=20_000, seed=5,
                             workers=1)
     cfg8 = SimulationConfig(T=1.0, dt=0.01, n_paths=20_000, seed=5,
                             workers=8)
     r1 = run_coupled(sp2, path, are, static, [1.5], cfg1)
-    r8 = run_coupled(sp2, path, are, static, [1.5], cfg8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        r8 = run_coupled(sp2, path, are, static, [1.5], cfg8)
+    finally:
+        sys.setswitchinterval(interval)
     assert np.array_equal(r1.optimal.gap_X, r8.optimal.gap_X)
-    assert np.array_equal(r1.raw_turnpike.X, r8.raw_turnpike.X)
+    for side in ("raw_optimal", "raw_turnpike"):
+        for name in ("X", "u"):
+            assert np.array_equal(getattr(getattr(r1, side), name),
+                                  getattr(getattr(r8, side), name))
     assert r1.optimal.cost_estimate == r8.optimal.cost_estimate
 
 
@@ -270,6 +282,40 @@ def test_nonfinite_state_is_located(sp2):
     with pytest.raises(NumericalFailure,
                        match="non-finite state at path 2"):
         run_coupled(sp2, path, are, static, [1.0], cfg, increments=inc)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_nonfinite_state_in_second_chunk_is_located(sp2, workers):
+    # the second chunk writes into columns PATH_CHUNK: of the shared
+    # snapshot buffer; the reported path must carry that offset
+    are, static, path = _pipeline(sp2, 1.0, 100)
+    N = PATH_CHUNK + 8
+    cfg = SimulationConfig(T=1.0, dt=0.01, n_paths=N, seed=0,
+                           workers=workers)
+    inc = np.zeros((100, N))
+    inc[10, PATH_CHUNK + 3] = np.nan
+    with pytest.raises(NumericalFailure,
+                       match="non-finite state at path 8195,"):
+        run_coupled(sp2, path, are, static, [1.0], cfg, increments=inc)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_snapshots_are_allocated_once(sp2, workers):
+    # the snapshot buffer is the run's one large allocation: per-chunk
+    # snapshot arrays joined by a copy at the end would double the peak
+    are, static, path = _pipeline(sp2, 1.0, 100)
+    cfg = SimulationConfig(T=1.0, dt=0.01, n_paths=PATH_CHUNK + 17, seed=3,
+                           workers=workers)
+    tracemalloc.start()
+    try:
+        res = run_coupled(sp2, path, are, static, [1.5], cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    snap_bytes = sum(a.nbytes for raw in (res.raw_optimal, res.raw_turnpike)
+                     for a in (raw.X, raw.u))
+    assert snap_bytes > 0
+    assert peak <= 1.25 * snap_bytes
 
 
 def test_ensemble_csv_format(sp2):

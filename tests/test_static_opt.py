@@ -2,15 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.linalg import null_space
 
 from mflq import (
+    MflqError,
     NumericalFailure,
+    assemble_hats,
     evaluate_F,
     kkt_residual,
     make_problem,
     solve_are,
     solve_static,
+    validate_assumption_a1,
 )
+
+from conftest import random_problem
 
 SQRT2 = math.sqrt(2.0)
 
@@ -58,6 +67,44 @@ def test_feasible_perturbations_never_beat_V(sp2):
         t = rng.uniform(-2.0, 2.0)
         val = evaluate_F(sp2, are.P, sol.x_star + t, sol.u_star + t)
         assert val >= sol.V - 1e-12
+
+
+# entries bounded away from zero, so every block of random_problem is
+# nonzero
+_NONZERO = st.floats(-1.0, -0.01) | st.floats(0.01, 1.0)
+
+
+@st.composite
+def _problems_and_directions(draw):
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+
+    def G(shape):
+        return draw(hnp.arrays(np.float64, shape, elements=_NONZERO))
+    coeffs = draw(hnp.arrays(np.float64, (20, m),
+                             elements=st.floats(-3.0, 3.0)))
+    return random_problem(n, m, G), coeffs
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_problems_and_directions())
+def test_feasible_perturbations_never_beat_V_on_random_problems(drawn):
+    # (x* + dx, u* + du) with Ahat dx + Bhat du = 0 stays feasible, and
+    # the static cost is convex on the feasible set
+    p, coeffs = drawn
+    assume(validate_assumption_a1(p).passed)
+    try:
+        are = solve_are(p)
+        sol = solve_static(p, are.P)
+    except MflqError:
+        assume(False)
+    h = assemble_hats(p)
+    basis = null_space(np.hstack([h.Ahat, h.Bhat]))      # (n + m, >= m)
+    tol = 1e-10 * max(1.0, abs(sol.V))
+    for c in coeffs:
+        d = basis[:, :len(c)] @ c
+        val = evaluate_F(p, are.P, sol.x_star + d[:p.n], sol.u_star + d[p.n:])
+        assert val >= sol.V - tol
 
 
 def test_degenerate_problem_raises():
