@@ -80,7 +80,7 @@ def _problems_and_directions(draw):
 
     def G(shape):
         return draw(hnp.arrays(np.float64, shape, elements=_NONZERO))
-    coeffs = draw(hnp.arrays(np.float64, (20, m),
+    coeffs = draw(hnp.arrays(np.float64, (20, n + m),
                              elements=st.floats(-3.0, 3.0)))
     return random_problem(n, m, G), coeffs
 
@@ -101,8 +101,8 @@ def test_feasible_perturbations_never_beat_V_on_random_problems(drawn):
     h = assemble_hats(p)
     basis = null_space(np.hstack([h.Ahat, h.Bhat]))      # (n + m, >= m)
     tol = 1e-10 * max(1.0, abs(sol.V))
-    for c in coeffs:
-        d = basis[:, :len(c)] @ c
+    for c in coeffs[:, :basis.shape[1]]:
+        d = basis @ c
         val = evaluate_F(p, are.P, sol.x_star + d[:p.n], sol.u_star + d[p.n:])
         assert val >= sol.V - tol
 
