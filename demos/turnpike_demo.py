@@ -50,7 +50,6 @@ def main():
     print(f"right decay: lam = {right.lam:.3f} (R^2 = {right.r_squared:.4f})")
     print(f"cost/T = {stats.cost_estimate / T:.4f}"
           f" +- {stats.cost_stderr / T:.4f} (V = {static.V:.4f})")
-    print(f"time-averaged stationarity residual = {res.residual_avg:.4f}")
 
 
 if __name__ == "__main__":

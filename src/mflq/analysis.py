@@ -273,7 +273,7 @@ def turnpike_pipeline(problem: ProblemData, x0, T: float,
     idx = res.raw_optimal.indices
     mid = len(stats.mesh) // 2
     report = {
-        "schema": 1,
+        "schema": 2,
         "horizon": float(T),
         "trivial_problem": bool(trivial),
         "tolerances": dict(TOLERANCES),
@@ -309,7 +309,6 @@ def turnpike_pipeline(problem: ProblemData, x0, T: float,
             "avg_gap": integral_turnpike(gap, T, stats.mesh),
             "decay_fits": fits,
         },
-        "stationarity_residual_avg": res.residual_avg,
         "value": {
             "estimate_over_T": stats.cost_estimate / T,
             "stderr_over_T": stats.cost_stderr / T,

@@ -162,9 +162,9 @@ def load_config(path, command: str = "turnpike",
                 dc_replace(sim, T=float(h))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"simulation config: {exc}") from exc
-    trials = ints["trials"]
-    if trials < 1:
-        raise ValueError(f"trials: must be >= 1, got {trials}")
+    for name in ("trials", "steps_per_unit"):
+        if ints[name] < 1:
+            raise ValueError(f"{name}: must be >= 1, got {ints[name]}")
     digest = hashlib.sha256(
         json.dumps(resolved, sort_keys=True, default=str).encode()).hexdigest()
     return ExperimentConfig(
@@ -172,7 +172,7 @@ def load_config(path, command: str = "turnpike",
         horizons=tuple(horizons) if horizons else None, x0=x0,
         steps_per_unit=ints["steps_per_unit"],
         out=None if doc.get("out") is None else str(doc["out"]),
-        trials=trials,
+        trials=ints["trials"],
         digest=digest)
 
 

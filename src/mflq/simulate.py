@@ -21,11 +21,10 @@ Euler-Maruyama update per step,
 with block-diagonal per-node coefficients A2_k = diag(Acl_k, A + B Theta)
 and C2_k = diag(Ccl_k, C + D Theta).  Every observable of the run (the
 states and controls of both ensembles, the state, control and adjoint
-gaps, the stationarity residual) is an affine map G_k v + h_k of
-v = (Xt - Xs, Xs), and one table of these maps is built per run.  At
-each node only the path sums s1_k = sum_p v_p and s2_k = sum_p v_p v_p'
-are kept; after the loop every node series comes from the moment
-identity
+gaps) is an affine map G_k v + h_k of v = (Xt - Xs, Xs), and one table
+of these maps is built per run.  At each node only the path sums
+s1_k = sum_p v_p and s2_k = sum_p v_p v_p' are kept; after the loop
+every node series comes from the moment identity
 
     sum_p |G v_p + h|^2 = tr(G s2 G') + 2 h' G s1 + L |h|^2
 
@@ -33,15 +32,15 @@ in one vectorized pass over the nodes.  The gaps read the difference
 block Xt - Xs directly, never E|Xt|^2 - 2 E[Xt.Xs] + E|Xs|^2, so they
 stay accurate where they fall to 1e-17.  What stays per path is the
 running cost, one quadratic form v' W_k v + 2 g_k' v per ensemble and
-node (its standard error needs the per-path totals), the maximum of
-the stationarity residual over paths, and the snapshot sub-mesh.
+node (its standard error needs the per-path totals), and the snapshot
+sub-mesh.
 
 Memory is allocated once.  The run holds one snapshot buffer of shape
 (nodes, 2(n + m), n_paths); each chunk writes its columns in place, and
 `RawPaths.X` and `.u` are views of it.  Each chunk allocates its (., L)
-work buffers (v, the cost forms, the residual, the drift and diffusion
-terms) before the step loop, and every step writes into them, so the
-Brownian draw is the only per-step allocation of paths' size.
+work buffers (v, the cost forms, the drift and diffusion terms) before
+the step loop, and every step writes into them, so the Brownian draw
+is the only per-step allocation of paths' size.
 
 Brownian increments come from a counter-based generator: every
 increment has the fixed address (seed, path-chunk, step), independent
@@ -139,8 +138,6 @@ class CoupledResult:
     turnpike: EnsembleStats
     raw_optimal: RawPaths
     raw_turnpike: RawPaths
-    residual_series: np.ndarray
-    residual_avg: float
 
 
 def brownian_increments(seed: int, chunk: int, step: int,
@@ -191,12 +188,12 @@ class _ClosedLoop:
     so both ensembles advance in one update.  The observables act on
     v = T2 Z = (Xt - Xs, Xs): `maps` is the table of affine maps
     (G_k, h_k) of v for the states and controls of both ensembles
-    (original variables), the four gaps and the stationarity residual.
-    The snapshot stacks and the per-path cost coefficients are read off
-    that table: each ensemble's trapezoid-weighted running cost at node
-    k is v' W_k v + 2 g_k' v + c_k, with W_k = G' M G, g_k = G'(M h + l),
-    c_k = h' M h + 2 l' h for the (X, u) rows (G, h) of the table,
-    M = [[Q, S'], [S, R]] and l = (q, r).
+    (original variables) and the four gaps.  The snapshot stacks and the
+    per-path cost coefficients are read off that table: each ensemble's
+    trapezoid-weighted running cost at node k is v' W_k v + 2 g_k' v + c_k,
+    with W_k = G' M G, g_k = G'(M h + l), c_k = h' M h + 2 l' h for the
+    (X, u) rows (G, h) of the table, M = [[Q, S'], [S, R]] and
+    l = (q, r).
     """
 
     def __init__(self, problem, path, are, static, m_t, dt):
@@ -209,7 +206,7 @@ class _ClosedLoop:
         off = path.thetaHat_of_t                             # (K+1, m)
         P_t, Pi_t = path.P_of_t, path.Pi_of_t
         x_star, u_star = static.x_star, static.u_star
-        lam, sig = static.lambda_star, static.sigma_star
+        sig = static.sigma_star
         Acl = A + np.einsum("im,kmn->kin", B, Th)            # (K+1, n, n)
         Ccl = C + np.einsum("im,kmn->kin", D, Th)
         AclHat = hats.Ahat + np.einsum("im,kmn->kin", hats.Bhat, ThH)
@@ -240,18 +237,7 @@ class _ClosedLoop:
         # vanish mid-horizon, so they carry no cancellation error
         PC = P_t @ Ccl
         dP = P_t - are.P
-        Pc = np.einsum("kij,kj->ki", P_t, cconst)
         Yc = np.einsum("kij,kj->ki", Pi_t - P_t, m_t) + path.phiHat_of_t
-        # stationarity block of the optimality system, analytic means
-        Eu = np.einsum("kij,kj->ki", ThH, m_t) + off
-        EY = np.einsum("kij,kj->ki", Pi_t, m_t) + path.phiHat_of_t + lam
-        EZ = np.einsum("kij,kj->ki", P_t, m_t @ hats.Chat.T
-                       + Eu @ hats.Dhat.T + sig)
-        Gres = B.T @ P_t + D.T @ PC + problem.S + problem.R @ Th
-        hres = ((Yc + lam) @ B + Pc @ D + problem.S @ x_star
-                + (uconst + u_star) @ problem.R + EY @ problem.Bbar
-                + EZ @ problem.Dbar + (m_t + x_star) @ problem.Sbar.T
-                + (Eu + u_star) @ problem.Rbar + problem.r)
         self.maps = {
             "X_opt": _affine(K1, I, I, x_star),
             "u_opt": _affine(K1, Th, Th, uconst + u_star),
@@ -262,10 +248,7 @@ class _ClosedLoop:
             "gap_Y": _affine(K1, P_t, dP, Yc),
             "gap_Z": _affine(K1, PC, dP @ Ccl + are.P @ D @ (Th - are.Theta),
                              np.einsum("kij,kj->ki", P_t, c0) + dP @ sig),
-            "res": _affine(K1, Gres, Gres, hres),
         }
-        self.res_G, res_h = self.maps["res"]
-        self.res_h = res_h[..., None]
         snap = [self.maps[name] for name in ("X_opt", "u_opt", "X_tp", "u_tp")]
         self.snap_G = np.concatenate([G for G, _ in snap], axis=1)
         self.snap_h = np.concatenate([h for _, h in snap], axis=1)[..., None]
@@ -308,14 +291,13 @@ def _mean_cost_series(problem, mean_X, mean_u):
 
 class _ChunkAcc:
     """Accumulators for one chunk of L paths: the per-node path sums s1
-    (K+1, 2n) and s2 (K+1, 2n, 2n) of v, the per-path costs of both
-    ensembles (2, L) and the nodewise maximum stationarity residual."""
+    (K+1, 2n) and s2 (K+1, 2n, 2n) of v and the per-path costs of both
+    ensembles (2, L)."""
 
     def __init__(self, K, n2, L):
         self.s1 = np.empty((K + 1, n2))
         self.s2 = np.empty((K + 1, n2, n2))
         self.cost = np.zeros((2, L))
-        self.res_max = np.empty(K + 1)
 
 
 def _check_finite(X, finite, chunk_lo, step):
@@ -334,10 +316,10 @@ def _run_chunk(cl, config, chunk_idx, lo, hi, snaps, snap_idx,
     writing their snapshots into the columns lo:hi of `snaps`.
 
     Per node: v = T2 Z, its path sums s1 and s2, one quadratic form per
-    ensemble for the cost, the per-path residual maximum and, on the
-    snapshot nodes, the snapshot rows; then one stacked Euler update of
-    Z.  Every (., L) buffer is allocated once, before the loop, and
-    written in place.  Returns the chunk's accumulators.
+    ensemble for the cost and, on the snapshot nodes, the snapshot rows;
+    then one stacked Euler update of Z.  Every (., L) buffer is
+    allocated once, before the loop, and written in place.  Returns the
+    chunk's accumulators.
     """
     K = config.n_steps
     dt = config.dt
@@ -350,7 +332,6 @@ def _run_chunk(cl, config, chunk_idx, lo, hi, snaps, snap_idx,
     v = np.empty((n2, L))
     q = np.empty((2, n2, L))
     q_sum = np.empty((2, L))
-    res = np.empty((cl.res_G.shape[1], L))
     drift = np.empty((n2, L))
     diff = np.empty((n2, L))
     finite = np.empty((n2, L), dtype=bool)
@@ -364,9 +345,6 @@ def _run_chunk(cl, config, chunk_idx, lo, hi, snaps, snap_idx,
         q += cl.cost_g[k]
         q *= v
         acc.cost += np.sum(q, axis=1, out=q_sum)
-        np.matmul(cl.res_G[k], v, out=res)
-        res += cl.res_h[k]
-        acc.res_max[k] = np.max(np.abs(res, out=res), initial=0.0)
         snap = snap_pos.get(k)
         if snap is not None:
             np.matmul(cl.snap_G[k], v, out=own_snaps[snap])
@@ -431,11 +409,10 @@ def run_coupled(problem: ProblemData, path: RiccatiPath, are: ArePair,
                 config: SimulationConfig, increments=None) -> CoupledResult:
     """Lockstep simulation of both ensembles with shared increments.
 
-    Gap series (state, control, and reconstructed adjoints) and the
-    stationarity residual of the optimality system are computed at full
-    time resolution: the chunks' path sums of v = (Xt - Xs, Xs) are
-    added in chunk order and every node series follows from them (see
-    the module docstring).  `increments`, when given, is a
+    Gap series (state, control, and reconstructed adjoints) are computed
+    at full time resolution: the chunks' path sums of v = (Xt - Xs, Xs)
+    are added in chunk order and every node series follows from them
+    (see the module docstring).  `increments`, when given, is a
     (n_steps, n_paths) array of Brownian increments used in place of the
     generated ones.
     """
@@ -473,11 +450,8 @@ def run_coupled(problem: ProblemData, path: RiccatiPath, are: ArePair,
         RawPaths(mesh=mesh[snap_idx], indices=snap_idx,
                  X=snaps[:, lo:lo + n], u=snaps[:, lo + n:lo + n + m])
         for lo in (0, n + m))
-    res = np.maximum.reduce([a.res_max for a in accs])
-    res_avg = float(np.trapezoid(res, mesh) / config.T)
     return CoupledResult(optimal=opt_stats, turnpike=tp_stats,
-                         raw_optimal=raw_opt, raw_turnpike=raw_tp,
-                         residual_series=res, residual_avg=res_avg)
+                         raw_optimal=raw_opt, raw_turnpike=raw_tp)
 
 
 def write_ensemble_csv(stats: EnsembleStats, fh, header_comments=()) -> None:

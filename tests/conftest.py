@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mflq import make_problem
 
@@ -18,6 +20,18 @@ def random_problem(n, m, G):
         R=np.eye(m) + K.T @ K / 4.0, Rbar=0.1 * L.T @ L,
         b=0.5 * G((n,)), sigma=0.3 * G((n,)), q=0.1 * G((n,)),
         r=0.1 * G((m,)))
+
+
+@st.composite
+def small_problems(draw):
+    """random_problem with n, m in {1, 2} and entries in [-1, 1], and a
+    starting point x0 in [-1.5, 1.5]^n."""
+    n, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+
+    def G(shape):
+        return draw(hnp.arrays(np.float64, shape,
+                               elements=st.floats(-1.0, 1.0)))
+    return random_problem(n, m, G), 1.5 * G((n,))
 
 
 @pytest.fixture(scope="session")

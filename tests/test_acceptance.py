@@ -50,7 +50,7 @@ def _full_pipeline(problem, T, steps):
 @pytest.fixture(scope="module")
 def coupled_runs(sp2, spmf_b):
     """Coupled T=10 ensembles (dt=1e-3, 10^4 paths) shared by the
-    turnpike, adjoint, and residual tests; wall time recorded."""
+    turnpike and adjoint tests; wall time recorded."""
     runs = {}
     t0 = time.monotonic()
     for name, problem in (("sp2", sp2), ("spmf_b", spmf_b)):
@@ -209,10 +209,26 @@ def test_monotone_horizon_limits(sp1, spmf, random_2x2):
         assert verdict
 
 
-def test_stationarity_residual(coupled_runs):
-    res = coupled_runs["sp2"]
-    tol = 5.0 * (1e-3 + 3.0 / math.sqrt(10_000))
-    assert res.residual_avg <= tol
+def test_value_identity(sp2, spmf_b):
+    # J_T(x0) = <Pi_T(0) d, d> + 2 <phiHat_T(0) + lam*, d> + c_T with
+    # d = x0 - x*.  With C = D = 0 the quadratic coefficient is the same
+    # on every path under common random numbers, so the second difference
+    # is exact up to the O(dt) Euler bias; the first difference carries
+    # the paths' noise (spmf_b has none, so 64 paths suffice)
+    T, dt = 6.0, 2e-3
+    for problem, n_paths in ((sp2, 2048), (spmf_b, 64)):
+        cfg = SimulationConfig(T=T, dt=dt, n_paths=n_paths, seed=5)
+        are, static, path = _full_pipeline(problem, T, cfg.n_steps)
+        runs = {d: run_coupled(problem, path, are, static,
+                               static.x_star + d, cfg).optimal
+                for d in (-1.0, 0.0, 1.0)}
+        J = {d: stats.cost_estimate for d, stats in runs.items()}
+        quad = (J[1.0] - 2.0 * J[0.0] + J[-1.0]) / 2.0
+        lin = (J[1.0] - J[-1.0]) / 4.0
+        assert abs(quad - path.Pi_of_t[0, 0, 0]) <= dt
+        se = math.hypot(runs[1.0].cost_stderr, runs[-1.0].cost_stderr)
+        want = path.phiHat_of_t[0, 0] + static.lambda_star[0]
+        assert abs(lin - want) <= dt + 3.0 * se / 4.0
 
 
 def test_artifact_determinism_across_workers(tmp_path):

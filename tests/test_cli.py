@@ -143,6 +143,17 @@ def test_exit_code_3_on_nonpositive_trials(tmp_path, capsys, trials):
     assert f"trials: must be >= 1, got {trials}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("steps_per_unit", [0, -5])
+def test_exit_code_3_on_nonpositive_steps_per_unit(tmp_path, capsys,
+                                                   steps_per_unit):
+    doc = {"problem": SP1, "T": 2.0, "steps_per_unit": steps_per_unit}
+    assert main(["riccati-profile", "--config", _write(tmp_path, doc),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert (f"steps_per_unit: must be >= 1, got {steps_per_unit}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_code_4_on_assumption_failure(tmp_path, capsys):
     doc = {"problem": {k: v for k, v in SP1.items() if k != "R"}}
     assert main(["are", "--config", _write(tmp_path, doc)]) == 4
@@ -217,7 +228,7 @@ def test_turnpike_command_artifacts(tmp_path):
     assert main(["turnpike", "--config", _write(tmp_path, doc),
                  "--out", str(out)]) == 0
     report = json.loads((out / "turnpike_report.json").read_text())
-    assert report["schema"] == 1
+    assert report["schema"] == 2
     assert report["static"]["x_star"] == pytest.approx([0.5])
     lines = (out / "ensemble.csv").read_text().splitlines()
     assert lines[2] == "t,meanX0,m2X,m2u,gapX,gapu,gapY,gapZ"

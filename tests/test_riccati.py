@@ -5,10 +5,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm, solve_continuous_are
 
 from mflq import (
+    MflqError,
     NumericalFailure,
     assemble_hats,
     convergence_profile,
@@ -16,12 +18,16 @@ from mflq import (
     integrate_finite_horizon,
     integrate_offsets,
     make_problem,
+    normalize_cross_terms,
     propagate_mean,
     solve_are,
+    validate_assumption_a1,
 )
 from mflq import riccati
 from mflq.model import _maps, coefficient_maps, hat_coefficient_maps
 from mflq.riccati import write_convergence_csv, write_horizon_csv
+
+from conftest import small_problems
 
 SQRT2 = math.sqrt(2.0)
 
@@ -363,6 +369,42 @@ def test_horizon_monotonicity(sp1):
     assert len(pi0) == 3
     with pytest.raises(ValueError, match="strictly increasing"):
         horizon_monotonicity_check(sp1, (2.0, 1.0))
+
+
+_PROPERTY = settings(max_examples=10, deadline=None, derandomize=True,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+@_PROPERTY
+@given(small_problems())
+def test_horizon_monotonicity_on_random_problems(drawn):
+    # under A1 the homogeneous cost is nonnegative, so Pi_T(0) is
+    # nondecreasing in T
+    p, _ = drawn
+    assume(validate_assumption_a1(p).passed)
+    _, verdict = horizon_monotonicity_check(p, (0.5, 1.0, 2.0, 4.0),
+                                            steps_per_unit=200)
+    assert verdict
+
+
+@_PROPERTY
+@given(small_problems())
+def test_cross_term_normalization_on_random_problems(drawn):
+    # the transform does not move q, so the value V is not invariant;
+    # the Riccati pairs are
+    p, _ = drawn
+    assume(validate_assumption_a1(p).passed)
+    q = normalize_cross_terms(p)
+    path_p = integrate_finite_horizon(p, 2.0, steps=400)
+    path_q = integrate_finite_horizon(q, 2.0, steps=400)
+    assert np.max(np.abs(path_p.P_of_t - path_q.P_of_t)) <= 1e-8
+    assert np.max(np.abs(path_p.Pi_of_t - path_q.Pi_of_t)) <= 1e-8
+    try:
+        are_p, are_q = solve_are(p), solve_are(q)
+    except MflqError:
+        assume(False)
+    assert np.max(np.abs(are_p.P - are_q.P)) <= 1e-8
+    assert np.max(np.abs(are_p.Pi - are_q.Pi)) <= 1e-8
 
 
 def test_csv_writers(sp1):

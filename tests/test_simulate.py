@@ -6,8 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 from scipy.integrate import solve_bvp
 
 from mflq import (
@@ -27,7 +25,7 @@ from mflq import (
 )
 from mflq.simulate import PATH_CHUNK, _snapshot_indices, write_ensemble_csv
 
-from conftest import random_problem
+from conftest import random_problem, small_problems
 
 SQRT2 = math.sqrt(2.0)
 
@@ -457,22 +455,11 @@ def test_engine_matches_per_path_reference(case):
         else:
             assert np.max(np.abs(raw.X - want_X)) <= 1e-12
             assert np.max(np.abs(raw.u - want_u)) <= 1e-12
-    assert np.max(res.residual_series) <= 1e-12
-
-
-@st.composite
-def _small_problems(draw):
-    n, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
-
-    def G(shape):
-        return draw(hnp.arrays(np.float64, shape,
-                               elements=st.floats(-1.0, 1.0)))
-    return random_problem(n, m, G), 1.5 * G((n,))
 
 
 @settings(max_examples=10, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
-@given(_small_problems())
+@given(small_problems())
 def test_worker_count_never_changes_results(drawn):
     # two chunks of paths, stepped serially and on two threads
     p, x0 = drawn
