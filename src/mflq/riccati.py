@@ -140,13 +140,33 @@ def _rk4(f, y0, h, steps):
     return ys
 
 
-def _linear_rhs(M, g):
-    """f(j, c, y) = M y + g for _rk4, read from half-step stacks: entry
-    2j + 2c is the value at s = (j + c) h."""
-    def f(j, c, y):
-        i = 2 * j + int(2 * c)
-        return M[i] @ y + g[i]
-    return f
+def _rk4_linear(M, g, y0, h, steps):
+    """Classical RK4 for the linear ODE dy/ds = M(s) y + g(s) from
+    y(0) = y0, with M and g read from half-step stacks: entry 2j + 2c is
+    the value at s = (j + c) h.
+
+    One RK4 step of a linear ODE is an affine map y -> Phi_j y + psi_j.
+    The maps of all steps are built in one batched pass over the stacks;
+    the march is then one matrix-vector product per step.  Returns the
+    (steps + 1, n) stack of node values.
+    """
+    M0, Mh, M1 = M[0:-1:2], M[1::2], M[2::2]
+    g0, gh, g1 = g[0:-1:2], g[1::2], g[2::2]
+
+    def mv(A, x):
+        return (A @ x[..., None])[..., 0]
+    # stage i of step j is k_i = K_i y + kappa_i
+    K1, kap1 = M0, g0
+    K2, kap2 = Mh + 0.5 * h * (Mh @ K1), 0.5 * h * mv(Mh, kap1) + gh
+    K3, kap3 = Mh + 0.5 * h * (Mh @ K2), 0.5 * h * mv(Mh, kap2) + gh
+    K4, kap4 = M1 + h * (M1 @ K3), h * mv(M1, kap3) + g1
+    Phi = np.eye(M.shape[-1]) + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+    psi = (h / 6.0) * (kap1 + 2.0 * kap2 + 2.0 * kap3 + kap4)
+    ys = np.empty((steps + 1,) + np.shape(y0))
+    y = ys[0] = y0
+    for j in range(steps):
+        y = ys[j + 1] = Phi[j] @ y + psi[j]
+    return ys
 
 
 def _half_steps(nodes, mids):
@@ -157,16 +177,48 @@ def _half_steps(nodes, mids):
     return out
 
 
+def _pair_maps(problem: ProblemData):
+    """The coefficient maps (Q, S, R) of the P and Pi equations as one
+    function of the stacked pair y = (P, Pi), each map stacked over the
+    two equations.
+
+    The maps are affine in y, so one matrix L and one vector c give them
+    all: flattened, they are L vec(y) + c.  L and c are read off `_maps`
+    once: c at y = 0, and the columns of L at the 2n^2 unit matrices with
+    the constant blocks Q, S, R zeroed, so that no column carries the
+    constant's rounding.  A call is then one matrix-vector product.
+    """
+    hats = assemble_hats(problem)
+    # (problem, hats) blocks stacked on a leading axis of length 2: _maps
+    # at (P, (P, Pi)) gives the maps of both equations
+    blocks = [np.stack([getattr(problem, k), getattr(hats, k + "hat")])
+              for k in "ABCDQSR"]
+    n = problem.n
+    const = _maps(*blocks, np.zeros((n, n)), np.zeros((2, n, n)))
+    units = np.eye(2 * n * n).reshape(-1, 2, n, n)
+    linear = blocks[:4] + [np.zeros_like(b) for b in blocks[4:]]
+    L = np.concatenate([x.reshape(len(units), -1) for x in
+                        _maps(*linear, units[:, :1], units)], axis=1).T
+    c = np.concatenate([x.reshape(-1) for x in const])
+    ends = np.cumsum([x.size for x in const])
+    parts = [(slice(e - x.size, e), x.shape) for e, x in zip(ends, const)]
+
+    def maps(y):
+        w = L @ y.reshape(-1) + c
+        return [w[sl].reshape(shape) for sl, shape in parts]
+    return maps
+
+
 def integrate_finite_horizon(problem: ProblemData, T: float,
                              steps: int | None = None) -> RiccatiPath:
     """Integrate the Riccati pair backward from P_T(T) = Pi_T(T) = 0.
 
     Classical RK4 on a uniform mesh of `steps` intervals (default 1000
     per unit time), marching the stacked pair (P, Pi) jointly in
-    s = T - t: the Pi equation consumes the P stage values, and one
-    batched evaluation of the coefficient maps serves both equations.
-    The offsets phiHat, thetaHat are zero-filled; integrate_offsets
-    fills them.
+    s = T - t: the Pi equation consumes the P stage values.  Each stage
+    reads the coefficient maps of both equations off one affine map of
+    (P, Pi) (`_pair_maps`).  The offsets phiHat, thetaHat are
+    zero-filled; integrate_offsets fills them.
     """
     if T <= 0:
         raise ValueError(f"T must be positive, got {T}")
@@ -176,20 +228,17 @@ def integrate_finite_horizon(problem: ProblemData, T: float,
     steps = int(steps)
     if steps < 1:
         raise ValueError(f"steps must be positive, got {steps}")
-    hats = assemble_hats(problem)
-    # (problem, hats) blocks stacked on a leading axis of length 2: one
-    # _maps call at (P, (P, Pi)) gives both right-hand sides
-    blocks = [np.stack([getattr(problem, k), getattr(hats, k + "hat")])
-              for k in "ABCDQSR"]
+    maps = _pair_maps(problem)
 
     def rhs(j, c, y):
-        return _riccati_rhs(_maps(*blocks, y[0], y))
+        return _riccati_rhs(maps(y))
 
     # node j in s = T - t is node steps - j in t
     pair = _rk4(rhs, np.zeros((2, problem.n, problem.n)), T / steps, steps)
     P_of_t = pair[::-1, 0].copy()
     Pi_of_t = pair[::-1, 1].copy()
-    Theta_of_t, ThetaHat_of_t = _gains(problem, hats, P_of_t, Pi_of_t)
+    Theta_of_t, ThetaHat_of_t = _gains(problem, assemble_hats(problem),
+                                       P_of_t, Pi_of_t)
     return RiccatiPath(
         T=float(T), mesh=np.linspace(0.0, T, steps + 1), P_of_t=P_of_t,
         Pi_of_t=Pi_of_t, Theta_of_t=Theta_of_t, ThetaHat_of_t=ThetaHat_of_t,
@@ -329,7 +378,7 @@ def integrate_offsets(problem: ProblemData, are: ArePair, path: RiccatiPath,
     Mhat = (hats.Ahat + hats.Bhat @ ThetaHat).mT[::-1]
     ghat = np.einsum('kji,kj->ki', hats.Chat + hats.Dhat @ ThetaHat,
                      (P_half - are.P) @ sig)[::-1]
-    phiHat = _rk4(_linear_rhs(Mhat, ghat), -lam, h, K)[::-1].copy()
+    phiHat = _rk4_linear(Mhat, ghat, -lam, h, K)[::-1].copy()
 
     RhatOf = hat_coefficient_maps(hats, P_t, Pi_t)[2]
     dP = (P_t - are.P) @ sig

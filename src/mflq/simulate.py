@@ -13,45 +13,62 @@ turnpike comparison process solves dX* = (A + B Theta) X* dt +
 between the two ensembles makes the pathwise gaps directly estimable.
 
 `run_coupled` steps both ensembles in lockstep.  A chunk of L paths is
-one stacked state Z = (Xt, Xs) of shape (2n, L), advanced by one
-Euler-Maruyama update per step,
+one homogeneous state v = (Xt - Xs, Xs, 1) of shape (2n + 1, L).  Every
+affine map of (Xt - Xs, Xs) is then one matrix [G | h] acting on v, so
+each map of the run is one matrix per node, built once per run.  One
+Euler-Maruyama step of both ensembles is
 
-    Z <- Z + dt (A2_k Z + d2_k) + (C2_k Z + c2_k) dW_k,
+    v <- F_k v + (G_k v) dW_k,
 
-with block-diagonal per-node coefficients A2_k = diag(Acl_k, A + B Theta)
-and C2_k = diag(Ccl_k, C + D Theta).  Every observable of the run (the
-states and controls of both ensembles, the state, control and adjoint
-gaps) is an affine map G_k v + h_k of v = (Xt - Xs, Xs), and one table
-of these maps is built per run.  At each node only the path sums
-s1_k = sum_p v_p and s2_k = sum_p v_p v_p' are kept; after the loop
-every node series comes from the moment identity
+where F_k = I + dt T2 A2_k T2^-1 (plus the drift offsets in its last
+column) and G_k = T2 C2_k T2^-1 (plus the noise offsets) are the
+block-diagonal coefficients A2_k = diag(Acl_k, A + B Theta) and
+C2_k = diag(Ccl_k, C + D Theta) of the stacked state Z = (Xt, Xs),
+moved to v = T2 Z by T2 = [[I, -I], [0, I]].  The last row of F_k is
+(0, ..., 0, 1) and that of G_k is zero, so the constant row stays 1.
+The gap block Xt - Xs is stepped itself, its coefficients read off
+Theta_T - Theta; it is never formed by subtracting Xs from Xt.
 
-    sum_p |G v_p + h|^2 = tr(G s2 G') + 2 h' G s1 + L |h|^2
+Every observable of the run (the states and controls of both
+ensembles, the state, control and adjoint gaps) is such a map.  At each
+node only the path sum S_k = sum_p v_p v_p' is kept: its last column
+holds the path sums of v and its corner the path count.  After the
+loop every node series comes from
+
+    sum_p [G | h] v_p = [G | h] S_k e_last,
+    sum_p |[G | h] v_p|^2 = tr([G | h] S_k [G | h]'),
 
 in one vectorized pass over the nodes.  The gaps read the difference
-block Xt - Xs directly, never E|Xt|^2 - 2 E[Xt.Xs] + E|Xs|^2, so they
-stay accurate where they fall to 1e-17.  What stays per path is the
-running cost, one quadratic form v' W_k v + 2 g_k' v per ensemble and
-node (its standard error needs the per-path totals), and the snapshot
-sub-mesh.
+block directly, never E|Xt|^2 - 2 E[Xt.Xs] + E|Xs|^2, so they stay
+accurate where they fall to 1e-17.  What stays per path is the running
+cost, one quadratic form v' W_k v per ensemble and node with the
+linear and constant terms in the last row and column of W_k (its
+standard error needs the per-path totals), and the snapshot sub-mesh,
+one product with the stacked maps per snapshot node.
 
 Memory is allocated once.  The run holds one snapshot buffer of shape
 (nodes, 2(n + m), n_paths); each chunk writes its columns in place, and
 `RawPaths.X` and `.u` are views of it.  Each chunk allocates its (., L)
-work buffers (v, the cost forms, the drift and diffusion terms) before
-the step loop, and every step writes into them, so the Brownian draw
-is the only per-step allocation of paths' size.
+work buffers (v, the cost forms, the noise term) before the step loop,
+and every step writes into them, so the Brownian draw is the only
+per-step allocation of paths' size.
 
 Brownian increments come from a counter-based generator: every
 increment has the fixed address (seed, path-chunk, step), independent
-of scheduling or worker count.  Paths are processed in fixed-size
-chunks and all reductions are combined in chunk order, which keeps
-results bit-identical for any number of workers.
+of scheduling or worker count.  The chunk length depends on the
+problem's (n, m) alone: PATH_CHUNK = 8192 paths, fewer where a
+per-step product would pass BLAS's threading threshold
+(`_chunk_length`; every problem with n <= 4 and m <= 2 keeps 8192).
+So the addresses, and the increments a path receives, depend on
+(seed, n, m), never on the worker count.  All reductions are combined
+in chunk order, which keeps results bit-identical for any number of
+workers.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -59,7 +76,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .model import ProblemData, assemble_hats
-from .riccati import ArePair, RiccatiPath, _half_steps, _linear_rhs, _rk4
+from .riccati import ArePair, RiccatiPath, _half_steps, _rk4_linear
 from .static_opt import StaticSolution
 
 __all__ = [
@@ -74,6 +91,10 @@ __all__ = [
 ]
 
 PATH_CHUNK = 8192
+# OpenBLAS runs a matrix product on more than one thread once m * n * k
+# exceeds 10^6 (timed with OpenBLAS 0.3.31); `_chunk_length` keeps every
+# per-step product of `_run_chunk` at or under it
+BLAS_SERIAL_MNK = 1_000_000
 SNAPSHOT_TARGET = 200
 FINITE_CHECK_EVERY = 50
 
@@ -140,14 +161,30 @@ class CoupledResult:
     raw_turnpike: RawPaths
 
 
+_philox = threading.local()
+
+
 def brownian_increments(seed: int, chunk: int, step: int,
                         count: int, dt: float) -> np.ndarray:
     """Normal increments of variance dt at a fixed (seed, chunk, step)
     address, independent of scheduling: Philox key [seed, 0], counter
-    [0, 0, chunk, step]."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
-    counter = np.array([0, 0, chunk, step], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(counter=counter, key=key))
+    [0, 0, chunk, step].
+
+    Each thread keeps one generator and resets its whole state to the
+    address on every call, so the draws equal those of a generator
+    freshly built there."""
+    try:
+        bitgen, gen = _philox.pair
+    except AttributeError:
+        bitgen = np.random.Philox(0)
+        gen = np.random.Generator(bitgen)
+        _philox.pair = bitgen, gen
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, chunk, step],
+                  "key": [seed & 0xFFFFFFFFFFFFFFFF, 0]},
+        "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0}
     return gen.standard_normal(count) * math.sqrt(dt)
 
 
@@ -165,35 +202,42 @@ def propagate_mean(problem: ProblemData, path: RiccatiPath,
     K = len(path.mesh) - 1
     Acl = hats.Ahat + np.einsum("im,kmn->kin", hats.Bhat, path.ThetaHat_of_t)
     force = path.thetaHat_of_t @ hats.Bhat.T
-    f = _linear_rhs(_half_steps(Acl, 0.5 * (Acl[:-1] + Acl[1:])),
-                    _half_steps(force, 0.5 * (force[:-1] + force[1:])))
-    return _rk4(f, x0 - x_star, path.T / K, K)
+    return _rk4_linear(_half_steps(Acl, 0.5 * (Acl[:-1] + Acl[1:])),
+                       _half_steps(force, 0.5 * (force[:-1] + force[1:])),
+                       x0 - x_star, path.T / K, K)
 
 
 def _affine(K1, Gd, Gs, h):
-    """The map v = (Xt - Xs, Xs) -> Gd (Xt - Xs) + Gs Xs + h at every
-    node, as stacks G of shape (K+1, r, 2n) and h of shape (K+1, r).
-    Blocks may be per-node stacks or constant."""
-    G = np.concatenate(np.broadcast_arrays(Gd, Gs), axis=-1)
-    r = G.shape[-2]
-    return (np.broadcast_to(G, (K1, r, G.shape[-1])),
-            np.broadcast_to(h, (K1, r)))
+    """The map (Xt - Xs, Xs) -> Gd (Xt - Xs) + Gs Xs + h at every node,
+    as one stack [Gd | Gs | h] of shape (K+1, r, 2n + 1) acting on
+    (Xt - Xs, Xs, 1).  Blocks may be per-node stacks or constant."""
+    n = np.shape(Gd)[-1]
+    G = np.empty((K1, np.shape(h)[-1], 2 * n + 1))
+    G[..., :n], G[..., n:-1], G[..., -1] = Gd, Gs, h
+    return G
 
 
 class _ClosedLoop:
     """Per-node coefficients of the coupled pair, built once per run.
 
-    The Euler step acts on Z = (Xt, Xs) of shape (2n, L) through the
-    block-diagonal stacks A2, C2 and the offsets d2, c2 ((K+1, 2n, 1)),
-    so both ensembles advance in one update.  The observables act on
-    v = T2 Z = (Xt - Xs, Xs): `maps` is the table of affine maps
-    (G_k, h_k) of v for the states and controls of both ensembles
-    (original variables) and the four gaps.  The snapshot stacks and the
-    per-path cost coefficients are read off that table: each ensemble's
-    trapezoid-weighted running cost at node k is v' W_k v + 2 g_k' v + c_k,
-    with W_k = G' M G, g_k = G'(M h + l), c_k = h' M h + 2 l' h for the
-    (X, u) rows (G, h) of the table, M = [[Q, S'], [S, R]] and
-    l = (q, r).
+    Everything acts on the homogeneous state v = (Xt - Xs, Xs, 1) of
+    shape (2n + 1, L).  The Euler step is v <- F_k v + (G_k v) dW with
+
+        F_k = [[I + dt Acl_k, dt B dTheta_k, dt dconst_k],
+               [0,            I + dt Atp,    0          ],
+               [0,            0,             1          ]],
+        G_k = [[Ccl_k, D dTheta_k, c0_k  ],
+               [0,     Ctp,        sigma*],
+               [0,     0,          0     ]],
+
+    with dTheta_k = Theta_T(t_k) - Theta, so Acl_k - Atp and Ccl_k - Ctp
+    carry no cancellation error where the gain has converged.  `maps` is the table of the
+    observables as one matrix each, [G | h] of `_affine`: the states and
+    controls of both ensembles (original variables) and the four gaps.
+    The snapshot stack and the per-path cost matrices are read off that
+    table: each ensemble's trapezoid-weighted running cost at node k is
+    v' W_k v, with W_k = G'M G plus G'l on the last row and column for
+    its (X, u) rows G of the table, M = [[Q, S'], [S, R]] and l = (q, r).
     """
 
     def __init__(self, problem, path, are, static, m_t, dt):
@@ -213,25 +257,23 @@ class _ClosedLoop:
         CclHat = hats.Chat + np.einsum("im,kmn->kin", hats.Dhat, ThH)
         dconst = np.einsum("kij,kj->ki", AclHat - Acl, m_t) + off @ hats.Bhat.T
         c0 = np.einsum("kij,kj->ki", CclHat - Ccl, m_t) + off @ hats.Dhat.T
-        cconst = c0 + sig
         uconst = np.einsum("kij,kj->ki", ThH - Th, m_t) + off
+        dTh = Th - are.Theta
         Atp = A + B @ are.Theta
         Ctp = C + D @ are.Theta
+        I, O = np.eye(n), np.zeros((n, n))
 
         self.m0 = m_t[0]
-        self.A2 = np.zeros((K1, 2 * n, 2 * n))
-        self.A2[:, :n, :n], self.A2[:, n:, n:] = Acl, Atp
-        self.C2 = np.zeros((K1, 2 * n, 2 * n))
-        self.C2[:, :n, :n], self.C2[:, n:, n:] = Ccl, Ctp
-        self.d2 = np.zeros((K1, 2 * n, 1))
-        self.d2[:, :n, 0] = dconst
-        self.c2 = np.zeros((K1, 2 * n, 1))
-        self.c2[:, :n, 0], self.c2[:, n:, 0] = cconst, sig
-        I, O = np.eye(n), np.zeros((n, n))
-        self.T2 = np.block([[I, -I], [O, I]])
+        self.F = np.zeros((K1, 2 * n + 1, 2 * n + 1))
+        self.F[:, :n] = _affine(K1, I + dt * Acl, dt * (B @ dTh), dt * dconst)
+        self.F[:, n:-1] = _affine(K1, O, I + dt * Atp, np.zeros(n))
+        self.F[:, -1, -1] = 1.0
+        self.G = np.zeros_like(self.F)
+        self.G[:, :n] = _affine(K1, Ccl, D @ dTh, c0)
+        self.G[:, n:-1] = _affine(K1, O, Ctp, sig)
 
         # feedback-form adjoints: Y = P_T (Xt - m) + Pi_T m + phiHat + lam,
-        # Z = P_T (Ccl Xt + cconst), against Y* = P Xs + lam and
+        # Z = P_T (Ccl Xt + c0 + sigma*), against Y* = P Xs + lam and
         # Z* = P (Ctp Xs + sigma*); the Xs and constant parts of the
         # differences are formed from P_T - P and Theta_T - Theta, which
         # vanish mid-horizon, so they carry no cancellation error
@@ -244,42 +286,38 @@ class _ClosedLoop:
             "X_tp": _affine(K1, O, I, x_star),
             "u_tp": _affine(K1, np.zeros((m, n)), are.Theta, u_star),
             "gap_X": _affine(K1, I, O, np.zeros(n)),
-            "gap_u": _affine(K1, Th, Th - are.Theta, uconst),
+            "gap_u": _affine(K1, Th, dTh, uconst),
             "gap_Y": _affine(K1, P_t, dP, Yc),
-            "gap_Z": _affine(K1, PC, dP @ Ccl + are.P @ D @ (Th - are.Theta),
+            "gap_Z": _affine(K1, PC, dP @ Ccl + are.P @ D @ dTh,
                              np.einsum("kij,kj->ki", P_t, c0) + dP @ sig),
         }
-        snap = [self.maps[name] for name in ("X_opt", "u_opt", "X_tp", "u_tp")]
-        self.snap_G = np.concatenate([G for G, _ in snap], axis=1)
-        self.snap_h = np.concatenate([h for _, h in snap], axis=1)[..., None]
+        self.snap = np.concatenate(
+            [self.maps[name] for name in ("X_opt", "u_opt", "X_tp", "u_tp")],
+            axis=1)
 
         w = np.full(K1, dt)
         w[0] = w[-1] = 0.5 * dt
         Mq = np.block([[problem.Q, problem.S.T], [problem.S, problem.R]])
         lq = np.concatenate([problem.q, problem.r])
-        W, g, c = [], [], []
+        W = []
         for side in ("opt", "tp"):
-            G = np.concatenate([self.maps["X_" + side][0],
-                                self.maps["u_" + side][0]], axis=1)
-            h = np.concatenate([self.maps["X_" + side][1],
-                                self.maps["u_" + side][1]], axis=1)
-            W.append(G.mT @ Mq @ G)
-            g.append(np.einsum("kji,kj->ki", G, h @ Mq + lq))
-            c.append(np.einsum("ki,ij,kj->k", h, Mq, h) + 2.0 * (h @ lq))
-        # (K+1, 2, ...): one block per ensemble, trapezoid weights folded in
+            G = np.concatenate([self.maps["X_" + side],
+                                self.maps["u_" + side]], axis=1)
+            Ws = G.mT @ Mq @ G
+            lin = lq @ G
+            Ws[:, -1, :] += lin
+            Ws[:, :, -1] += lin
+            W.append(Ws)
+        # (K+1, 2, r, r): one matrix per ensemble, trapezoid weights folded in
         self.cost_W = w[:, None, None, None] * np.stack(W, axis=1)
-        self.cost_g = 2.0 * (w[:, None, None] * np.stack(g, axis=1))[..., None]
-        self.cost_c = (w[:, None] * np.stack(c, axis=1)).sum(axis=0)
 
 
-def _node_series(G, h, s1, s2, N):
-    """Path sums of G v + h and of |G v + h|^2 at every node from the
-    path sums s1 = sum_p v_p and s2 = sum_p v_p v_p' of N paths:
-    sum_p |G v_p + h|^2 = tr(G s2 G') + 2 h' G s1 + N |h|^2."""
-    Gs1 = np.einsum("kij,kj->ki", G, s1)
-    sq = ((G @ s2 * G).sum(axis=(1, 2)) + 2.0 * np.einsum("ki,ki->k", h, Gs1)
-          + N * np.einsum("ki,ki->k", h, h))
-    return Gs1 + N * h, sq
+def _node_series(G, S):
+    """Path sums of G v and of |G v|^2 at every node from the path sums
+    S = sum_p v_p v_p' of the homogeneous states v = (Xt - Xs, Xs, 1),
+    whose last column holds the sums of v: sum_p |G v_p|^2 = tr(G S G')."""
+    return (np.einsum("kij,kj->ki", G, S[..., -1]),
+            (G @ S * G).sum(axis=(1, 2)))
 
 
 def _mean_cost_series(problem, mean_X, mean_u):
@@ -290,13 +328,12 @@ def _mean_cost_series(problem, mean_X, mean_u):
 
 
 class _ChunkAcc:
-    """Accumulators for one chunk of L paths: the per-node path sums s1
-    (K+1, 2n) and s2 (K+1, 2n, 2n) of v and the per-path costs of both
-    ensembles (2, L)."""
+    """Accumulators for one chunk of L paths: the per-node path sums
+    S (K+1, r, r) of v v' for the homogeneous state v of r = 2n + 1 rows
+    and the per-path costs of both ensembles (2, L)."""
 
-    def __init__(self, K, n2, L):
-        self.s1 = np.empty((K + 1, n2))
-        self.s2 = np.empty((K + 1, n2, n2))
+    def __init__(self, K, r, L):
+        self.S = np.empty((K + 1, r, r))
         self.cost = np.zeros((2, L))
 
 
@@ -315,58 +352,53 @@ def _run_chunk(cl, config, chunk_idx, lo, hi, snaps, snap_idx,
     """Simulate paths [lo, hi) of both ensembles through all steps,
     writing their snapshots into the columns lo:hi of `snaps`.
 
-    Per node: v = T2 Z, its path sums s1 and s2, one quadratic form per
-    ensemble for the cost and, on the snapshot nodes, the snapshot rows;
-    then one stacked Euler update of Z.  Every (., L) buffer is
-    allocated once, before the loop, and written in place.  Returns the
-    chunk's accumulators.
+    Per node: the path sums S of v v', one quadratic form per ensemble
+    for the cost and, on the snapshot nodes, the snapshot rows; then one
+    Euler step v <- F v + (G v) dW.  Every (., L) buffer is allocated
+    once, before the loop, and written in place.  Returns the chunk's
+    accumulators.
     """
     K = config.n_steps
     dt = config.dt
     L = hi - lo
-    n2 = cl.T2.shape[0]
-    acc = _ChunkAcc(K, n2, L)
+    r = cl.F.shape[-1]
+    acc = _ChunkAcc(K, r, L)
     own_snaps = snaps[:, :, lo:hi]
-    Z = np.zeros((n2, L))
-    Z[:n2 // 2] = cl.m0[:, None]       # Xt starts at x0 - x*, Xs at 0
-    v = np.empty((n2, L))
-    q = np.empty((2, n2, L))
+    v = np.zeros((r, L))
+    v[:r // 2] = cl.m0[:, None]        # Xt - Xs starts at x0 - x*, Xs at 0
+    v[-1] = 1.0
+    v_next = np.empty((r, L))
+    # numpy sends v @ v.T to BLAS syrk, which OpenBLAS runs three to six
+    # times slower than gemm when r is small against L; between steps the
+    # noise buffer holds a copy of v, and v times that copy is a gemm
+    noise = v.copy()
+    q = np.empty((2, r, L))
     q_sum = np.empty((2, L))
-    drift = np.empty((n2, L))
-    diff = np.empty((n2, L))
-    finite = np.empty((n2, L), dtype=bool)
+    finite = np.empty((r, L), dtype=bool)
     snap_pos = {k: i for i, k in enumerate(snap_idx)}
 
     for k in range(K + 1):
-        np.matmul(cl.T2, Z, out=v)
-        np.sum(v, axis=1, out=acc.s1[k])
-        np.matmul(v, v.T, out=acc.s2[k])
+        np.matmul(v, noise.T, out=acc.S[k])
         np.matmul(cl.cost_W[k], v, out=q)
-        q += cl.cost_g[k]
         q *= v
         acc.cost += np.sum(q, axis=1, out=q_sum)
         snap = snap_pos.get(k)
         if snap is not None:
-            np.matmul(cl.snap_G[k], v, out=own_snaps[snap])
-            own_snaps[snap] += cl.snap_h[k]
+            np.matmul(cl.snap[k], v, out=own_snaps[snap])
         if k == K:
             break
         if increments is not None:
             dW = increments[k, lo:hi]
         else:
             dW = brownian_increments(config.seed, chunk_idx, k, L, dt)
-        # Z += dt (A2 Z + d2) + (C2 Z + c2) dW, both terms from the old Z
-        np.matmul(cl.A2[k], Z, out=drift)
-        drift += cl.d2[k]
-        drift *= dt
-        np.matmul(cl.C2[k], Z, out=diff)
-        diff += cl.c2[k]
-        diff *= dW
-        Z += drift
-        Z += diff
+        np.matmul(cl.G[k], v, out=noise)
+        noise *= dW
+        np.matmul(cl.F[k], v, out=v_next)
+        v_next += noise
+        v, v_next = v_next, v
+        np.copyto(noise, v)
         if (k + 1) % FINITE_CHECK_EVERY == 0 or k + 1 == K:
-            _check_finite(Z, finite, lo, k + 1)
-    acc.cost += cl.cost_c[:, None]
+            _check_finite(v, finite, lo, k + 1)
     return acc
 
 
@@ -378,6 +410,16 @@ def _snapshot_indices(K):
     return np.array(idx, dtype=int)
 
 
+def _chunk_length(n, m):
+    """Paths per chunk: PATH_CHUNK, or fewer where a per-step product of
+    `_run_chunk` would pass BLAS_SERIAL_MNK.  With r = 2n + 1 rows of the
+    state, the largest products are (r x r) @ (r x L) and the
+    (2(n + m) x r) @ (r x L) snapshot rows."""
+    r = 2 * n + 1
+    return max(1, min(PATH_CHUNK,
+                      BLAS_SERIAL_MNK // max(r * r, 2 * (n + m) * r)))
+
+
 def _check_path_mesh(path, config):
     if (len(path.mesh) - 1 != config.n_steps
             or abs(path.T - config.T) > 1e-12 * max(1.0, config.T)):
@@ -387,12 +429,12 @@ def _check_path_mesh(path, config):
             f"config wants {config.n_steps} over T={config.T}")
 
 
-def _ensemble(problem, cl, mesh, side, s1, s2, cost_paths, **gaps):
+def _ensemble(problem, cl, mesh, side, S, cost_paths, **gaps):
     """EnsembleStats of one ensemble from the combined path sums and its
     per-path costs."""
     N = len(cost_paths)
-    sum_X, sq_X = _node_series(*cl.maps["X_" + side], s1, s2, N)
-    sum_u, sq_u = _node_series(*cl.maps["u_" + side], s1, s2, N)
+    sum_X, sq_X = _node_series(cl.maps["X_" + side], S)
+    sum_u, sq_u = _node_series(cl.maps["u_" + side], S)
     mean_X, mean_u = sum_X / N, sum_u / N
     mean_part = np.trapezoid(_mean_cost_series(problem, mean_X, mean_u), mesh)
     cost_paths = cost_paths + mean_part
@@ -423,10 +465,11 @@ def run_coupled(problem: ProblemData, path: RiccatiPath, are: ArePair,
     K = config.n_steps
     N = config.n_paths
     snap_idx = _snapshot_indices(K)
-    ranges = [(c, lo, min(lo + PATH_CHUNK, N))
-              for c, lo in enumerate(range(0, N, PATH_CHUNK))]
+    chunk = _chunk_length(problem.n, problem.m)
+    ranges = [(c, lo, min(lo + chunk, N))
+              for c, lo in enumerate(range(0, N, chunk))]
     # one buffer for the whole run; each chunk fills its own columns
-    snaps = np.empty((len(snap_idx), cl.snap_G.shape[1], N))
+    snaps = np.empty((len(snap_idx), cl.snap.shape[1], N))
 
     def work(args):
         c, lo, hi = args
@@ -438,13 +481,12 @@ def run_coupled(problem: ProblemData, path: RiccatiPath, are: ArePair,
             accs = list(pool.map(work, ranges))
 
     mesh = np.linspace(0.0, config.T, K + 1)
-    s1 = sum(a.s1 for a in accs)
-    s2 = sum(a.s2 for a in accs)
+    S = sum(a.S for a in accs)
     cost = np.concatenate([a.cost for a in accs], axis=1)
-    gaps = {name: _node_series(*cl.maps[name], s1, s2, N)[1] / N
+    gaps = {name: _node_series(cl.maps[name], S)[1] / N
             for name in ("gap_X", "gap_u", "gap_Y", "gap_Z")}
-    opt_stats = _ensemble(problem, cl, mesh, "opt", s1, s2, cost[0], **gaps)
-    tp_stats = _ensemble(problem, cl, mesh, "tp", s1, s2, cost[1])
+    opt_stats = _ensemble(problem, cl, mesh, "opt", S, cost[0], **gaps)
+    tp_stats = _ensemble(problem, cl, mesh, "tp", S, cost[1])
     n, m = problem.n, problem.m
     raw_opt, raw_tp = (
         RawPaths(mesh=mesh[snap_idx], indices=snap_idx,

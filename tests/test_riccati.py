@@ -6,6 +6,8 @@ import time
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm, solve_continuous_are
 
@@ -217,8 +219,9 @@ def test_stacked_maps_match_single_maps(random_2x2, all_blocks_4x2):
 
 @pytest.mark.parametrize("name", ["random_2x2", "all_blocks_4x2"])
 def test_batched_rhs_march_is_bit_identical(request, name):
-    # the joint march against the same RK4 march with one right-hand
-    # side call per equation
+    # the joint march, whose stages read the coefficient maps off one
+    # affine map of (P, Pi), against the same RK4 march with one
+    # right-hand side call per equation: they agree to rounding
     problem = request.getfixturevalue(name)
     hats = assemble_hats(problem)
     T, steps = 3.0, 600
@@ -229,8 +232,46 @@ def test_batched_rhs_march_is_bit_identical(request, name):
     pair = riccati._rk4(rhs, np.zeros((2, problem.n, problem.n)),
                         T / steps, steps)
     path = integrate_finite_horizon(problem, T, steps=steps)
-    assert np.array_equal(path.P_of_t, pair[::-1, 0])
-    assert np.array_equal(path.Pi_of_t, pair[::-1, 1])
+    tol = 1e-14 * np.max(np.abs(pair[:, 0]))
+    assert np.max(np.abs(path.P_of_t - pair[::-1, 0])) <= tol
+    assert np.max(np.abs(path.Pi_of_t - pair[::-1, 1])) <= tol
+
+
+def _linear_march(M, g, y0, h, steps):
+    # generic RK4 on dy/ds = M y + g, the stage at (j, c) read from
+    # entry 2j + 2c of the half-step stacks
+    def f(j, c, y):
+        i = 2 * j + int(2 * c)
+        return M[i] @ y + g[i]
+    return riccati._rk4(f, y0, h, steps)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rk4_linear_matches_generic_rk4(n):
+    rng = np.random.default_rng(20 + n)
+    steps, h = 50, 0.05
+    M = 0.8 * rng.standard_normal((2 * steps + 1, n, n))
+    g = rng.standard_normal((2 * steps + 1, n))
+    y0 = rng.standard_normal(n)
+    got = riccati._rk4_linear(M, g, y0, h, steps)
+    want = _linear_march(M, g, y0, h, steps)
+    assert got.shape == want.shape == (steps + 1, n)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("a, g", [(-2.5, 0.0), (1.3, 0.0), (-0.7, 2.0)])
+def test_rk4_linear_scalar_amplification(a, g):
+    # for dy/ds = a y + g the RK4 step multiplies y + g/a by the
+    # amplification factor 1 + z + z^2/2 + z^3/6 + z^4/24, z = a h
+    steps, h, y0 = 40, 0.1, 1.5
+    z = a * h
+    amp = 1.0 + z + z ** 2 / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0
+    ys = riccati._rk4_linear(np.full((2 * steps + 1, 1, 1), a),
+                             np.full((2 * steps + 1, 1), g),
+                             np.array([y0]), h, steps)[:, 0]
+    fixed = -g / a
+    want = fixed + amp ** np.arange(steps + 1) * (y0 - fixed)
+    assert np.max(np.abs(ys - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_offsets_terminal_values(sp2):
@@ -373,6 +414,21 @@ def test_horizon_monotonicity(sp1):
 
 _PROPERTY = settings(max_examples=10, deadline=None, derandomize=True,
                      suppress_health_check=[HealthCheck.too_slow])
+
+
+@_PROPERTY
+@given(small_problems(), st.data())
+def test_affine_stage_maps_match_maps(drawn, data):
+    # the affine map read off _maps once gives the right-hand side that
+    # _maps gives at every symmetric pair (P, Pi)
+    p, _ = drawn
+    n = p.n
+    G = data.draw(hnp.arrays(np.float64, (2, n, n),
+                             elements=st.floats(-1.0, 1.0)))
+    y = G + G.mT
+    want = riccati._riccati_rhs(_maps(*_pair_blocks(p), y[0], y))
+    got = riccati._riccati_rhs(riccati._pair_maps(p)(y))
+    assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
 
 @_PROPERTY

@@ -1,6 +1,7 @@
 import io
 import math
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,13 @@ from mflq import (
     solve_static,
     validate_assumption_a1,
 )
-from mflq.simulate import PATH_CHUNK, _snapshot_indices, write_ensemble_csv
+from mflq.simulate import (
+    BLAS_SERIAL_MNK,
+    PATH_CHUNK,
+    _chunk_length,
+    _snapshot_indices,
+    write_ensemble_csv,
+)
 
 from conftest import random_problem, small_problems
 
@@ -68,6 +75,86 @@ def test_brownian_increments_are_addressed():
     # variance scale
     big = brownian_increments(1, 0, 0, 200_000, 0.25)
     assert np.std(big) == pytest.approx(0.5, rel=0.02)
+
+
+def test_brownian_increments_match_fresh_generators_on_threads():
+    # each thread reuses one generator; calls interleaved over seeds,
+    # chunks, steps and counts on two threads draw exactly what a
+    # generator freshly built at each address draws
+    def fresh(seed, chunk, step, count):
+        gen = np.random.Generator(np.random.Philox(
+            counter=np.array([0, 0, chunk, step], dtype=np.uint64),
+            key=np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)))
+        return gen.standard_normal(count) * 0.1
+
+    addresses = [(seed, chunk, step, count)
+                 for seed in (0, 42, 2 ** 63 + 5)
+                 for chunk in (0, 3)
+                 for step in (0, 1, 1999)
+                 for count in (1, 7, 1000)]
+    lanes = [addresses, addresses[::-1]]
+    got = [[], []]
+
+    def draw(lane):
+        for a in lanes[lane]:
+            got[lane].append(brownian_increments(*a, 0.01))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(i,)) for i in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for lane in (0, 1):
+        assert len(got[lane]) == len(addresses)
+        for a, x in zip(lanes[lane], got[lane]):
+            assert np.array_equal(x, fresh(*a))
+
+
+def test_chunk_length_keeps_every_step_product_serial():
+    # sp2 and the n=4, m=2 problems keep full chunks; larger problems
+    # get the longest chunk whose per-step products stay at or under
+    # the BLAS threading threshold
+    assert _chunk_length(1, 1) == PATH_CHUNK
+    assert _chunk_length(4, 2) == PATH_CHUNK
+    assert _chunk_length(6, 1) < PATH_CHUNK
+    for n in range(1, 13):
+        for m in range(1, 7):
+            r = 2 * n + 1
+            widest = max(r * r, 2 * (n + m) * r)
+            L = _chunk_length(n, m)
+            assert 1 <= L <= PATH_CHUNK
+            assert widest * L <= BLAS_SERIAL_MNK
+            assert L == PATH_CHUNK or widest * (L + 1) > BLAS_SERIAL_MNK
+
+
+def test_worker_count_does_not_change_results_in_short_chunks():
+    # n = 6: the chunk length comes from the problem, and two chunks of
+    # it run serially and on two threads
+    rng = np.random.default_rng(6)
+    p = random_problem(6, 1, lambda shape: rng.uniform(-1.0, 1.0, shape))
+    x0 = np.linspace(-1.0, 1.0, 6)
+    are, static, path = _pipeline(p, 1.0, 10)
+    N = _chunk_length(6, 1) + 17
+    r1, r2 = (run_coupled(p, path, are, static, x0,
+                          SimulationConfig(T=1.0, dt=0.1, n_paths=N, seed=3,
+                                           workers=w))
+              for w in (1, 2))
+    for name in ("gap_X", "gap_u", "gap_Y", "gap_Z", "mean_X",
+                 "second_moment_X"):
+        assert np.array_equal(getattr(r1.optimal, name),
+                              getattr(r2.optimal, name))
+    for side in ("optimal", "turnpike"):
+        assert (getattr(r1, side).cost_estimate
+                == getattr(r2, side).cost_estimate)
+    for side in ("raw_optimal", "raw_turnpike"):
+        for name in ("X", "u"):
+            assert np.array_equal(getattr(getattr(r1, side), name),
+                                  getattr(getattr(r2, side), name))
 
 
 def test_propagate_mean_zero_without_offsets(sp2):
@@ -191,7 +278,8 @@ def test_turnpike_stationary_variance(sp2):
 
 def test_coupled_matches_separate_runs_exactly(sp2):
     # each ensemble of the lockstep run against its own Euler recursion,
-    # both driven by the increments at addresses (seed, chunk 0, step k)
+    # both driven by the increments at addresses (seed, chunk 0, step k);
+    # the engine steps the gap Xt - Xs, so both agree to rounding
     are, static, path = _pipeline(sp2, 2.0, 200)
     cfg = SimulationConfig(T=2.0, dt=0.01, n_paths=3000, seed=5)
     res = run_coupled(sp2, path, are, static, [1.5], cfg)
@@ -208,8 +296,8 @@ def test_coupled_matches_separate_runs_exactly(sp2):
         Xs = Xs + cfg.dt * (Atp * Xs) + sig * dW
         opt.append(Xt)
         tp.append(Xs)
-    assert np.array_equal(res.raw_turnpike.X[:, 0],
-                          np.array(tp) + static.x_star[0])
+    assert np.max(np.abs(res.raw_turnpike.X[:, 0]
+                         - (np.array(tp) + static.x_star[0]))) <= 1e-13
     assert np.max(np.abs(res.raw_optimal.X[:, 0]
                          - (np.array(opt) + static.x_star[0]))) < 1e-12
 
@@ -449,12 +537,9 @@ def test_engine_matches_per_path_reference(case):
     for side, raw in (("opt", res.raw_optimal), ("tp", res.raw_turnpike)):
         want_X = np.array([X for X, _ in snaps[side]])
         want_u = np.array([u for _, u in snaps[side]])
-        if side == "tp":
-            assert np.array_equal(raw.X, want_X)
-            assert np.array_equal(raw.u, want_u)
-        else:
-            assert np.max(np.abs(raw.X - want_X)) <= 1e-12
-            assert np.max(np.abs(raw.u - want_u)) <= 1e-12
+        tol = 1e-13 if side == "tp" else 1e-12
+        assert np.max(np.abs(raw.X - want_X)) <= tol
+        assert np.max(np.abs(raw.u - want_u)) <= tol
 
 
 @settings(max_examples=10, deadline=None, derandomize=True,
