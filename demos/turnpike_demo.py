@@ -11,12 +11,9 @@ import numpy as np
 from mflq import (
     SimulationConfig,
     fit_turnpike_decay,
-    integrate_finite_horizon,
-    integrate_offsets,
     make_problem,
     run_coupled,
-    solve_are,
-    solve_static,
+    solve_feedback,
 )
 
 
@@ -24,16 +21,13 @@ def main():
     problem = make_problem(1, 1, A=[[-1.0]], B=[[1.0]], Q=[[1.0]],
                            R=[[1.0]], b=[1.0], sigma=[0.5])
     T = 10.0
-    are = solve_are(problem)
-    static = solve_static(problem, are.P)
+    cfg = SimulationConfig(T=T, dt=2e-3, n_paths=4000, seed=42)
+    feedback = solve_feedback(problem, T, cfg.n_steps)
+    static = feedback.static
     print(f"steady state: x* = {static.x_star[0]:.4f},"
           f" u* = {static.u_star[0]:.4f}, V = {static.V:.6f}")
 
-    cfg = SimulationConfig(T=T, dt=2e-3, n_paths=4000, seed=42)
-    path = integrate_finite_horizon(problem, T, steps=cfg.n_steps)
-    path = integrate_offsets(problem, are, path, static.lambda_star,
-                             static.sigma_star)
-    res = run_coupled(problem, path, are, static, [1.5], cfg)
+    res = run_coupled(feedback, [1.5], cfg)
     stats = res.optimal
     gap = stats.gap_X + stats.gap_u
     mesh = stats.mesh

@@ -11,26 +11,25 @@ from .errors import AssumptionViolation, MflqError, NumericalFailure
 from .model import (
     Dimensions,
     HatCoefficients,
-    MapEvaluation,
     ProblemData,
     assemble_hats,
     check_mean_system_stabilizability,
     check_ms_stability,
-    evaluate_maps,
     make_problem,
     normalize_cross_terms,
     problem_from_dict,
-    problem_from_json,
     validate_assumption_a1,
 )
 from .riccati import (
     ArePair,
+    Feedback,
     RiccatiPath,
     convergence_profile,
     horizon_monotonicity_check,
     integrate_finite_horizon,
     integrate_offsets,
     solve_are,
+    solve_feedback,
 )
 from .static_opt import StaticSolution, evaluate_F, kkt_residual, solve_static
 from .simulate import (
@@ -48,7 +47,6 @@ from .analysis import (
     integral_turnpike,
     lemma_suite,
     matrix_contraction_check,
-    turnpike_report,
     value_convergence,
 )
 

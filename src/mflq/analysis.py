@@ -26,7 +26,6 @@ __all__ = [
     "block_psd_check",
     "lemma_suite",
     "turnpike_pipeline",
-    "turnpike_report",
 ]
 
 LOG_FLOOR = 1e-14
@@ -127,32 +126,29 @@ def integral_turnpike(series, T: float, mesh=None) -> float:
 
 def value_convergence(problem: ProblemData, x0, horizons,
                       config: simulate.SimulationConfig):
-    """Full pipeline per horizon: long-run average cost against the
-    static value V, plus the time-averaged coupled gap.
-
-    Returns a list of ValueRow ordered by horizon.
+    """Long-run average cost against the static value V, plus the
+    time-averaged coupled gap, per horizon: one Feedback, marched to the
+    longest horizon, serves them all.  Returns a list of ValueRow in the
+    order of `horizons`.
     """
-    are = riccati.solve_are(problem)
-    static = static_opt.solve_static(problem, are.P)
+    horizons = [float(T) for T in horizons]
+    longest = dc_replace(config, T=max(horizons))
+    feedback = riccati.solve_feedback(problem, longest.T, longest.n_steps)
+    V = feedback.static.V
     rows = []
     for T in horizons:
-        cfg = dc_replace(config, T=float(T))
-        path = riccati.integrate_finite_horizon(problem, T, steps=cfg.n_steps)
-        path = riccati.integrate_offsets(problem, are, path,
-                                         static.lambda_star,
-                                         static.sigma_star)
-        res = simulate.run_coupled(problem, path, are, static, x0, cfg)
+        res = simulate.run_coupled(feedback, x0, dc_replace(config, T=T))
         gap = res.optimal.gap_X + res.optimal.gap_u
         rows.append(ValueRow(
-            T=float(T),
+            T=T,
             estimate_over_T=res.optimal.cost_estimate / T,
             stderr_over_T=res.optimal.cost_stderr / T,
-            V=static.V,
-            difference=res.optimal.cost_estimate / T - static.V,
+            V=V,
+            difference=res.optimal.cost_estimate / T - V,
             avg_gap=integral_turnpike(gap, T, res.optimal.mesh),
         ))
-        # release this horizon's path and ensembles before the next run
-        del path, res
+        # release this horizon's ensembles before the next run
+        del res
     return rows
 
 
@@ -237,20 +233,17 @@ def turnpike_pipeline(problem: ProblemData, x0, T: float,
                       config: simulate.SimulationConfig):
     """Run the full pipeline at one horizon.
 
-    Returns (report, coupled_result) where the report is the JSON-ready
-    dict of turnpike_report and the coupled_result carries the full-
-    resolution ensemble statistics.
+    Returns (report, coupled_result): the JSON-ready composite report
+    (Riccati convergence, static solution, gap series with decay fits,
+    adjoint gaps, value row) and the full-resolution ensemble statistics.
     """
     x0 = np.asarray(x0, dtype=float).reshape(problem.n)
     cfg = dc_replace(config, T=float(T))
     a1 = validate_assumption_a1(problem)
-    are = riccati.solve_are(problem)
-    static = static_opt.solve_static(problem, are.P)
-    path = riccati.integrate_finite_horizon(problem, T, steps=cfg.n_steps)
-    path = riccati.integrate_offsets(problem, are, path, static.lambda_star,
-                                     static.sigma_star)
-    profile = riccati.convergence_profile(path, are)
-    res = simulate.run_coupled(problem, path, are, static, x0, cfg)
+    feedback = riccati.solve_feedback(problem, T, cfg.n_steps)
+    are, static = feedback.are, feedback.static
+    profile = riccati.convergence_profile(feedback.path(T), are)
+    res = simulate.run_coupled(feedback, x0, cfg)
     stats = res.optimal
     gap = stats.gap_X + stats.gap_u
     adjoint_gap = stats.gap_Y + stats.gap_Z
@@ -317,12 +310,3 @@ def turnpike_pipeline(problem: ProblemData, x0, T: float,
         },
     }
     return report, res
-
-
-def turnpike_report(problem: ProblemData, x0, T: float,
-                    config: simulate.SimulationConfig) -> dict:
-    """JSON-ready composite report for one horizon: Riccati convergence,
-    static solution, gap series with decay fits, adjoint gaps, and the
-    per-horizon value row."""
-    report, _ = turnpike_pipeline(problem, x0, T, config)
-    return report

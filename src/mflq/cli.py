@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from dataclasses import dataclass, replace as dc_replace
 
@@ -30,7 +29,8 @@ import numpy as np
 
 from . import analysis, riccati, simulate, static_opt
 from .errors import AssumptionViolation, MflqError, NumericalFailure
-from .model import ProblemData, problem_from_dict, validate_assumption_a1
+from .model import (ProblemData, json_integer, json_number, problem_from_dict,
+                    validate_assumption_a1)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -71,25 +71,6 @@ def _resolved_doc(doc: dict) -> dict:
     out["seed"] = doc.get("seed", 42)
     out["steps_per_unit"] = doc.get("steps_per_unit", 1000)
     return out
-
-
-def _number(field, value):
-    """value as a float; ValueError naming the field unless it is a
-    finite JSON number."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
-        raise ValueError(f"{field}: expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _integer(field, value):
-    """value as an int; ValueError naming the field unless it is an
-    integral JSON number."""
-    if isinstance(value, bool) or not (
-            isinstance(value, int)
-            or isinstance(value, float) and value.is_integer()):
-        raise ValueError(f"{field}: expected an integer, got {value!r}")
-    return int(value)
 
 
 def load_config(path, command: str = "turnpike",
@@ -135,17 +116,17 @@ def load_config(path, command: str = "turnpike",
     if command in ("turnpike", "value-convergence"):
         if x0 is None:
             raise ValueError(f"x0: required for the {command} command")
-        x0 = np.array([_number("x0", v)
+        x0 = np.array([json_number("x0", v)
                        for v in np.ravel(np.asarray(x0, dtype=object))])
         if x0.shape != (problem.n,):
             raise ValueError(f"x0: expected length {problem.n}, got {x0.shape}")
     if T is not None:
-        _number("T", T)
+        json_number("T", T)
     for h in horizons if isinstance(horizons, list) else ():
-        _number("horizons", h)
+        json_number("horizons", h)
     resolved = _resolved_doc(doc)
-    dt = _number("dt", resolved["dt"])
-    ints = {name: _integer(name, val) for name, val in (
+    dt = json_number("dt", resolved["dt"])
+    ints = {name: json_integer(name, val) for name, val in (
         ("n_paths", resolved["n_paths"]), ("seed", resolved["seed"]),
         ("workers", doc.get("workers", 1)),
         ("trials", doc.get("trials", 1000)),
@@ -162,6 +143,9 @@ def load_config(path, command: str = "turnpike",
                 dc_replace(sim, T=float(h))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"simulation config: {exc}") from exc
+    if command == "value-convergence" and any(
+            b <= a for a, b in zip(horizons, horizons[1:])):
+        raise ValueError("horizons: must be strictly increasing")
     for name in ("trials", "steps_per_unit"):
         if ints[name] < 1:
             raise ValueError(f"{name}: must be >= 1, got {ints[name]}")

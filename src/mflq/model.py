@@ -12,7 +12,7 @@ constant-coefficient with a one-dimensional Brownian motion.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -114,26 +114,50 @@ def make_problem(n: int, m: int, **blocks) -> ProblemData:
     return ProblemData(dims=dims, **data)
 
 
+def json_number(name, value, finite=True):
+    """value as a float; ValueError naming the field `name` unless it is
+    a JSON number (not a bool), finite unless `finite` is false."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or finite and not math.isfinite(value)):
+        kind = "a finite number" if finite else "a number"
+        raise ValueError(f"{name}: expected {kind}, got {value!r}")
+    return float(value)
+
+
+def json_integer(name, value):
+    """value as an int; ValueError naming the field `name` unless it is
+    an integral JSON number."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int)
+            or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{name}: expected an integer, got {value!r}")
+    return int(value)
+
+
 def problem_from_dict(doc: dict) -> ProblemData:
     """Ingest problem data from a plain dict (the JSON document schema).
 
-    Required fields: ``n``, ``m``.  Coefficient blocks are row-major nested
-    lists named exactly ``A, Abar, B, Bbar, C, Cbar, D, Dbar, Q, Qbar, S,
-    Sbar, R, Rbar, b, sigma, q, r``; omitted blocks default to zero.
+    Required fields: ``n``, ``m``, integral numbers.  Coefficient blocks
+    are row-major nested lists of numbers named exactly ``A, Abar, B,
+    Bbar, C, Cbar, D, Dbar, Q, Qbar, S, Sbar, R, Rbar, b, sigma, q, r``;
+    omitted blocks default to zero.  Raises ValueError naming the field
+    for anything else.
     """
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a JSON object, got {doc!r}")
     if "n" not in doc or "m" not in doc:
         raise ValueError("problem document must contain 'n' and 'm'")
     known = set(_MATRIX_SHAPES) | set(_VECTOR_SHAPES) | {"n", "m"}
     unknown = set(doc) - known
     if unknown:
         raise ValueError(f"unknown problem fields: {sorted(unknown)}")
+    n, m = json_integer("n", doc["n"]), json_integer("m", doc["m"])
     blocks = {k: v for k, v in doc.items() if k not in ("n", "m")}
-    return make_problem(int(doc["n"]), int(doc["m"]), **blocks)
-
-
-def problem_from_json(path) -> ProblemData:
-    with open(path) as fh:
-        return problem_from_dict(json.load(fh))
+    for name, value in blocks.items():
+        # non-finite entries are left to ProblemData, which names them
+        for entry in np.ravel(np.asarray(value, dtype=object)):
+            json_number(name, entry, finite=False)
+    return make_problem(n, m, **blocks)
 
 
 @dataclass(frozen=True)
@@ -161,18 +185,6 @@ def assemble_hats(problem: ProblemData) -> HatCoefficients:
     )
 
 
-@dataclass(frozen=True)
-class MapEvaluation:
-    """The coefficient maps evaluated at a pair of symmetric matrices."""
-
-    QofP: np.ndarray
-    SofP: np.ndarray
-    RofP: np.ndarray
-    QhatOf: np.ndarray
-    ShatOf: np.ndarray
-    RhatOf: np.ndarray
-
-
 def _maps(A, B, C, D, Q, S, R, P, M):
     """Riccati maps of one system at (P, M), broadcasting over leading
     axes of the coefficient blocks as well as of P and M."""
@@ -191,26 +203,6 @@ def hat_coefficient_maps(hats: HatCoefficients, P: np.ndarray, Pi: np.ndarray):
     """(Qhat(P, Pi), Shat(P, Pi), Rhat(P)), broadcasting like coefficient_maps."""
     return _maps(hats.Ahat, hats.Bhat, hats.Chat, hats.Dhat,
                  hats.Qhat, hats.Shat, hats.Rhat, P, Pi)
-
-
-def evaluate_maps(problem: ProblemData, P: np.ndarray, Pi: np.ndarray) -> MapEvaluation:
-    """Evaluate the six Riccati coefficient maps at (P, Pi).
-
-    QofP   = P A + A' P + C' P C + Q
-    SofP   = B' P + D' P C + S
-    RofP   = R + D' P D
-    QhatOf = Pi Ahat + Ahat' Pi + Chat' P Chat + Qhat
-    ShatOf = Bhat' Pi + Dhat' P Chat + Shat
-    RhatOf = Rhat + Dhat' P Dhat
-
-    P and Pi may be (n, n) matrices or (k, n, n) stacks.
-    """
-    P, Pi = np.asarray(P, dtype=float), np.asarray(Pi, dtype=float)
-    for name, M in (("P", P), ("Pi", Pi)):
-        if np.max(np.abs(M - M.mT), initial=0.0) > SYMMETRY_TOL:
-            raise ValueError(f"asymmetric input {name}")
-    return MapEvaluation(*coefficient_maps(problem, P),
-                         *hat_coefficient_maps(assemble_hats(problem), P, Pi))
 
 
 @dataclass(frozen=True)

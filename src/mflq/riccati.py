@@ -8,16 +8,19 @@ and the mean-weight matrix Pi_T(t) solves the analogous equation in the
 hat coefficients, consuming P but not conversely.  Dropping the time
 derivative gives the algebraic Riccati pair whose solutions (P, Pi) are
 the infinite-horizon limits.  The mean offsets (phiHat, thetaHat) feed
-the affine part of the closed-loop feedback.
+the affine part of the closed-loop feedback.  The finite-horizon data
+depend on T - t alone, so `solve_feedback` solves them once per problem,
+up to the longest horizon, and each shorter horizon reads the tail.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import numpy as np
 
+from . import static_opt
 from .errors import NumericalFailure
 from .model import (
     ProblemData,
@@ -34,13 +37,14 @@ from .model import (
 __all__ = [
     "ArePair",
     "RiccatiPath",
+    "Feedback",
     "integrate_finite_horizon",
     "solve_are",
     "integrate_offsets",
+    "solve_feedback",
     "convergence_profile",
     "horizon_monotonicity_check",
     "write_convergence_csv",
-    "write_horizon_csv",
 ]
 
 RESIDUAL_TOL = 1e-10
@@ -84,6 +88,42 @@ class RiccatiPath:
     ThetaHat_of_t: np.ndarray
     phiHat_of_t: np.ndarray
     thetaHat_of_t: np.ndarray
+
+    def tail(self, T: float) -> RiccatiPath:
+        """The path of horizon T: the last K + 1 nodes, K = T / h for the
+        step h, on the mesh of [0, T].  The data depend on T - t alone,
+        so this equals a fresh march to T with step h.  Raises ValueError
+        unless T is a node (to SimulationConfig's tolerance) up to self.T.
+        """
+        h = self.T / (len(self.mesh) - 1)
+        ratio = T / h
+        K = int(round(ratio))
+        if (abs(ratio - K) > 1e-12 * max(1.0, ratio)
+                or not 1 <= K < len(self.mesh)):
+            raise ValueError(
+                f"horizon T={T} is not a node of the Riccati march "
+                f"(step {h} up to T={self.T})")
+        arrays = {f.name: getattr(self, f.name)[-K - 1:] for f in fields(self)
+                  if f.name.endswith("_of_t")}
+        return RiccatiPath(T=float(T), mesh=np.linspace(0.0, T, K + 1),
+                           **arrays)
+
+
+@dataclass(frozen=True)
+class Feedback:
+    """The optimal closed loop of a problem at every horizon up to
+    march.T: the stationary pair, the static solution and the Riccati
+    path with its mean offsets, marched once to the longest horizon.
+    The path of a shorter horizon is the march's tail."""
+
+    problem: ProblemData
+    are: ArePair
+    static: static_opt.StaticSolution
+    march: RiccatiPath
+
+    def path(self, T: float) -> RiccatiPath:
+        """The path of horizon T, the march's tail (RiccatiPath.tail)."""
+        return self.march.tail(T)
 
 
 def _sym(M):
@@ -387,6 +427,19 @@ def integrate_offsets(problem: ProblemData, are: ArePair, path: RiccatiPath,
     return replace(path, phiHat_of_t=phiHat, thetaHat_of_t=thetaHat)
 
 
+def solve_feedback(problem: ProblemData, T: float,
+                   steps: int | None = None) -> Feedback:
+    """Solve everything the closed-loop feedback needs up to horizon T:
+    solve_are, static_opt.solve_static at its P, integrate_finite_horizon
+    over `steps` intervals and integrate_offsets on that path."""
+    are = solve_are(problem)
+    static = static_opt.solve_static(problem, are.P)
+    path = integrate_finite_horizon(problem, T, steps=steps)
+    march = integrate_offsets(problem, are, path, static.lambda_star,
+                              static.sigma_star)
+    return Feedback(problem=problem, are=are, static=static, march=march)
+
+
 def convergence_profile(path: RiccatiPath, are: ArePair) -> np.ndarray:
     """Nodewise max-abs distance to the stationary pair.
 
@@ -403,17 +456,18 @@ def horizon_monotonicity_check(problem: ProblemData, horizons,
                                steps_per_unit: int = DEFAULT_STEPS_PER_UNIT):
     """Compute Pi_T(0) per horizon and test PSD-order monotonicity.
 
-    Returns (list of Pi_T(0), verdict); the verdict is true iff each
-    successive difference has minimum eigenvalue >= -1e-9.
+    One march to the longest horizon at steps_per_unit steps per unit
+    time serves every horizon, each a node of it, as its tail.  Returns
+    (list of Pi_T(0), verdict); the verdict is true iff each successive
+    difference has minimum eigenvalue >= -1e-9.
     """
     horizons = list(horizons)
     if any(h2 <= h1 for h1, h2 in zip(horizons, horizons[1:])):
         raise ValueError("horizons must be strictly increasing")
-    pi0 = []
-    for T in horizons:
-        path = integrate_finite_horizon(
-            problem, T, steps=max(1, int(round(steps_per_unit * T))))
-        pi0.append(path.Pi_of_t[0])
+    longest = horizons[-1]
+    march = integrate_finite_horizon(
+        problem, longest, steps=max(1, int(round(steps_per_unit * longest))))
+    pi0 = [march.tail(T).Pi_of_t[0] for T in horizons]
     verdict = all(
         np.min(np.linalg.eigvalsh(_sym(b - a))) >= -PSD_ORDER_TOL
         for a, b in zip(pi0, pi0[1:]))
@@ -424,12 +478,3 @@ def write_convergence_csv(profile: np.ndarray, fh) -> None:
     fh.write("t,err_P,err_Pi\n")
     for t, e1, e2 in profile:
         fh.write(f"{t!r},{e1!r},{e2!r}\n")
-
-
-def write_horizon_csv(horizons, pi0_list, fh) -> None:
-    n = pi0_list[0].shape[0]
-    cols = ",".join(f"Pi{i}{j}" for i in range(n) for j in range(n))
-    fh.write(f"T,{cols}\n")
-    for T, Pi in zip(horizons, pi0_list):
-        flat = ",".join(repr(float(v)) for v in Pi.reshape(-1))
-        fh.write(f"{T!r},{flat}\n")

@@ -76,8 +76,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .model import ProblemData, assemble_hats
-from .riccati import ArePair, RiccatiPath, _half_steps, _rk4_linear
-from .static_opt import StaticSolution
+from .riccati import Feedback, RiccatiPath, _half_steps, _rk4_linear
 
 __all__ = [
     "SimulationConfig",
@@ -240,7 +239,8 @@ class _ClosedLoop:
     its (X, u) rows G of the table, M = [[Q, S'], [S, R]] and l = (q, r).
     """
 
-    def __init__(self, problem, path, are, static, m_t, dt):
+    def __init__(self, feedback, path, m_t, dt):
+        problem, are, static = feedback.problem, feedback.are, feedback.static
         n, m = problem.n, problem.m
         K1 = len(m_t)
         hats = assemble_hats(problem)
@@ -420,15 +420,6 @@ def _chunk_length(n, m):
                       BLAS_SERIAL_MNK // max(r * r, 2 * (n + m) * r)))
 
 
-def _check_path_mesh(path, config):
-    if (len(path.mesh) - 1 != config.n_steps
-            or abs(path.T - config.T) > 1e-12 * max(1.0, config.T)):
-        raise ValueError(
-            "Riccati path mesh does not match the simulation grid; "
-            f"path has {len(path.mesh) - 1} steps over T={path.T}, "
-            f"config wants {config.n_steps} over T={config.T}")
-
-
 def _ensemble(problem, cl, mesh, side, S, cost_paths, **gaps):
     """EnsembleStats of one ensemble from the combined path sums and its
     per-path costs."""
@@ -446,23 +437,28 @@ def _ensemble(problem, cl, mesh, side, S, cost_paths, **gaps):
                          cost_estimate=cost, cost_stderr=stderr, **gaps)
 
 
-def run_coupled(problem: ProblemData, path: RiccatiPath, are: ArePair,
-                static: StaticSolution, x0,
-                config: SimulationConfig, increments=None) -> CoupledResult:
-    """Lockstep simulation of both ensembles with shared increments.
+def run_coupled(feedback: Feedback, x0, config: SimulationConfig,
+                increments=None) -> CoupledResult:
+    """Lockstep simulation of both ensembles with shared increments, on
+    the horizon config.T cut from the feedback's march.
 
     Gap series (state, control, and reconstructed adjoints) are computed
     at full time resolution: the chunks' path sums of v = (Xt - Xs, Xs)
     are added in chunk order and every node series follows from them
-    (see the module docstring).  `increments`, when given, is a
-    (n_steps, n_paths) array of Brownian increments used in place of the
-    generated ones.
+    (see the module docstring).  Raises ValueError unless config.T is a
+    node of the march and config.dt its step.  `increments`, when given,
+    is a (n_steps, n_paths) array of Brownian increments used in place
+    of the generated ones.
     """
-    _check_path_mesh(path, config)
+    problem = feedback.problem
+    path = feedback.path(config.T)
+    K = len(path.mesh) - 1
+    if K != config.n_steps:
+        raise ValueError(f"simulation step dt={config.dt} does not match "
+                         f"the Riccati march step {path.T / K}")
     x0 = np.asarray(x0, dtype=float).reshape(problem.n)
-    m_t = propagate_mean(problem, path, x0, static.x_star)
-    cl = _ClosedLoop(problem, path, are, static, m_t, config.dt)
-    K = config.n_steps
+    m_t = propagate_mean(problem, path, x0, feedback.static.x_star)
+    cl = _ClosedLoop(feedback, path, m_t, config.dt)
     N = config.n_paths
     snap_idx = _snapshot_indices(K)
     chunk = _chunk_length(problem.n, problem.m)

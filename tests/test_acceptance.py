@@ -22,13 +22,13 @@ from mflq import (
     fit_turnpike_decay,
     horizon_monotonicity_check,
     integrate_finite_horizon,
-    integrate_offsets,
     kkt_residual,
     lemma_suite,
     normalize_cross_terms,
     make_problem,
     run_coupled,
     solve_are,
+    solve_feedback,
     solve_static,
 )
 from mflq.analysis import value_convergence
@@ -38,15 +38,6 @@ SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
 
 
-def _full_pipeline(problem, T, steps):
-    are = solve_are(problem)
-    static = solve_static(problem, are.P)
-    path = integrate_finite_horizon(problem, T, steps=steps)
-    path = integrate_offsets(problem, are, path, static.lambda_star,
-                             static.sigma_star)
-    return are, static, path
-
-
 @pytest.fixture(scope="module")
 def coupled_runs(sp2, spmf_b):
     """Coupled T=10 ensembles (dt=1e-3, 10^4 paths) shared by the
@@ -54,9 +45,9 @@ def coupled_runs(sp2, spmf_b):
     runs = {}
     t0 = time.monotonic()
     for name, problem in (("sp2", sp2), ("spmf_b", spmf_b)):
-        are, static, path = _full_pipeline(problem, 10.0, 10_000)
+        feedback = solve_feedback(problem, 10.0, 10_000)
         cfg = SimulationConfig(T=10.0, dt=1e-3, n_paths=10_000, seed=42)
-        runs[name] = run_coupled(problem, path, are, static, [1.5], cfg)
+        runs[name] = run_coupled(feedback, [1.5], cfg)
     runs["elapsed"] = time.monotonic() - t0
     return runs
 
@@ -218,9 +209,9 @@ def test_value_identity(sp2, spmf_b):
     T, dt = 6.0, 2e-3
     for problem, n_paths in ((sp2, 2048), (spmf_b, 64)):
         cfg = SimulationConfig(T=T, dt=dt, n_paths=n_paths, seed=5)
-        are, static, path = _full_pipeline(problem, T, cfg.n_steps)
-        runs = {d: run_coupled(problem, path, are, static,
-                               static.x_star + d, cfg).optimal
+        feedback = solve_feedback(problem, T, cfg.n_steps)
+        static, path = feedback.static, feedback.march
+        runs = {d: run_coupled(feedback, static.x_star + d, cfg).optimal
                 for d in (-1.0, 0.0, 1.0)}
         J = {d: stats.cost_estimate for d, stats in runs.items()}
         quad = (J[1.0] - 2.0 * J[0.0] + J[-1.0]) / 2.0

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -12,10 +13,14 @@ from mflq import (
     lemma_suite,
     make_problem,
     matrix_contraction_check,
-    turnpike_report,
 )
 from mflq import model, riccati, static_opt
-from mflq.analysis import LOG_FLOOR, TOLERANCES, turnpike_pipeline
+from mflq.analysis import (
+    LOG_FLOOR,
+    TOLERANCES,
+    turnpike_pipeline,
+    value_convergence,
+)
 
 
 def test_tolerances_are_the_module_constants():
@@ -108,7 +113,7 @@ def test_lemma_suite_deterministic():
 
 def test_trivial_problem_report(sp1):
     cfg = SimulationConfig(T=2.0, dt=0.01, n_paths=200, seed=4)
-    report = turnpike_report(sp1, [0.0], 2.0, cfg)
+    report = turnpike_pipeline(sp1, [0.0], 2.0, cfg)[0]
     assert report["schema"] == 2
     assert report["trivial_problem"] is True
     assert report["gaps"]["decay_fits"] == {}
@@ -140,3 +145,30 @@ def test_pipeline_mean_field_static_section(spmf_b):
     assert report["static"]["x_star"] == pytest.approx([0.4], abs=1e-10)
     assert report["static"]["u_star"] == pytest.approx([-0.8], abs=1e-10)
     assert report["static"]["lambda_star"] == pytest.approx([0.8], abs=1e-10)
+
+
+def test_value_convergence_marches_once(sp2, monkeypatch):
+    # one Feedback, marched to the longest horizon, serves every horizon
+    calls = collections.Counter()
+    for module, name in ((riccati, "solve_are"),
+                         (static_opt, "solve_static"),
+                         (riccati, "integrate_finite_horizon"),
+                         (riccati, "integrate_offsets")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    cfg = SimulationConfig(T=1.0, dt=0.01, n_paths=50, seed=1)
+    rows = value_convergence(sp2, [1.5], (0.5, 1.0, 2.0), cfg)
+    assert [row.T for row in rows] == [0.5, 1.0, 2.0]
+    assert calls == {"solve_are": 1, "solve_static": 1,
+                     "integrate_finite_horizon": 1, "integrate_offsets": 1}
+
+
+def test_value_convergence_row_ignores_longer_horizons(sp2):
+    # the T = 1 row read off the tail of a march to 2 equals the row of
+    # a march to 1
+    cfg = SimulationConfig(T=1.0, dt=0.01, n_paths=200, seed=3)
+    alone = value_convergence(sp2, [1.5], (1.0,), cfg)
+    both = value_convergence(sp2, [1.5], (1.0, 2.0), cfg)
+    assert both[0] == alone[0]

@@ -89,11 +89,33 @@ def test_exit_code_3_on_unknown_field(tmp_path, capsys):
     assert "unknown config fields: ['coupled']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("problem, message", [
+    (dict(SP1, n=1.5, m=True), "problem: n: expected an integer, got 1.5"),
+    (dict(SP1, n="1"), "problem: n: expected an integer, got '1'"),
+    (dict(SP1, A=[["-1.0"]]),
+     "problem: A: expected a number, got '-1.0'"),
+    (dict(SP1, A=[[True]]), "problem: A: expected a number, got True"),
+    (dict(SP1, n=[1]), "problem: n: expected an integer, got [1]"),
+    (5, "problem: expected a JSON object, got 5"),
+])
+def test_exit_code_3_on_malformed_problem(tmp_path, capsys, problem,
+                                          message):
+    # the dimensions are integral JSON numbers and every block entry a
+    # JSON number: nothing is truncated or parsed from a string
+    doc = {"problem": problem, "T": 1.0, "x0": [1.5], "dt": 0.1,
+           "n_paths": 10}
+    assert main(["turnpike", "--config", _write(tmp_path, doc),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("horizons, message", [
     ([1.0, 0.5], "dt=0.2 does not divide T=0.5"),
     ([1.0, -2.0], "must be positive"),
     ([], "horizons: expected a non-empty list"),
     (2.0, "horizons: expected a non-empty list"),
+    ([2.0, 1.0], "horizons: must be strictly increasing"),
 ])
 def test_exit_code_3_on_bad_horizons(tmp_path, capsys, horizons, message):
     doc = {"problem": SP2, "horizons": horizons, "x0": [1.5], "dt": 0.2,

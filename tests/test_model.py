@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -8,14 +7,17 @@ from mflq import (
     assemble_hats,
     check_mean_system_stabilizability,
     check_ms_stability,
-    evaluate_maps,
     make_problem,
     normalize_cross_terms,
     problem_from_dict,
-    problem_from_json,
     validate_assumption_a1,
 )
-from mflq.model import Dimensions, require_a1
+from mflq.model import (
+    Dimensions,
+    coefficient_maps,
+    hat_coefficient_maps,
+    require_a1,
+)
 
 
 def test_dimensions_positive():
@@ -57,16 +59,13 @@ def test_symmetry_validation():
         make_problem(2, 1, Q=[[1.0, 0.5], [0.0, 1.0]])
 
 
-def test_problem_from_dict_roundtrip(tmp_path):
+def test_problem_from_dict_roundtrip():
     doc = {"n": 1, "m": 1, "A": [[-1.0]], "B": [[1.0]], "Q": [[1.0]],
            "R": [[1.0]], "b": [1.0], "sigma": [0.5]}
     p = problem_from_dict(doc)
     assert p.A[0, 0] == -1.0
     assert p.b[0] == 1.0
-    path = tmp_path / "prob.json"
-    path.write_text(json.dumps(doc))
-    q = problem_from_json(path)
-    assert np.array_equal(q.sigma, p.sigma)
+    assert p.sigma[0] == 0.5
 
 
 def test_problem_from_dict_rejects_unknown_field():
@@ -83,33 +82,30 @@ def test_assemble_hats(spmf):
     assert h.Qhat[0, 0] == 1.0
 
 
-def test_evaluate_maps_scalar(sp1):
-    ev = evaluate_maps(sp1, np.array([[2.0]]), np.array([[3.0]]))
+def _all_maps(problem, P, Pi):
+    return (*coefficient_maps(problem, P),
+            *hat_coefficient_maps(assemble_hats(problem), P, Pi))
+
+
+def test_coefficient_maps_scalar(sp1):
+    QofP, SofP, RofP, QhatOf, _, _ = _all_maps(sp1, np.array([[2.0]]),
+                                              np.array([[3.0]]))
     # P A + A'P + Q = -4 + 1, B'P + S = 2, R + 0 = 1
-    assert ev.QofP[0, 0] == pytest.approx(-3.0)
-    assert ev.SofP[0, 0] == pytest.approx(2.0)
-    assert ev.RofP[0, 0] == pytest.approx(1.0)
-    assert ev.QhatOf[0, 0] == pytest.approx(-5.0)
+    assert QofP[0, 0] == pytest.approx(-3.0)
+    assert SofP[0, 0] == pytest.approx(2.0)
+    assert RofP[0, 0] == pytest.approx(1.0)
+    assert QhatOf[0, 0] == pytest.approx(-5.0)
 
 
-def test_evaluate_maps_broadcasts_over_stacks(random_2x2):
+def test_coefficient_maps_broadcast_over_stacks(random_2x2):
     G = np.random.default_rng(3).standard_normal((3, 2, 2))
     P = G @ np.swapaxes(G, 1, 2)
     Pi = P + np.eye(2)
-    stacked = evaluate_maps(random_2x2, P, Pi)
+    stacked = _all_maps(random_2x2, P, Pi)
     for k in range(3):
-        single = evaluate_maps(random_2x2, P[k], Pi[k])
-        for name in ("QofP", "SofP", "RofP", "QhatOf", "ShatOf", "RhatOf"):
-            assert np.allclose(getattr(stacked, name)[k], getattr(single, name),
-                               rtol=0.0, atol=1e-13)
-
-
-def test_evaluate_maps_rejects_asymmetric(random_2x2):
-    bad = np.array([[1.0, 0.5], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="asymmetric input P"):
-        evaluate_maps(random_2x2, bad, np.eye(2))
-    with pytest.raises(ValueError, match="asymmetric input Pi"):
-        evaluate_maps(random_2x2, np.eye(2), bad)
+        single = _all_maps(random_2x2, P[k], Pi[k])
+        for got, want in zip(stacked, single):
+            assert np.allclose(got[k], want, rtol=0.0, atol=1e-13)
 
 
 def test_a1_passes_on_standard_problems(sp1, sp2, spmf, random_2x2):

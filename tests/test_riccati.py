@@ -18,16 +18,16 @@ from mflq import (
     convergence_profile,
     horizon_monotonicity_check,
     integrate_finite_horizon,
-    integrate_offsets,
     make_problem,
     normalize_cross_terms,
     propagate_mean,
     solve_are,
+    solve_feedback,
     validate_assumption_a1,
 )
 from mflq import riccati
 from mflq.model import _maps, coefficient_maps, hat_coefficient_maps
-from mflq.riccati import write_convergence_csv, write_horizon_csv
+from mflq.riccati import write_convergence_csv
 
 from conftest import small_problems
 
@@ -187,16 +187,6 @@ def test_finite_horizon_rejects_bad_inputs(sp1):
         integrate_finite_horizon(sp1, 1.0, steps=0)
 
 
-def _sp2_pipeline(sp2, T, steps):
-    are = solve_are(sp2)
-    from mflq import solve_static
-    static = solve_static(sp2, are.P)
-    path = integrate_finite_horizon(sp2, T, steps=steps)
-    path = integrate_offsets(sp2, are, path, static.lambda_star,
-                             static.sigma_star)
-    return are, static, path
-
-
 def _pair_blocks(problem):
     hats = assemble_hats(problem)
     return [np.stack([getattr(problem, k), getattr(hats, k + "hat")])
@@ -275,14 +265,15 @@ def test_rk4_linear_scalar_amplification(a, g):
 
 
 def test_offsets_terminal_values(sp2):
-    are, static, path = _sp2_pipeline(sp2, 10.0, 2000)
-    assert path.phiHat_of_t[-1, 0] == pytest.approx(-static.lambda_star[0])
+    fb = solve_feedback(sp2, 10.0, 2000)
+    path, lam = fb.march, fb.static.lambda_star[0]
+    assert path.phiHat_of_t[-1, 0] == pytest.approx(-lam)
     # thetaHat(T) = -Rhat^{-1}[Bhat'phiHat(T) + Dhat'(P_T(T)-P) sigma*] = lambda* here
-    assert path.thetaHat_of_t[-1, 0] == pytest.approx(static.lambda_star[0])
+    assert path.thetaHat_of_t[-1, 0] == pytest.approx(lam)
 
 
 def test_offsets_decay_into_the_interior(sp2):
-    are, static, path = _sp2_pipeline(sp2, 10.0, 2000)
+    path = solve_feedback(sp2, 10.0, 2000).march
     mid = abs(path.phiHat_of_t[1000, 0])
     assert 1e-4 < mid < 5e-3
     assert abs(path.phiHat_of_t[0, 0]) < abs(path.phiHat_of_t[-1, 0])
@@ -290,8 +281,8 @@ def test_offsets_decay_into_the_interior(sp2):
 
 
 def test_offsets_shrink_with_horizon(sp2):
-    _, _, path10 = _sp2_pipeline(sp2, 10.0, 1000)
-    _, _, path20 = _sp2_pipeline(sp2, 20.0, 2000)
+    path10 = solve_feedback(sp2, 10.0, 1000).march
+    path20 = solve_feedback(sp2, 20.0, 2000).march
     for attr in ("phiHat_of_t", "thetaHat_of_t"):
         mid10 = abs(getattr(path10, attr)[500, 0])
         mid20 = abs(getattr(path20, attr)[1000, 0])
@@ -335,13 +326,9 @@ def test_finite_horizon_and_offsets_match_solve_ivp(random_2x2):
     p = dataclasses.replace(random_2x2, b=np.array([0.7, -0.4]),
                             sigma=np.array([0.3, 0.5]))
     assert np.all(p.C != 0) and np.all(p.D != 0)
-    from mflq import solve_static
-    are = solve_are(p)
-    static = solve_static(p, are.P)
-    path = integrate_finite_horizon(p, 2.0, steps=400)
-    path = integrate_offsets(p, are, path, static.lambda_star,
-                             static.sigma_star)
-    P, Pi, phiHat = _backward_system_oracle(p, are, static, 2.0, path.mesh)
+    fb = solve_feedback(p, 2.0, 400)
+    static, path = fb.static, fb.march
+    P, Pi, phiHat = _backward_system_oracle(p, fb.are, static, 2.0, path.mesh)
     assert np.max(np.abs(path.P_of_t - P)) <= 1e-8
     assert np.max(np.abs(path.Pi_of_t - Pi)) <= 1e-8
     assert np.max(np.abs(path.phiHat_of_t - phiHat)) <= 1e-8
@@ -412,6 +399,28 @@ def test_horizon_monotonicity(sp1):
         horizon_monotonicity_check(sp1, (2.0, 1.0))
 
 
+def test_feedback_path_is_a_fresh_solve(all_blocks_4x2):
+    # every array depends on s = T - t alone: the tail of one march to
+    # T = 4 equals, bit for bit, the march to T with the same step
+    p = all_blocks_4x2
+    assert np.all(p.b != 0) and np.all(p.sigma != 0)
+    feedback = solve_feedback(p, 4.0, 400)
+    for T, steps in ((1.0, 100), (2.0, 200)):
+        got, want = feedback.path(T), solve_feedback(p, T, steps).march
+        for field in dataclasses.fields(want):
+            assert np.array_equal(getattr(got, field.name),
+                                  getattr(want, field.name)), field.name
+        assert np.max(np.abs(want.phiHat_of_t)) > 1e-2
+        assert np.max(np.abs(want.thetaHat_of_t)) > 1e-2
+
+
+@pytest.mark.parametrize("T", [0.25, 2.1, 3.0, 0.0, -1.0])
+def test_feedback_path_rejects_off_node_or_longer_horizons(sp2, T):
+    feedback = solve_feedback(sp2, 2.0, 20)
+    with pytest.raises(ValueError, match="not a node of the Riccati march"):
+        feedback.path(T)
+
+
 _PROPERTY = settings(max_examples=10, deadline=None, derandomize=True,
                      suppress_health_check=[HealthCheck.too_slow])
 
@@ -472,8 +481,3 @@ def test_csv_writers(sp1):
     lines = buf.getvalue().splitlines()
     assert lines[0] == "t,err_P,err_Pi"
     assert len(lines) == 12
-    buf = io.StringIO()
-    write_horizon_csv([1.0, 2.0], [are.P, are.Pi], buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "T,Pi00"
-    assert len(lines) == 3

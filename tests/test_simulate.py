@@ -16,11 +16,11 @@ from mflq import (
     assemble_hats,
     brownian_increments,
     integrate_finite_horizon,
-    integrate_offsets,
     make_problem,
     propagate_mean,
     run_coupled,
     solve_are,
+    solve_feedback,
     solve_static,
     validate_assumption_a1,
 )
@@ -35,15 +35,6 @@ from mflq.simulate import (
 from conftest import random_problem, small_problems
 
 SQRT2 = math.sqrt(2.0)
-
-
-def _pipeline(problem, T, steps):
-    are = solve_are(problem)
-    static = solve_static(problem, are.P)
-    path = integrate_finite_horizon(problem, T, steps=steps)
-    path = integrate_offsets(problem, are, path, static.lambda_star,
-                             static.sigma_star)
-    return are, static, path
 
 
 def test_config_validation():
@@ -138,9 +129,9 @@ def test_worker_count_does_not_change_results_in_short_chunks():
     rng = np.random.default_rng(6)
     p = random_problem(6, 1, lambda shape: rng.uniform(-1.0, 1.0, shape))
     x0 = np.linspace(-1.0, 1.0, 6)
-    are, static, path = _pipeline(p, 1.0, 10)
+    fb = solve_feedback(p, 1.0, 10)
     N = _chunk_length(6, 1) + 17
-    r1, r2 = (run_coupled(p, path, are, static, x0,
+    r1, r2 = (run_coupled(fb, x0,
                           SimulationConfig(T=1.0, dt=0.1, n_paths=N, seed=3,
                                            workers=w))
               for w in (1, 2))
@@ -167,20 +158,21 @@ def test_propagate_mean_zero_without_offsets(sp2):
 
 def test_propagate_mean_boundary_layer(sp2):
     # with offsets the mean leaves the steady state only near t = T
-    are, static, path = _pipeline(sp2, 10.0, 1000)
-    m = propagate_mean(sp2, path, static.x_star, static.x_star)
+    fb = solve_feedback(sp2, 10.0, 1000)
+    x_star = fb.static.x_star
+    m = propagate_mean(sp2, fb.march, x_star, x_star)
     assert np.max(np.abs(m[:650, 0])) < 5e-3
     assert abs(m[-1, 0]) > 0.1
 
 
 def test_propagate_mean_decay_rate(sp2):
-    are, static, path = _pipeline(sp2, 10.0, 2000)
-    m = propagate_mean(sp2, path, np.array([1.5]), static.x_star)
+    fb = solve_feedback(sp2, 10.0, 2000)
+    m = propagate_mean(sp2, fb.march, np.array([1.5]), fb.static.x_star)
     assert abs(m[0, 0] - 1.0) < 1e-14
     k5 = 1000
     assert abs(m[k5, 0]) <= 2.0 * math.exp(-5.0)
     # slope of log|m| on [0, 4] close to -sqrt(2)
-    t = path.mesh[:801]
+    t = fb.march.mesh[:801]
     slope = np.polyfit(t, np.log(np.abs(m[:801, 0])), 1)[0]
     assert abs(-slope - SQRT2) / SQRT2 < 0.15
     # bounded by the initial offset plus a small constant
@@ -221,16 +213,17 @@ def test_propagate_mean_matches_lq_oracle(spmf_b):
         b=[1.0, -0.5], sigma=[0.2, 0.1], q=[0.1, 0.0], r=[0.2])
     T = 5.0
     for problem, x0 in ((spmf_b, [1.5]), (mean_coupled_2d, [1.0, -1.0])):
-        are, static, path = _pipeline(problem, T, 2000)
-        mean = propagate_mean(problem, path, x0, static.x_star) + static.x_star
-        want = _lq_mean_oracle(problem, np.asarray(x0), T, path.mesh)
+        fb = solve_feedback(problem, T, 2000)
+        x_star = fb.static.x_star
+        mean = propagate_mean(problem, fb.march, x0, x_star) + x_star
+        want = _lq_mean_oracle(problem, np.asarray(x0), T, fb.march.mesh)
         assert np.max(np.abs(mean - want)) < 1e-6
 
 
 def test_deterministic_paths_without_noise(sp1):
-    are, static, path = _pipeline(sp1, 2.0, 1000)
+    fb = solve_feedback(sp1, 2.0, 1000)
     cfg = SimulationConfig(T=2.0, dt=0.002, n_paths=50, seed=1)
-    res = run_coupled(sp1, path, are, static, [1.0], cfg)
+    res = run_coupled(fb, [1.0], cfg)
     raw, stats = res.raw_optimal, res.optimal
     # zero diffusion: every path equals the mean, exactly
     assert np.max(np.abs(raw.X - raw.X[:, :, :1])) == 0.0
@@ -238,15 +231,16 @@ def test_deterministic_paths_without_noise(sp1):
                          - np.einsum("ki,ki->k", stats.mean_X,
                                      stats.mean_X))) < 1e-12
     # deterministic LQ value identity
-    P0 = path.P_of_t[0, 0, 0]
+    P0 = fb.march.P_of_t[0, 0, 0]
     assert stats.cost_estimate == pytest.approx(P0, abs=1e-3)
 
 
 def test_optimal_mean_tracks_turnpike(sp2):
-    are, static, path = _pipeline(sp2, 10.0, 1000)
+    fb = solve_feedback(sp2, 10.0, 1000)
     cfg = SimulationConfig(T=10.0, dt=0.01, n_paths=4000, seed=9)
-    stats = run_coupled(sp2, path, are, static, static.x_star, cfg).optimal
-    m = propagate_mean(sp2, path, static.x_star, static.x_star)
+    x_star = fb.static.x_star
+    stats = run_coupled(fb, x_star, cfg).optimal
+    m = propagate_mean(sp2, fb.march, x_star, x_star)
     se = np.sqrt(np.maximum(stats.second_moment_X
                             - stats.mean_X[:, 0] ** 2, 0.0)
                  / cfg.n_paths)
@@ -260,17 +254,17 @@ def test_optimal_mean_tracks_turnpike(sp2):
 
 
 def test_turnpike_without_noise_sits_at_steady_state(spmf_b):
-    are, static, path = _pipeline(spmf_b, 2.0, 200)
+    fb = solve_feedback(spmf_b, 2.0, 200)
     cfg = SimulationConfig(T=2.0, dt=0.01, n_paths=20, seed=2)
-    res = run_coupled(spmf_b, path, are, static, [1.5], cfg)
-    assert np.max(np.abs(res.turnpike.mean_X - static.x_star)) < 1e-12
-    assert np.max(np.abs(res.raw_turnpike.u - static.u_star[0])) < 1e-12
+    res = run_coupled(fb, [1.5], cfg)
+    assert np.max(np.abs(res.turnpike.mean_X - fb.static.x_star)) < 1e-12
+    assert np.max(np.abs(res.raw_turnpike.u - fb.static.u_star[0])) < 1e-12
 
 
 def test_turnpike_stationary_variance(sp2):
-    are, static, path = _pipeline(sp2, 10.0, 1000)
+    fb = solve_feedback(sp2, 10.0, 1000)
     cfg = SimulationConfig(T=10.0, dt=0.01, n_paths=8000, seed=12)
-    stats = run_coupled(sp2, path, are, static, [1.5], cfg).turnpike
+    stats = run_coupled(fb, [1.5], cfg).turnpike
     # E|X*|^2 around x*^2 + sigma*^2/(2 sqrt 2) at stationarity
     target = 0.25 + 0.25 / (2.0 * SQRT2)
     assert stats.second_moment_X[-1] == pytest.approx(target, rel=0.1)
@@ -280,13 +274,14 @@ def test_coupled_matches_separate_runs_exactly(sp2):
     # each ensemble of the lockstep run against its own Euler recursion,
     # both driven by the increments at addresses (seed, chunk 0, step k);
     # the engine steps the gap Xt - Xs, so both agree to rounding
-    are, static, path = _pipeline(sp2, 2.0, 200)
+    fb = solve_feedback(sp2, 2.0, 200)
     cfg = SimulationConfig(T=2.0, dt=0.01, n_paths=3000, seed=5)
-    res = run_coupled(sp2, path, are, static, [1.5], cfg)
+    res = run_coupled(fb, [1.5], cfg)
+    static, path = fb.static, fb.march
     # sp2 has C = D = 0 and no mean coupling: u - u* = Theta_T Xt + thetaHat_T
     A, B, sig = sp2.A[0, 0], sp2.B[0, 0], static.sigma_star[0]
     Th, off = path.Theta_of_t[:, 0, 0], path.thetaHat_of_t[:, 0]
-    Atp = A + B * are.Theta[0, 0]
+    Atp = A + B * fb.are.Theta[0, 0]
     Xt = np.full(cfg.n_paths, 1.5 - static.x_star[0])
     Xs = np.zeros(cfg.n_paths)
     opt, tp = [Xt], [Xs]
@@ -305,16 +300,16 @@ def test_coupled_matches_separate_runs_exactly(sp2):
 def test_worker_count_does_not_change_results(sp2):
     # three chunks on eight threads fill one shared snapshot buffer;
     # frequent thread switches interleave their writes
-    are, static, path = _pipeline(sp2, 1.0, 100)
+    fb = solve_feedback(sp2, 1.0, 100)
     cfg1 = SimulationConfig(T=1.0, dt=0.01, n_paths=20_000, seed=5,
                             workers=1)
     cfg8 = SimulationConfig(T=1.0, dt=0.01, n_paths=20_000, seed=5,
                             workers=8)
-    r1 = run_coupled(sp2, path, are, static, [1.5], cfg1)
+    r1 = run_coupled(fb, [1.5], cfg1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        r8 = run_coupled(sp2, path, are, static, [1.5], cfg8)
+        r8 = run_coupled(fb, [1.5], cfg8)
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(r1.optimal.gap_X, r8.optimal.gap_X)
@@ -326,9 +321,9 @@ def test_worker_count_does_not_change_results(sp2):
 
 
 def test_jensen_gap_nonnegative(sp2):
-    are, static, path = _pipeline(sp2, 2.0, 200)
+    fb = solve_feedback(sp2, 2.0, 200)
     cfg = SimulationConfig(T=2.0, dt=0.01, n_paths=2000, seed=8)
-    stats = run_coupled(sp2, path, are, static, [1.5], cfg).optimal
+    stats = run_coupled(fb, [1.5], cfg).optimal
     gap = stats.second_moment_X - np.einsum("ki,ki->k", stats.mean_X,
                                             stats.mean_X)
     assert np.min(gap) >= -1e-12
@@ -343,10 +338,10 @@ def test_weak_euler_order(sp2):
     vals = []
     for dt in dts:
         K = int(T / dt)
-        are, static, path = _pipeline(sp2, T, K)
+        fb = solve_feedback(sp2, T, K)
         inc = fine.reshape(K, K_fine // K, N).sum(axis=1)
         cfg = SimulationConfig(T=T, dt=dt, n_paths=N, seed=7)
-        res = run_coupled(sp2, path, are, static, [1.5], cfg, increments=inc)
+        res = run_coupled(fb, [1.5], cfg, increments=inc)
         vals.append(res.turnpike.second_moment_X[K // 2])
     d1 = abs(vals[0] - vals[1])
     d2 = abs(vals[1] - vals[2])
@@ -354,27 +349,29 @@ def test_weak_euler_order(sp2):
 
 
 def test_mesh_mismatch_rejected(sp2):
-    are, static, path = _pipeline(sp2, 1.0, 50)
+    # T = 1 is a node of the 50-step march, but dt is not its step
+    fb = solve_feedback(sp2, 1.0, 50)
     cfg = SimulationConfig(T=1.0, dt=0.01, n_paths=10)
-    with pytest.raises(ValueError, match="does not match"):
-        run_coupled(sp2, path, are, static, [1.5], cfg)
+    with pytest.raises(ValueError, match="dt=0.01 does not match the "
+                                         "Riccati march step 0.02"):
+        run_coupled(fb, [1.5], cfg)
 
 
 def test_nonfinite_state_is_located(sp2):
-    are, static, path = _pipeline(sp2, 1.0, 100)
+    fb = solve_feedback(sp2, 1.0, 100)
     cfg = SimulationConfig(T=1.0, dt=0.01, n_paths=8, seed=0)
     inc = np.zeros((100, 8))
     inc[10, 2] = np.nan
     with pytest.raises(NumericalFailure,
                        match="non-finite state at path 2"):
-        run_coupled(sp2, path, are, static, [1.0], cfg, increments=inc)
+        run_coupled(fb, [1.0], cfg, increments=inc)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_nonfinite_state_in_second_chunk_is_located(sp2, workers):
     # the second chunk writes into columns PATH_CHUNK: of the shared
     # snapshot buffer; the reported path must carry that offset
-    are, static, path = _pipeline(sp2, 1.0, 100)
+    fb = solve_feedback(sp2, 1.0, 100)
     N = PATH_CHUNK + 8
     cfg = SimulationConfig(T=1.0, dt=0.01, n_paths=N, seed=0,
                            workers=workers)
@@ -382,19 +379,19 @@ def test_nonfinite_state_in_second_chunk_is_located(sp2, workers):
     inc[10, PATH_CHUNK + 3] = np.nan
     with pytest.raises(NumericalFailure,
                        match="non-finite state at path 8195,"):
-        run_coupled(sp2, path, are, static, [1.0], cfg, increments=inc)
+        run_coupled(fb, [1.0], cfg, increments=inc)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_snapshots_are_allocated_once(sp2, workers):
     # the snapshot buffer is the run's one large allocation: per-chunk
     # snapshot arrays joined by a copy at the end would double the peak
-    are, static, path = _pipeline(sp2, 1.0, 100)
+    fb = solve_feedback(sp2, 1.0, 100)
     cfg = SimulationConfig(T=1.0, dt=0.01, n_paths=PATH_CHUNK + 17, seed=3,
                            workers=workers)
     tracemalloc.start()
     try:
-        res = run_coupled(sp2, path, are, static, [1.5], cfg)
+        res = run_coupled(fb, [1.5], cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -405,9 +402,9 @@ def test_snapshots_are_allocated_once(sp2, workers):
 
 
 def test_ensemble_csv_format(sp2):
-    are, static, path = _pipeline(sp2, 1.0, 100)
+    fb = solve_feedback(sp2, 1.0, 100)
     cfg = SimulationConfig(T=1.0, dt=0.01, n_paths=50, seed=3)
-    res = run_coupled(sp2, path, are, static, [1.5], cfg)
+    res = run_coupled(fb, [1.5], cfg)
     buf = io.StringIO()
     write_ensemble_csv(res.optimal, buf, header_comments=["digest: x"])
     lines = buf.getvalue().splitlines()
@@ -425,9 +422,10 @@ def test_first_node_gaps_are_exact():
     rng = np.random.default_rng(4)
     p = random_problem(2, 2, lambda shape: rng.uniform(-1.0, 1.0, shape))
     x0 = np.array([1.0, -0.5])
-    are, static, path = _pipeline(p, 1.0, 100)
+    fb = solve_feedback(p, 1.0, 100)
     cfg = SimulationConfig(T=1.0, dt=0.01, n_paths=64, seed=1)
-    stats = run_coupled(p, path, are, static, x0, cfg).optimal
+    stats = run_coupled(fb, x0, cfg).optimal
+    static, path = fb.static, fb.march
     h = assemble_hats(p)
     m0 = x0 - static.x_star
     ThH, thH = path.ThetaHat_of_t[0], path.thetaHat_of_t[0]
@@ -435,18 +433,20 @@ def test_first_node_gaps_are_exact():
     Y0 = path.Pi_of_t[0] @ m0 + path.phiHat_of_t[0]
     Z0 = (path.P_of_t[0] @ ((h.Chat + h.Dhat @ ThH) @ m0 + h.Dhat @ thH
                             + static.sigma_star)
-          - are.P @ static.sigma_star)
+          - fb.are.P @ static.sigma_star)
     for got, v in ((stats.gap_X, m0), (stats.gap_u, u0),
                    (stats.gap_Y, Y0), (stats.gap_Z, Z0)):
         assert got[0] == pytest.approx(v @ v, rel=1e-12)
         assert v @ v > 1e-3
 
 
-def _reference_coupled(p, path, are, static, x0, cfg, inc):
+def _reference_coupled(fb, x0, cfg, inc):
     """Every series of run_coupled, evaluated path by path: the closed
     loop's per-node formulas for u, Y and Z, the four gaps, the per-path
     running cost and the plain sums over paths, driven by the Brownian
     increments inc of shape (n_steps, n_paths)."""
+    p, are, static = fb.problem, fb.are, fb.static
+    path = fb.path(cfg.T)
     h = assemble_hats(p)
     K, dt, N = cfg.n_steps, cfg.dt, cfg.n_paths
     x_star, u_star = static.x_star[:, None], static.u_star[:, None]
@@ -521,12 +521,11 @@ def test_engine_matches_per_path_reference(case):
                          R=[[1.0]], b=[1.0], sigma=[0.5])
         x0, T, dt, N = np.array([1.5]), 24.0, 0.01, 400
     cfg = SimulationConfig(T=T, dt=dt, n_paths=N, seed=11)
-    are, static, path = _pipeline(p, T, cfg.n_steps)
+    fb = solve_feedback(p, T, cfg.n_steps)
     inc = np.stack([brownian_increments(11, 0, k, N, dt)
                     for k in range(cfg.n_steps)])
-    res = run_coupled(p, path, are, static, x0, cfg, increments=inc)
-    series, gaps, snaps = _reference_coupled(p, path, are, static, x0, cfg,
-                                             inc)
+    res = run_coupled(fb, x0, cfg, increments=inc)
+    series, gaps, snaps = _reference_coupled(fb, x0, cfg, inc)
     for name, want in gaps.items():
         got = getattr(res.optimal, name)
         assert np.all(want > 0.0)
@@ -550,10 +549,10 @@ def test_worker_count_never_changes_results(drawn):
     p, x0 = drawn
     assume(validate_assumption_a1(p).passed)
     try:
-        are, static, path = _pipeline(p, 1.0, 10)
+        fb = solve_feedback(p, 1.0, 10)
     except MflqError:
         assume(False)
-    runs = [run_coupled(p, path, are, static, x0,
+    runs = [run_coupled(fb, x0,
                         SimulationConfig(T=1.0, dt=0.1,
                                          n_paths=PATH_CHUNK + 17, seed=3,
                                          workers=w))
