@@ -9,12 +9,7 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from . import model, riccati, simulate, static_opt
-from .model import (
-    HatCoefficients,
-    ProblemData,
-    assemble_hats,
-    validate_assumption_a1,
-)
+from .model import HatCoefficients, ProblemData, assemble_hats
 
 __all__ = [
     "DecayFit",
@@ -239,7 +234,6 @@ def turnpike_pipeline(problem: ProblemData, x0, T: float,
     """
     x0 = np.asarray(x0, dtype=float).reshape(problem.n)
     cfg = dc_replace(config, T=float(T))
-    a1 = validate_assumption_a1(problem)
     feedback = riccati.solve_feedback(problem, T, cfg.n_steps)
     are, static = feedback.are, feedback.static
     profile = riccati.convergence_profile(feedback.path(T), are)
@@ -266,13 +260,12 @@ def turnpike_pipeline(problem: ProblemData, x0, T: float,
     idx = res.raw_optimal.indices
     mid = len(stats.mesh) // 2
     report = {
-        "schema": 2,
+        "schema": 3,
         "horizon": float(T),
         "trivial_problem": bool(trivial),
         "tolerances": dict(TOLERANCES),
         "config": {"T": cfg.T, "dt": cfg.dt, "n_paths": cfg.n_paths,
                    "seed": cfg.seed},
-        "assumption_a1": {"passed": a1.passed, "failures": a1.failures},
         "riccati": {
             "residual_P": are.residual_P,
             "residual_Pi": are.residual_Pi,

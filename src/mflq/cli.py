@@ -8,11 +8,14 @@ Invocation:
 Commands: are, static, riccati-profile, turnpike, value-convergence,
 lemma-suite.  The config file is a JSON document with a `problem` block
 (see model.problem_from_dict for the field names) and optional fields
-`T`, `horizons`, `x0`, `dt`, `n_paths`, `seed`, `workers`,
-`steps_per_unit`, `out`, `trials`.  Command-line flags override config
-fields.  Artifacts are written only under the `out` directory: without
-one, `are`, `static`, `value-convergence` and `lemma-suite` print their
-JSON to stdout only, and `riccati-profile` and `turnpike` exit 3.
+`T`, `horizons`, `x0`, `dt`, `n_paths`, `seed`, `workers`, `out`,
+`trials`.  Command-line flags override config fields.  `dt` is the mesh
+of every command that marches: it must divide `T` for riccati-profile
+and turnpike and each of the `horizons` for value-convergence; are,
+static and lemma-suite march nothing and check it against no horizon.
+Artifacts are written only under the `out` directory: without one,
+`are`, `static`, `value-convergence` and `lemma-suite` print their JSON
+to stdout only, and `riccati-profile` and `turnpike` exit 3.
 Exit codes: 0 success, 2 malformed JSON, 3 shape/field errors,
 4 assumption failures, 5 numerical/acceptance failures.
 """
@@ -23,7 +26,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,36 +44,45 @@ EXIT_NUMERICAL = 5
 COMMANDS = ("are", "static", "riccati-profile", "turnpike",
             "value-convergence", "lemma-suite")
 _KNOWN_FIELDS = {"problem", "T", "horizons", "x0", "dt", "n_paths", "seed",
-                 "workers", "steps_per_unit", "out", "trials"}
+                 "workers", "out", "trials"}
+# the commands that march, each to the horizon field it reads; a mesh
+# (T, dt) exists only for these
+_MARCHES = {"riccati-profile": "T", "turnpike": "T",
+            "value-convergence": "horizons"}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     command: str
     problem: ProblemData
-    sim: simulate.SimulationConfig
-    T: float | None
+    sim: simulate.SimulationConfig | None
     horizons: tuple | None
     x0: np.ndarray | None
-    steps_per_unit: int
+    seed: int
     out: str | None
     trials: int
     digest: str
 
 
 def _resolved_doc(doc: dict) -> dict:
-    """Config with defaults filled, for the reproducibility digest.
+    """Config with the SimulationConfig defaults filled in."""
+    resolved = {k: doc.get(k) for k in _KNOWN_FIELDS}
+    resolved.update((f.name, doc.get(f.name, f.default))
+                    for f in fields(simulate.SimulationConfig)
+                    if f.name != "T")
+    return resolved
+
+
+def _digest(resolved: dict) -> str:
+    """sha256 of the resolved config.
 
     `workers` and `out` are excluded: they cannot affect any computed
     number, so artifacts stay byte-identical across thread counts and
     output locations.
     """
-    out = {k: doc.get(k) for k in sorted(_KNOWN_FIELDS - {"workers", "out"})}
-    out["dt"] = doc.get("dt", 1e-3)
-    out["n_paths"] = doc.get("n_paths", 10_000)
-    out["seed"] = doc.get("seed", 42)
-    out["steps_per_unit"] = doc.get("steps_per_unit", 1000)
-    return out
+    kept = {k: v for k, v in resolved.items() if k not in ("workers", "out")}
+    return hashlib.sha256(
+        json.dumps(kept, sort_keys=True, default=str).encode()).hexdigest()
 
 
 def load_config(path, command: str = "turnpike",
@@ -80,7 +92,8 @@ def load_config(path, command: str = "turnpike",
     Raises json.JSONDecodeError for malformed JSON, ValueError for
     shape/field problems (message carries the JSON path of the bad
     field), AssumptionViolation when the problem data fails the
-    standing positivity assumptions.
+    standing positivity assumptions.  `dt` is checked against the
+    horizons the command marches, and only for the commands that march.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -104,14 +117,12 @@ def load_config(path, command: str = "turnpike",
             "A1 violated: " + ", ".join(report.failures))
     T = doc.get("T")
     horizons = doc.get("horizons")
-    if command in ("riccati-profile", "turnpike") and T is None:
-        raise ValueError(f"T: required for the {command} command")
-    if command == "value-convergence":
-        if horizons is None:
-            raise ValueError(
-                "horizons: required for the value-convergence command")
-        if not isinstance(horizons, list) or not horizons:
-            raise ValueError("horizons: expected a non-empty list")
+    marched = _MARCHES.get(command)
+    if marched is not None and doc.get(marched) is None:
+        raise ValueError(f"{marched}: required for the {command} command")
+    if marched == "horizons" and (not isinstance(horizons, list)
+                                  or not horizons):
+        raise ValueError("horizons: expected a non-empty list")
     x0 = doc.get("x0")
     if command in ("turnpike", "value-convergence"):
         if x0 is None:
@@ -125,39 +136,30 @@ def load_config(path, command: str = "turnpike",
     for h in horizons if isinstance(horizons, list) else ():
         json_number("horizons", h)
     resolved = _resolved_doc(doc)
-    dt = json_number("dt", resolved["dt"])
-    ints = {name: json_integer(name, val) for name, val in (
-        ("n_paths", resolved["n_paths"]), ("seed", resolved["seed"]),
-        ("workers", doc.get("workers", 1)),
-        ("trials", doc.get("trials", 1000)),
-        ("steps_per_unit", resolved["steps_per_unit"]))}
-    try:
-        sim_T = float(T) if T is not None else float(
-            horizons[0] if horizons else 1.0)
-        sim = simulate.SimulationConfig(
-            T=sim_T, dt=dt, n_paths=ints["n_paths"], seed=ints["seed"],
-            workers=ints["workers"])
-        if command == "value-convergence":
-            # every horizon gets the checks its own run would make
-            for h in horizons:
-                dc_replace(sim, T=float(h))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"simulation config: {exc}") from exc
-    if command == "value-convergence" and any(
+    sim_args = {name: json_integer(name, resolved[name])
+            for name in ("n_paths", "seed", "workers")}
+    sim_args["dt"] = json_number("dt", resolved["dt"])
+    trials = json_integer("trials", doc.get("trials", 1000))
+    sim = None
+    if marched is not None:
+        try:
+            # every marched horizon gets the checks its own run would
+            # make; the last one is the longest
+            for h in horizons if marched == "horizons" else [T]:
+                sim = simulate.SimulationConfig(T=float(h), **sim_args)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"simulation config: {exc}") from exc
+    if marched == "horizons" and any(
             b <= a for a, b in zip(horizons, horizons[1:])):
         raise ValueError("horizons: must be strictly increasing")
-    for name in ("trials", "steps_per_unit"):
-        if ints[name] < 1:
-            raise ValueError(f"{name}: must be >= 1, got {ints[name]}")
-    digest = hashlib.sha256(
-        json.dumps(resolved, sort_keys=True, default=str).encode()).hexdigest()
+    if trials < 1:
+        raise ValueError(f"trials: must be >= 1, got {trials}")
     return ExperimentConfig(
-        command=command, problem=problem, sim=sim, T=T,
+        command=command, problem=problem, sim=sim,
         horizons=tuple(horizons) if horizons else None, x0=x0,
-        steps_per_unit=ints["steps_per_unit"],
+        seed=sim_args["seed"],
         out=None if doc.get("out") is None else str(doc["out"]),
-        trials=ints["trials"],
-        digest=digest)
+        trials=trials, digest=_digest(resolved))
 
 
 def _dump_json(obj, fh):
@@ -174,46 +176,45 @@ def _write_json_artifact(config, name, payload, outdir):
     payload = dict(payload)
     payload.setdefault("config_digest", config.digest)
     payload.setdefault("tolerances", dict(analysis.TOLERANCES))
-    path = outdir / name
-    with open(path, "w") as fh:
+    with open(outdir / name, "w") as fh:
         _dump_json(payload, fh)
-    return path
+
+
+def _publish(config, name, payload, outdir):
+    """Print a JSON payload, and write it as artifact `name` if there is
+    an output directory."""
+    _dump_json(payload, sys.stdout)
+    if outdir is not None:
+        _write_json_artifact(config, name, payload, outdir)
 
 
 def _cmd_are(config, outdir):
     are = riccati.solve_are(config.problem)
-    payload = {
+    _publish(config, "are.json", {
         "schema": 1,
         "P": are.P.tolist(), "Pi": are.Pi.tolist(),
         "Theta": are.Theta.tolist(), "ThetaHat": are.ThetaHat.tolist(),
         "residual_P": are.residual_P, "residual_Pi": are.residual_Pi,
-    }
-    _dump_json(payload, sys.stdout)
-    if outdir is not None:
-        _write_json_artifact(config, "are.json", payload, outdir)
+    }, outdir)
     return EXIT_OK
 
 
 def _cmd_static(config, outdir):
     are = riccati.solve_are(config.problem)
     sol = static_opt.solve_static(config.problem, are.P)
-    payload = {
+    _publish(config, "static.json", {
         "schema": 1,
         "x_star": sol.x_star.tolist(), "u_star": sol.u_star.tolist(),
         "lambda_star": sol.lambda_star.tolist(),
         "sigma_star": sol.sigma_star.tolist(), "V": sol.V,
-    }
-    _dump_json(payload, sys.stdout)
-    if outdir is not None:
-        _write_json_artifact(config, "static.json", payload, outdir)
+    }, outdir)
     return EXIT_OK
 
 
 def _cmd_riccati_profile(config, outdir):
-    problem = config.problem
-    are = riccati.solve_are(problem)
-    steps = max(1, int(round(config.steps_per_unit * config.T)))
-    path = riccati.integrate_finite_horizon(problem, config.T, steps=steps)
+    are = riccati.solve_are(config.problem)
+    path = riccati.integrate_finite_horizon(config.problem, config.sim.T,
+                                            steps=config.sim.n_steps)
     profile = riccati.convergence_profile(path, are)
     with open(outdir / "riccati_profile.csv", "w") as fh:
         for line in _artifact_header(config):
@@ -225,7 +226,7 @@ def _cmd_riccati_profile(config, outdir):
 
 def _cmd_turnpike(config, outdir):
     report, res = analysis.turnpike_pipeline(config.problem, config.x0,
-                                             config.T, config.sim)
+                                             config.sim.T, config.sim)
     _write_json_artifact(config, "turnpike_report.json", report, outdir)
     with open(outdir / "ensemble.csv", "w") as fh:
         simulate.write_ensemble_csv(res.optimal, fh,
@@ -237,16 +238,14 @@ def _cmd_turnpike(config, outdir):
 def _cmd_value_convergence(config, outdir):
     rows = analysis.value_convergence(config.problem, config.x0,
                                       config.horizons, config.sim)
-    payload = {
+    _publish(config, "value_convergence.json", {
         "schema": 1,
         "rows": [{"T": r.T, "estimate_over_T": r.estimate_over_T,
                   "stderr_over_T": r.stderr_over_T, "V": r.V,
                   "difference": r.difference, "avg_gap": r.avg_gap}
                  for r in rows],
-    }
-    _dump_json(payload, sys.stdout)
+    }, outdir)
     if outdir is not None:
-        _write_json_artifact(config, "value_convergence.json", payload, outdir)
         with open(outdir / "value_convergence.csv", "w") as fh:
             for line in _artifact_header(config):
                 fh.write(f"# {line}\n")
@@ -258,11 +257,8 @@ def _cmd_value_convergence(config, outdir):
 
 
 def _cmd_lemma_suite(config, outdir):
-    counts = analysis.lemma_suite(trials=config.trials, seed=config.sim.seed)
-    payload = {"schema": 1, **counts}
-    _dump_json(payload, sys.stdout)
-    if outdir is not None:
-        _write_json_artifact(config, "lemma_suite.json", payload, outdir)
+    counts = analysis.lemma_suite(trials=config.trials, seed=config.seed)
+    _publish(config, "lemma_suite.json", {"schema": 1, **counts}, outdir)
     trials = counts["trials"]
     for name in ("contraction_pass", "block_psd_pass"):
         if counts[name] != trials:

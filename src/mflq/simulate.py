@@ -110,6 +110,9 @@ class SimulationConfig:
         if self.T <= 0 or self.dt <= 0:
             raise ValueError(f"T and dt must be positive, got T={self.T}, dt={self.dt}")
         ratio = self.T / self.dt
+        if not math.isfinite(ratio):
+            raise ValueError(
+                f"T/dt must be finite, got T={self.T}, dt={self.dt}")
         if abs(ratio - round(ratio)) > 1e-12 * max(1.0, ratio):
             raise ValueError(f"dt={self.dt} does not divide T={self.T}")
         if self.n_paths < 1:

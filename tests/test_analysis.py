@@ -114,7 +114,7 @@ def test_lemma_suite_deterministic():
 def test_trivial_problem_report(sp1):
     cfg = SimulationConfig(T=2.0, dt=0.01, n_paths=200, seed=4)
     report = turnpike_pipeline(sp1, [0.0], 2.0, cfg)[0]
-    assert report["schema"] == 2
+    assert report["schema"] == 3
     assert report["trivial_problem"] is True
     assert report["gaps"]["decay_fits"] == {}
     assert max(abs(v) for v in report["gaps"]["gap_X"]) < 1e-20
@@ -125,7 +125,8 @@ def test_pipeline_report_sections(sp2):
     cfg = SimulationConfig(T=4.0, dt=0.01, n_paths=1000, seed=4)
     report, res = turnpike_pipeline(sp2, [1.5], 4.0, cfg)
     assert report["trivial_problem"] is False
-    assert report["assumption_a1"]["passed"] is True
+    # A1 is enforced by solve_are before any report exists
+    assert "assumption_a1" not in report
     assert "tolerances" in report
     assert report["config"]["n_paths"] == 1000
     assert report["static"]["x_star"] == pytest.approx([0.5])

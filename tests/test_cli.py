@@ -17,13 +17,16 @@ def _write(tmp_path, doc, name="config.json"):
 
 
 def test_load_config_defaults(tmp_path):
-    cfg = load_config(_write(tmp_path, {"problem": SP2, "T": 2.0,
-                                        "x0": [1.5]}))
+    path = _write(tmp_path, {"problem": SP2, "T": 2.0, "x0": [1.5]})
+    cfg = load_config(path)
     assert cfg.sim.dt == 1e-3
     assert cfg.sim.n_paths == 10_000
     assert cfg.sim.seed == 42
-    assert cfg.steps_per_unit == 1000
     assert len(cfg.digest) == 64
+    # a command that marches nothing has no mesh, but keeps the seed
+    cfg = load_config(path, command="lemma-suite")
+    assert cfg.sim is None
+    assert cfg.seed == 42
 
 
 def test_load_config_overrides(tmp_path):
@@ -32,7 +35,7 @@ def test_load_config_overrides(tmp_path):
                                        "dt": 0.01, "T": 4.0})
     assert cfg.sim.seed == 7
     assert cfg.sim.n_paths == 100
-    assert cfg.T == 4.0
+    assert cfg.sim.T == 4.0
 
 
 def test_digest_ignores_workers(tmp_path):
@@ -137,8 +140,10 @@ def test_exit_code_3_on_bad_horizons(tmp_path, capsys, horizons, message):
     ("turnpike", "seed", 2.5, "seed: expected an integer, got 2.5"),
     ("turnpike", "workers", 1.5, "workers: expected an integer, got 1.5"),
     ("lemma-suite", "trials", 2.5, "trials: expected an integer, got 2.5"),
-    ("riccati-profile", "steps_per_unit", 10.5,
-     "steps_per_unit: expected an integer, got 10.5"),
+    # a present field keeps its type check where no mesh is built
+    ("are", "dt", math.inf, "dt: expected a finite number, got inf"),
+    ("turnpike", "T", 1e308, "T/dt must be finite"),
+    ("turnpike", "dt", 1e-320, "T/dt must be finite"),
 ])
 def test_exit_code_3_on_nonfinite_or_fractional_field(
         tmp_path, capsys, command, field, value, message):
@@ -165,15 +170,34 @@ def test_exit_code_3_on_nonpositive_trials(tmp_path, capsys, trials):
     assert f"trials: must be >= 1, got {trials}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("steps_per_unit", [0, -5])
-def test_exit_code_3_on_nonpositive_steps_per_unit(tmp_path, capsys,
-                                                   steps_per_unit):
-    doc = {"problem": SP1, "T": 2.0, "steps_per_unit": steps_per_unit}
+@pytest.mark.parametrize("fields, message", [
+    ({"dt": 0.0}, "T and dt must be positive"),
+    ({"dt": -0.5}, "T and dt must be positive"),
+    ({"T": 0.5, "dt": 0.3}, "simulation config: dt=0.3 does not divide T=0.5"),
+    ({"steps_per_unit": 100}, "unknown config fields: ['steps_per_unit']"),
+], ids=["dt-zero", "dt-negative", "dt-not-dividing-T", "steps_per_unit"])
+def test_exit_code_3_on_bad_riccati_profile_mesh(tmp_path, capsys, fields,
+                                                 message):
+    # riccati-profile marches the same (T, dt) mesh as turnpike
+    doc = {"problem": SP1, "T": 2.0, "dt": 0.01, **fields}
     assert main(["riccati-profile", "--config", _write(tmp_path, doc),
                  "--out", str(tmp_path / "out")]) == 3
-    assert (f"steps_per_unit: must be >= 1, got {steps_per_unit}"
-            in capsys.readouterr().err)
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, fields", [
+    ("are", {"dt": 0.3}),
+    ("lemma-suite", {"dt": 0.3, "trials": 5}),
+    ("static", {"T": 0.5, "dt": 0.3}),
+    ("value-convergence", {"horizons": [1.0, 2.0], "dt": 0.5, "T": 0.7,
+                           "x0": [1.5], "n_paths": 10}),
+])
+def test_dt_is_checked_only_against_marched_horizons(tmp_path, capsys,
+                                                     command, fields):
+    doc = {"problem": SP2, **fields}
+    assert main([command, "--config", _write(tmp_path, doc)]) == 0
+    assert json.loads(capsys.readouterr().out)["schema"] == 1
 
 
 def test_exit_code_4_on_assumption_failure(tmp_path, capsys):
@@ -213,14 +237,18 @@ def test_static_command(tmp_path, capsys, monkeypatch):
 
 def test_riccati_profile_command(tmp_path):
     out = tmp_path / "out"
-    doc = {"problem": SP1, "T": 2.0, "steps_per_unit": 100}
-    assert main(["riccati-profile", "--config", _write(tmp_path, doc),
+    cfgfile = _write(tmp_path, {"problem": SP1, "T": 2.0, "dt": 0.01})
+    assert main(["riccati-profile", "--config", cfgfile,
                  "--out", str(out)]) == 0
     lines = (out / "riccati_profile.csv").read_text().splitlines()
     assert lines[0].startswith("# config_digest:")
     assert lines[1].startswith("# tolerances:")
     assert lines[2] == "t,err_P,err_Pi"
     assert len(lines) == 3 + 201
+    # the --dt flag sets the mesh: T/dt = 4 steps, 5 nodes
+    assert main(["riccati-profile", "--config", cfgfile, "--dt", "0.5",
+                 "--out", str(out)]) == 0
+    assert len((out / "riccati_profile.csv").read_text().splitlines()) == 3 + 5
 
 
 def test_lemma_suite_command(tmp_path, capsys, monkeypatch):
@@ -250,7 +278,8 @@ def test_turnpike_command_artifacts(tmp_path):
     assert main(["turnpike", "--config", _write(tmp_path, doc),
                  "--out", str(out)]) == 0
     report = json.loads((out / "turnpike_report.json").read_text())
-    assert report["schema"] == 2
+    assert report["schema"] == 3
+    assert "assumption_a1" not in report
     assert report["static"]["x_star"] == pytest.approx([0.5])
     lines = (out / "ensemble.csv").read_text().splitlines()
     assert lines[2] == "t,meanX0,m2X,m2u,gapX,gapu,gapY,gapZ"

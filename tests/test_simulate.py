@@ -42,6 +42,10 @@ def test_config_validation():
         SimulationConfig(T=-1.0)
     with pytest.raises(ValueError, match="does not divide"):
         SimulationConfig(T=1.0, dt=0.3)
+    with pytest.raises(ValueError, match="T/dt must be finite"):
+        SimulationConfig(T=1e308, dt=1e-3)
+    with pytest.raises(ValueError, match="T/dt must be finite"):
+        SimulationConfig(T=1.0, dt=1e-320)
     with pytest.raises(ValueError, match="n_paths"):
         SimulationConfig(T=1.0, dt=0.1, n_paths=0)
     with pytest.raises(ValueError, match="workers"):
