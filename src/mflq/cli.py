@@ -15,9 +15,12 @@ and turnpike and each of the `horizons` for value-convergence; are,
 static and lemma-suite march nothing and check it against no horizon.
 Artifacts are written only under the `out` directory: without one,
 `are`, `static`, `value-convergence` and `lemma-suite` print their JSON
-to stdout only, and `riccati-profile` and `turnpike` exit 3.
-Exit codes: 0 success, 2 malformed JSON, 3 shape/field errors,
-4 assumption failures, 5 numerical/acceptance failures.
+to stdout only, and `riccati-profile` and `turnpike` exit 3.  A run
+whose estimated work passes one of the MAX_* caps exits 3 before
+anything is allocated.
+Exit codes: 0 success, 2 malformed JSON, 3 shape/field errors or work
+above a cap, 4 assumption failures, 5 numerical/acceptance failures or
+out of memory.
 """
 
 from __future__ import annotations
@@ -49,6 +52,15 @@ _KNOWN_FIELDS = {"problem", "T", "horizons", "x0", "dt", "n_paths", "seed",
 # (T, dt) exists only for these
 _MARCHES = {"riccati-profile": "T", "turnpike": "T",
             "value-convergence": "horizons"}
+# Work caps, checked by load_config before anything is allocated.  The
+# march and the closed loop hold several (2n+1) x (2n+1) matrices per
+# node, so the march's size is nodes * (2n+1)^2; the snapshot buffer is
+# run_coupled's per-path record of one horizon; path-steps are Euler
+# steps times paths, summed over the horizons run.
+MAX_MARCH_SIZE = 10**7
+MAX_SNAPSHOT_BYTES = 2**31
+MAX_PATH_STEPS = 10**10
+MAX_TRIALS = 10**6
 
 
 @dataclass(frozen=True)
@@ -154,12 +166,44 @@ def load_config(path, command: str = "turnpike",
         raise ValueError("horizons: must be strictly increasing")
     if trials < 1:
         raise ValueError(f"trials: must be >= 1, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials: must be <= {MAX_TRIALS}, got {trials}")
+    if marched is not None:
+        _check_work(command, problem, sim, horizons)
     return ExperimentConfig(
         command=command, problem=problem, sim=sim,
         horizons=tuple(horizons) if horizons else None, x0=x0,
         seed=sim_args["seed"],
         out=None if doc.get("out") is None else str(doc["out"]),
         trials=trials, digest=_digest(resolved))
+
+
+def _check_work(command, problem, sim, horizons):
+    """Raise ValueError, naming the field, when the run's estimated work
+    passes a cap: the march to sim.T, and for the commands that simulate
+    the snapshot buffer and the path-steps."""
+    field = _MARCHES[command]
+    nodes = sim.T / sim.dt + 1.0
+    size = nodes * (2 * problem.n + 1) ** 2
+    if size > MAX_MARCH_SIZE:
+        raise ValueError(
+            f"{field}: a march of {nodes:.3g} nodes at n = {problem.n} has "
+            f"size {size:.3g} (nodes * (2n+1)^2), above the cap "
+            f"{MAX_MARCH_SIZE:.0e}")
+    if command == "riccati-profile":
+        return
+    snap_bytes = (len(simulate._snapshot_indices(sim.n_steps))
+                  * 2 * (problem.n + problem.m) * sim.n_paths * 8)
+    if snap_bytes > MAX_SNAPSHOT_BYTES:
+        raise ValueError(
+            f"n_paths: the snapshot buffer of {sim.n_paths} paths needs "
+            f"{snap_bytes:.3g} bytes, above the cap {MAX_SNAPSHOT_BYTES}")
+    runs = horizons if command == "value-convergence" else [sim.T]
+    steps = sum(round(h / sim.dt) for h in runs) * sim.n_paths
+    if steps > MAX_PATH_STEPS:
+        raise ValueError(
+            f"n_paths: {sim.n_paths} paths make {steps:.3g} path-steps, "
+            f"above the cap {MAX_PATH_STEPS:.0e}")
 
 
 def _dump_json(obj, fh):
@@ -325,6 +369,9 @@ def main(argv=None) -> int:
         return EXIT_ASSUMPTIONS
     except MflqError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

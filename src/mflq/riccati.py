@@ -53,9 +53,8 @@ INVERSION_TOL = 1e-12
 PSD_ORDER_TOL = 1e-9
 NEWTON_TOL = 1e-13
 NEWTON_MAX_ITER = 50
-MARCH_STEP = 0.01
-MARCH_STEP_BUDGET = 10_000
-DEFAULT_STEPS_PER_UNIT = 1000
+SHIFT_MAX_STEPS = 100
+SHIFT_FLOOR = 1e-2
 _BLOWUP = 1e8
 
 
@@ -250,21 +249,18 @@ def _pair_maps(problem: ProblemData):
 
 
 def integrate_finite_horizon(problem: ProblemData, T: float,
-                             steps: int | None = None) -> RiccatiPath:
+                             steps: int) -> RiccatiPath:
     """Integrate the Riccati pair backward from P_T(T) = Pi_T(T) = 0.
 
-    Classical RK4 on a uniform mesh of `steps` intervals (default 1000
-    per unit time), marching the stacked pair (P, Pi) jointly in
-    s = T - t: the Pi equation consumes the P stage values.  Each stage
-    reads the coefficient maps of both equations off one affine map of
-    (P, Pi) (`_pair_maps`).  The offsets phiHat, thetaHat are
-    zero-filled; integrate_offsets fills them.
+    Classical RK4 on a uniform mesh of `steps` intervals, marching the
+    stacked pair (P, Pi) jointly in s = T - t: the Pi equation consumes
+    the P stage values.  Each stage reads the coefficient maps of both
+    equations off one affine map of (P, Pi) (`_pair_maps`).  The offsets
+    phiHat, thetaHat are zero-filled; integrate_offsets fills them.
     """
     if T <= 0:
         raise ValueError(f"T must be positive, got {T}")
     require_a1(problem)
-    if steps is None:
-        steps = max(1, int(round(DEFAULT_STEPS_PER_UNIT * T)))
     steps = int(steps)
     if steps < 1:
         raise ValueError(f"steps must be positive, got {steps}")
@@ -287,19 +283,28 @@ def integrate_finite_horizon(problem: ProblemData, T: float,
     )
 
 
-def _stabilize(rhs, generator, M):
-    """March dM/ds = rhs(M) with RK4, in blocks of 10 steps of MARCH_STEP,
-    until generator(M), the Kronecker matrix of the closed loop at M, is
-    Hurwitz; M itself when it already is.
+def _continuation(rhs, generator, M):
+    """Newton-Kleinman on rhs(M) = 0 from M, continued in a shift of A.
 
-    The march is bounded by MARCH_STEP_BUDGET steps and by |M| <= _BLOWUP.
+    A shift of A (or Ahat) by -alpha I subtracts 2 alpha M from rhs and
+    2 alpha I from generator(M).  While generator(M) has abscissa
+    a >= -PD_TOL, the shifted equation is solved from M, alpha first
+    max(a, SHIFT_FLOOR), then the midpoint of a/2 and alpha (M is
+    stabilizing for alpha > a/2).  Raises ARE divergence (check A2) when a
+    shifted solve fails or |M| passes _BLOWUP, or after SHIFT_MAX_STEPS.
     """
-    for _ in range(MARCH_STEP_BUDGET // 10 + 1):
+    for k in range(SHIFT_MAX_STEPS):
+        a = np.max(np.linalg.eigvals(generator(M)).real)
+        if a < -PD_TOL:
+            return _newton(rhs, generator, M)
+        alpha = 0.5 * (0.5 * a + alpha) if k else max(a, SHIFT_FLOOR)
+        try:
+            M = _newton(lambda X: rhs(X) - 2 * alpha * X,
+                        lambda X: generator(X) - 2 * alpha * np.eye(X.size), M)
+        except NumericalFailure as exc:
+            raise NumericalFailure(f"ARE divergence (check A2): {exc}") from exc
         if not np.max(np.abs(M)) <= _BLOWUP:
             break
-        if np.max(np.linalg.eigvals(generator(M)).real) < 0:
-            return M
-        M = _rk4(lambda j, c, y: rhs(y), M, MARCH_STEP, 10)[-1]
     raise NumericalFailure("ARE divergence (check A2)")
 
 
@@ -331,14 +336,14 @@ def _newton(rhs, generator, M):
 def solve_are(problem: ProblemData) -> ArePair:
     """Solve the stationary algebraic Riccati pair in bounded time.
 
-    P is solved first, then Pi with P frozen, each from 0: a short RK4
-    march of the Riccati ODE (within MARCH_STEP_BUDGET steps) runs only
-    until the gain is stabilizing, mean-square for P and Hurwitz for Pi;
-    Newton-Kleinman steps then converge.  Both use the closed loop's
-    generator: the mean-square generator for P, the Lyapunov operator of
-    Ahat + Bhat ThetaHat for Pi.  Residuals, positivity of both solutions
-    and the stabilizing property of the gains are asserted before
-    returning.
+    P is solved first, then Pi with P frozen, each from 0 by at most
+    SHIFT_MAX_STEPS Newton-Kleinman solves (`_continuation`), shifting A
+    (or Ahat) where the zero gain is not stabilizing, mean-square for P
+    and Hurwitz for Pi; no Riccati ODE is marched.  Both use the closed
+    loop's generator: the mean-square generator for P, the Lyapunov
+    operator of Ahat + Bhat ThetaHat for Pi.  Residuals, positivity of
+    both solutions and the stabilizing property of the gains are asserted
+    before returning.
     """
     require_a1(problem)
     hats = assemble_hats(problem)
@@ -354,16 +359,13 @@ def solve_are(problem: ProblemData) -> ArePair:
         return mean_square_generator(problem.A + problem.B @ Theta,
                                      problem.C + problem.D @ Theta)
 
-    rhs_P = partial(_rhs_P, problem)
-    P = _newton(rhs_P, ms_generator, _stabilize(rhs_P, ms_generator, zero))
+    P = _continuation(partial(_rhs_P, problem), ms_generator, zero)
 
     def mean_generator(M):
         ThetaHat = _gain(hat_coefficient_maps(hats, P, M))
         return mean_square_generator(hats.Ahat + hats.Bhat @ ThetaHat, zero)
 
-    rhs_Pi = partial(_rhs_Pi, hats, P)
-    Pi = _newton(rhs_Pi, mean_generator,
-                 _stabilize(rhs_Pi, mean_generator, zero))
+    Pi = _continuation(partial(_rhs_Pi, hats, P), mean_generator, zero)
 
     residual_P = float(np.max(np.abs(_rhs_P(problem, P))))
     residual_Pi = float(np.max(np.abs(_rhs_Pi(hats, P, Pi))))
@@ -427,8 +429,7 @@ def integrate_offsets(problem: ProblemData, are: ArePair, path: RiccatiPath,
     return replace(path, phiHat_of_t=phiHat, thetaHat_of_t=thetaHat)
 
 
-def solve_feedback(problem: ProblemData, T: float,
-                   steps: int | None = None) -> Feedback:
+def solve_feedback(problem: ProblemData, T: float, steps: int) -> Feedback:
     """Solve everything the closed-loop feedback needs up to horizon T:
     solve_are, static_opt.solve_static at its P, integrate_finite_horizon
     over `steps` intervals and integrate_offsets on that path."""
@@ -453,7 +454,7 @@ def convergence_profile(path: RiccatiPath, are: ArePair) -> np.ndarray:
 
 
 def horizon_monotonicity_check(problem: ProblemData, horizons,
-                               steps_per_unit: int = DEFAULT_STEPS_PER_UNIT):
+                               steps_per_unit: int):
     """Compute Pi_T(0) per horizon and test PSD-order monotonicity.
 
     One march to the longest horizon at steps_per_unit steps per unit
@@ -477,4 +478,4 @@ def horizon_monotonicity_check(problem: ProblemData, horizons,
 def write_convergence_csv(profile: np.ndarray, fh) -> None:
     fh.write("t,err_P,err_Pi\n")
     for t, e1, e2 in profile:
-        fh.write(f"{t!r},{e1!r},{e2!r}\n")
+        fh.write(f"{float(t)!r},{float(e1)!r},{float(e2)!r}\n")

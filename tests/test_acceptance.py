@@ -187,8 +187,8 @@ def test_normalization_invariance():
     p = make_problem(1, 1, A=[[-1.0]], B=[[1.0]], C=[[0.3]], D=[[0.2]],
                      Q=[[2.0]], R=[[1.0]], S=[[0.5]])
     q = normalize_cross_terms(p)
-    path_p = integrate_finite_horizon(p, 5.0)
-    path_q = integrate_finite_horizon(q, 5.0)
+    path_p = integrate_finite_horizon(p, 5.0, steps=5000)
+    path_q = integrate_finite_horizon(q, 5.0, steps=5000)
     assert np.max(np.abs(path_p.P_of_t - path_q.P_of_t)) <= 1e-8
     assert np.max(np.abs(path_p.Pi_of_t - path_q.Pi_of_t)) <= 1e-8
 
@@ -196,7 +196,7 @@ def test_normalization_invariance():
 def test_monotone_horizon_limits(sp1, spmf, random_2x2):
     for problem in (sp1, spmf, random_2x2):
         _, verdict = horizon_monotonicity_check(
-            problem, (1.0, 2.0, 4.0, 8.0))
+            problem, (1.0, 2.0, 4.0, 8.0), steps_per_unit=1000)
         assert verdict
 
 

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from mflq import riccati
 from mflq.cli import load_config, main
 
 SP1 = {"n": 1, "m": 1, "A": [[-1.0]], "B": [[1.0]], "Q": [[1.0]],
@@ -170,6 +171,40 @@ def test_exit_code_3_on_nonpositive_trials(tmp_path, capsys, trials):
     assert f"trials: must be >= 1, got {trials}" in capsys.readouterr().err
 
 
+# each case fails the work estimate in load_config, before anything is
+# allocated or any thread starts
+@pytest.mark.parametrize("command, fields, message", [
+    ("riccati-profile", {"T": 1e300}, "T: a march of 1e+303 nodes"),
+    ("turnpike", {"T": 1e9, "dt": 1.0}, "T: a march of 1e+09 nodes"),
+    ("value-convergence", {"horizons": [1.0, 1e9], "dt": 1.0},
+     "horizons: a march of 1e+09 nodes"),
+    ("turnpike", {"T": 0.02, "dt": 0.01, "n_paths": 10**12},
+     "n_paths: the snapshot buffer of 1000000000000 paths"),
+    ("turnpike", {"T": 100.0, "dt": 1e-3, "n_paths": 2 * 10**5},
+     "n_paths: 200000 paths make 2e+10 path-steps"),
+    ("value-convergence", {"horizons": [50.0, 100.0], "dt": 1e-3,
+                           "n_paths": 10**5},
+     "n_paths: 100000 paths make 1.5e+10 path-steps"),
+    ("lemma-suite", {"trials": 10**7}, "trials: must be <= 1000000"),
+], ids=["profile-T", "turnpike-T", "horizons", "snapshot", "path-steps",
+        "path-steps-over-horizons", "trials"])
+def test_exit_code_3_above_work_caps(tmp_path, capsys, command, fields,
+                                     message):
+    doc = {"problem": SP2, "x0": [1.5], **fields}
+    assert main([command, "--config", _write(tmp_path, doc),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_exit_code_5_on_memory_error(tmp_path, capsys, monkeypatch):
+    def exhausted(problem):
+        raise MemoryError("no room")
+    monkeypatch.setattr(riccati, "solve_are", exhausted)
+    assert main(["are", "--config", _write(tmp_path, {"problem": SP1})]) == 5
+    assert "out of memory: no room" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("fields, message", [
     ({"dt": 0.0}, "T and dt must be positive"),
     ({"dt": -0.5}, "T and dt must be positive"),
@@ -245,6 +280,10 @@ def test_riccati_profile_command(tmp_path):
     assert lines[1].startswith("# tolerances:")
     assert lines[2] == "t,err_P,err_Pi"
     assert len(lines) == 3 + 201
+    # every data field is a plain number
+    rows = [[float(x) for x in line.split(",")] for line in lines[3:]]
+    assert all(len(row) == 3 for row in rows)
+    assert rows[0][0] == 0.0 and rows[-1][0] == 2.0
     # the --dt flag sets the mesh: T/dt = 4 steps, 5 nodes
     assert main(["riccati-profile", "--config", cfgfile, "--dt", "0.5",
                  "--out", str(out)]) == 0

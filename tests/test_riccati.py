@@ -90,7 +90,10 @@ def test_are_matches_scipy_care_without_multiplicative_noise(random_2x2):
     noisy_mean = dataclasses.replace(
         random_2x2, C=np.zeros((2, 2)), D=np.zeros((2, 2)),
         Cbar=random_2x2.C, Dbar=random_2x2.D)
-    for p in (_are_slow_style(), noisy_mean):
+    # the double integrator: the zero gain's abscissa is exactly 0
+    double_integrator = make_problem(2, 1, A=[[0.0, 1.0], [0.0, 0.0]],
+                                     B=[[0.0], [1.0]], Q=np.eye(2), R=[[1.0]])
+    for p in (_are_slow_style(), noisy_mean, double_integrator):
         are = solve_are(p)
         P = solve_continuous_are(p.A, p.B, p.Q, p.R, s=p.S.T)
         Ah, Bh, Ch, Dh = p.A + p.Abar, p.B + p.Bbar, p.C + p.Cbar, p.D + p.Dbar
@@ -113,23 +116,79 @@ def test_are_slow_closed_loop_is_fast():
 
 
 def test_are_open_loop_unstable_root():
-    # A = +1: the zero gain is not stabilizing, so the march must run
+    # A = +1: the zero gain is not stabilizing, so the shift must run
     p = make_problem(1, 1, A=[[1.0]], B=[[1.0]], Q=[[1.0]], R=[[1.0]])
     are = solve_are(p)
     assert are.P[0, 0] == pytest.approx(1.0 + SQRT2, abs=1e-12)
     assert are.Pi[0, 0] == pytest.approx(1.0 + SQRT2, abs=1e-12)
 
 
+def test_are_marches_no_riccati_ode(monkeypatch):
+    calls, rk4 = [], riccati._rk4
+
+    def counted(*args):
+        calls.append(args)
+        return rk4(*args)
+    monkeypatch.setattr(riccati, "_rk4", counted)
+    p = make_problem(1, 1, A=[[1.0]], B=[[1.0]], Q=[[1.0]], R=[[1.0]])
+    solve_are(p)
+    assert calls == []
+
+
+def _assert_scalar_closed_form(A, Q):
+    # B = R = 1 and no mean coupling: P = Pi = A + sqrt(A^2 + Q), scaled
+    # by the closed loop's rate sqrt(A^2 + Q)
+    p = make_problem(1, 1, A=[[A]], B=[[1.0]], Q=[[Q]], R=[[1.0]])
+    are = solve_are(p)
+    root, rate = A + math.sqrt(A * A + Q), math.sqrt(A * A + Q)
+    assert abs(are.P[0, 0] - root) * 2.0 * rate <= 1e-12
+    assert abs(are.Pi[0, 0] - root) * 2.0 * rate <= 1e-12
+
+
+def test_are_slow_open_loop_unstable_root_in_bounded_time():
+    # A = 0.001, Q = 1e-6: the finite-horizon gain first stabilizes at
+    # s = T - t of about 623, so no short Riccati march reaches it
+    start = time.perf_counter()
+    _assert_scalar_closed_form(0.001, 1e-6)
+    assert time.perf_counter() - start < 1.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.floats(-1e-3, 1e-3), st.floats(-8.0, -3.0))
+def test_are_slow_scalar_family_matches_closed_form(A, log10_Q):
+    _assert_scalar_closed_form(A, 10.0 ** log10_Q)
+
+
 @pytest.mark.parametrize("a", [1.0, 0.0])
 def test_are_unstabilizable_state_equation_diverges_in_bounded_time(a):
-    # (Ahat, Bhat) = (a, 1) is stabilizable, (A, B) = (a, 0) is not; P
-    # blows up for a = 1 and grows linearly, exhausting the march budget,
-    # for a = 0
+    # (Ahat, Bhat) = (a, 1) is stabilizable, (A, B) = (a, 0) is not: the
+    # shift cannot reach 0, and P blows up as it nears a
     p = make_problem(1, 1, A=[[a]], Bbar=[[1.0]], Q=[[1.0]], R=[[1.0]])
     start = time.perf_counter()
     with pytest.raises(NumericalFailure, match="ARE divergence"):
         solve_are(p)
     assert time.perf_counter() - start < 5.0
+
+
+def test_are_mean_square_unstabilizable_diverges():
+    # the control noise D u dW caps what a gain can do: 2A - (B/D)^2 = 1,
+    # so no gain is mean-square stabilizing, and P grows until a shifted
+    # solve cannot resolve it
+    p = make_problem(1, 1, A=[[1.0]], B=[[1.0]], D=[[1.0]], Q=[[1.0]],
+                     R=[[1.0]])
+    start = time.perf_counter()
+    with pytest.raises(NumericalFailure, match=r"ARE divergence \(check A2\)"):
+        solve_are(p)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_are_shift_step_cap(monkeypatch):
+    # the slow problem needs several shifted solves before its gain
+    # stabilizes; two are not enough
+    monkeypatch.setattr(riccati, "SHIFT_MAX_STEPS", 2)
+    p = make_problem(1, 1, A=[[0.001]], B=[[1.0]], Q=[[1e-6]], R=[[1.0]])
+    with pytest.raises(NumericalFailure, match="ARE divergence"):
+        solve_are(p)
 
 
 def test_are_newton_iteration_cap(monkeypatch):
@@ -182,7 +241,7 @@ def test_integration_order_at_least_3p5(sp1, spmf):
 
 def test_finite_horizon_rejects_bad_inputs(sp1):
     with pytest.raises(ValueError, match="T must be positive"):
-        integrate_finite_horizon(sp1, -1.0)
+        integrate_finite_horizon(sp1, -1.0, steps=100)
     with pytest.raises(ValueError, match="steps must be positive"):
         integrate_finite_horizon(sp1, 1.0, steps=0)
 
@@ -396,7 +455,7 @@ def test_horizon_monotonicity(sp1):
     assert verdict
     assert len(pi0) == 3
     with pytest.raises(ValueError, match="strictly increasing"):
-        horizon_monotonicity_check(sp1, (2.0, 1.0))
+        horizon_monotonicity_check(sp1, (2.0, 1.0), steps_per_unit=200)
 
 
 def test_feedback_path_is_a_fresh_solve(all_blocks_4x2):
