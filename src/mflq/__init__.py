@@ -16,7 +16,6 @@ from .model import (
     check_mean_system_stabilizability,
     check_ms_stability,
     make_problem,
-    normalize_cross_terms,
     problem_from_dict,
     validate_assumption_a1,
 )
@@ -25,13 +24,12 @@ from .riccati import (
     Feedback,
     RiccatiPath,
     convergence_profile,
-    horizon_monotonicity_check,
     integrate_finite_horizon,
     integrate_offsets,
     solve_are,
     solve_feedback,
 )
-from .static_opt import StaticSolution, evaluate_F, kkt_residual, solve_static
+from .static_opt import StaticSolution, evaluate_F, solve_static
 from .simulate import (
     EnsembleStats,
     RawPaths,

@@ -29,7 +29,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -283,20 +283,15 @@ def _cmd_value_convergence(config, outdir):
     rows = analysis.value_convergence(config.problem, config.x0,
                                       config.horizons, config.sim)
     _publish(config, "value_convergence.json", {
-        "schema": 1,
-        "rows": [{"T": r.T, "estimate_over_T": r.estimate_over_T,
-                  "stderr_over_T": r.stderr_over_T, "V": r.V,
-                  "difference": r.difference, "avg_gap": r.avg_gap}
-                 for r in rows],
-    }, outdir)
+        "schema": 1, "rows": [asdict(r) for r in rows]}, outdir)
     if outdir is not None:
+        names = [f.name for f in fields(analysis.ValueRow)]
         with open(outdir / "value_convergence.csv", "w") as fh:
             for line in _artifact_header(config):
                 fh.write(f"# {line}\n")
-            fh.write("T,estimate_over_T,stderr_over_T,V,difference,avg_gap\n")
+            fh.write(",".join(names) + "\n")
             for r in rows:
-                fh.write(f"{r.T!r},{r.estimate_over_T!r},{r.stderr_over_T!r},"
-                         f"{r.V!r},{r.difference!r},{r.avg_gap!r}\n")
+                fh.write(",".join(repr(getattr(r, k)) for k in names) + "\n")
     return EXIT_OK
 
 

@@ -13,7 +13,7 @@ constant-coefficient with a one-dimensional Brownian motion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -288,33 +288,3 @@ def check_ms_stability(problem: ProblemData, Theta: np.ndarray) -> tuple[bool, f
     abscissa = float(np.max(np.linalg.eigvals(L).real))
     return abscissa < -PD_EIG_TOL, abscissa
 
-
-def normalize_cross_terms(problem: ProblemData) -> ProblemData:
-    """Zero the cross-weight blocks by absorbing them into (A, C, Q).
-
-    Replaces A by A - B R^{-1} S, C by C - D R^{-1} S, Q by Q - S' R^{-1} S,
-    applies the analogous hat transform, and rewrites the barred blocks so
-    the new hats are exactly the transformed hats.  The finite-horizon
-    Riccati solutions are unchanged by this transform.
-    """
-    h = assemble_hats(problem)
-    try:
-        RinvS = np.linalg.solve(problem.R, problem.S)
-        RhinvSh = np.linalg.solve(h.Rhat, h.Shat)
-    except np.linalg.LinAlgError as exc:
-        raise AssumptionViolation("A1 violated") from exc
-    A_new = problem.A - problem.B @ RinvS
-    C_new = problem.C - problem.D @ RinvS
-    Q_new = problem.Q - problem.S.T @ RinvS
-    Ahat_new = h.Ahat - h.Bhat @ RhinvSh
-    Chat_new = h.Chat - h.Dhat @ RhinvSh
-    Qhat_new = h.Qhat - h.Shat.T @ RhinvSh
-    Q_new = 0.5 * (Q_new + Q_new.T)
-    Qhat_new = 0.5 * (Qhat_new + Qhat_new.T)
-    zero_mn = np.zeros((problem.m, problem.n))
-    return replace(
-        problem,
-        A=A_new, C=C_new, Q=Q_new, S=zero_mn,
-        Abar=Ahat_new - A_new, Cbar=Chat_new - C_new,
-        Qbar=Qhat_new - Q_new, Sbar=zero_mn.copy(),
-    )

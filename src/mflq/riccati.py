@@ -43,7 +43,6 @@ __all__ = [
     "integrate_offsets",
     "solve_feedback",
     "convergence_profile",
-    "horizon_monotonicity_check",
     "write_convergence_csv",
 ]
 
@@ -308,24 +307,31 @@ def _continuation(rhs, generator, M):
     raise NumericalFailure("ARE divergence (check A2)")
 
 
+def _scale(M):
+    """max(1, max|M|^2), the unit of NEWTON_TOL and RESIDUAL_TOL at M: a
+    Riccati residual's rounding floor grows like eps |M|^2."""
+    return max(1.0, float(np.max(np.abs(M))) ** 2)
+
+
 def _newton(rhs, generator, M):
     """Newton-Kleinman iteration on rhs(M) = 0, whose derivative at M is
     the transpose of generator(M) acting on the row-major vec(M).
 
     Stops when max|rhs(M)| is below NEWTON_TOL or, once within
-    RESIDUAL_TOL, a step stops reducing it (the rounding floor); raises
-    after NEWTON_MAX_ITER steps.
+    RESIDUAL_TOL, a step stops reducing it (the rounding floor), both
+    in units of _scale(M); raises after NEWTON_MAX_ITER steps.
     """
     F = rhs(M)
     r = np.max(np.abs(F))
     for _ in range(NEWTON_MAX_ITER):
-        if r < NEWTON_TOL:
+        scale = _scale(M)
+        if r < NEWTON_TOL * scale:
             return M
         step = np.linalg.solve(generator(M).T, -F.reshape(-1))
         M_next = _sym(M + step.reshape(M.shape))
         F_next = rhs(M_next)
         r_next = np.max(np.abs(F_next))
-        if r <= RESIDUAL_TOL and not r_next < r:
+        if r <= RESIDUAL_TOL * scale and not r_next < r:
             return M
         M, F, r = M_next, F_next, r_next
     raise NumericalFailure(
@@ -343,7 +349,9 @@ def solve_are(problem: ProblemData) -> ArePair:
     loop's generator: the mean-square generator for P, the Lyapunov
     operator of Ahat + Bhat ThetaHat for Pi.  Residuals, positivity of
     both solutions and the stabilizing property of the gains are asserted
-    before returning.
+    before returning.  NEWTON_TOL and RESIDUAL_TOL are relative to
+    max(1, max|M|^2) for the solution M they judge (P or Pi): a residual's
+    rounding floor grows like eps |M|^2.
     """
     require_a1(problem)
     hats = assemble_hats(problem)
@@ -369,9 +377,10 @@ def solve_are(problem: ProblemData) -> ArePair:
 
     residual_P = float(np.max(np.abs(_rhs_P(problem, P))))
     residual_Pi = float(np.max(np.abs(_rhs_Pi(hats, P, Pi))))
-    if max(residual_P, residual_Pi) > RESIDUAL_TOL:
-        raise NumericalFailure(
-            f"ARE residual {max(residual_P, residual_Pi):.3e} above {RESIDUAL_TOL}")
+    for residual, M in ((residual_P, P), (residual_Pi, Pi)):
+        tol = RESIDUAL_TOL * _scale(M)
+        if residual > tol:
+            raise NumericalFailure(f"ARE residual {residual:.3e} above {tol:.3e}")
     if (np.min(np.linalg.eigvalsh(P)) <= PD_TOL
             or np.min(np.linalg.eigvalsh(Pi)) <= PD_TOL):
         raise NumericalFailure("ARE solution not positive definite")
@@ -451,28 +460,6 @@ def convergence_profile(path: RiccatiPath, are: ArePair) -> np.ndarray:
     err_P = np.max(np.abs(path.P_of_t - are.P), axis=(1, 2))
     err_Pi = np.max(np.abs(path.Pi_of_t - are.Pi), axis=(1, 2))
     return np.column_stack([path.mesh, err_P, err_Pi])
-
-
-def horizon_monotonicity_check(problem: ProblemData, horizons,
-                               steps_per_unit: int):
-    """Compute Pi_T(0) per horizon and test PSD-order monotonicity.
-
-    One march to the longest horizon at steps_per_unit steps per unit
-    time serves every horizon, each a node of it, as its tail.  Returns
-    (list of Pi_T(0), verdict); the verdict is true iff each successive
-    difference has minimum eigenvalue >= -1e-9.
-    """
-    horizons = list(horizons)
-    if any(h2 <= h1 for h1, h2 in zip(horizons, horizons[1:])):
-        raise ValueError("horizons must be strictly increasing")
-    longest = horizons[-1]
-    march = integrate_finite_horizon(
-        problem, longest, steps=max(1, int(round(steps_per_unit * longest))))
-    pi0 = [march.tail(T).Pi_of_t[0] for T in horizons]
-    verdict = all(
-        np.min(np.linalg.eigvalsh(_sym(b - a))) >= -PSD_ORDER_TOL
-        for a, b in zip(pi0, pi0[1:]))
-    return pi0, verdict
 
 
 def write_convergence_csv(profile: np.ndarray, fh) -> None:

@@ -1,5 +1,5 @@
-"""Monte Carlo simulation of the finite-horizon closed loop and the
-stationary turnpike processes, with common-random-number coupling.
+"""Monte Carlo simulation of the finite-horizon closed loop against the
+stationary turnpike process, with common-random-number coupling.
 
 The finite-horizon optimal pair is simulated through its closed-loop
 representation: with Xt = X - x* and mean m(t) = E[Xt] from a
@@ -9,13 +9,15 @@ deterministic ODE,
 
 and the state follows the corresponding Euler-Maruyama recursion.  The
 turnpike comparison process solves dX* = (A + B Theta) X* dt +
-[(C + D Theta) X* + sigma*] dW from zero.  Sharing Brownian increments
-between the two ensembles makes the pathwise gaps directly estimable.
+[(C + D Theta) X* + sigma*] dW from zero.  It is only the gaps'
+reference: sharing Brownian increments with it makes them directly
+estimable, and none of its own statistics is reported.
 
-`run_coupled` steps both ensembles in lockstep.  A chunk of L paths is
-one homogeneous state v = (Xt - Xs, Xs, 1) of shape (2n + 1, L).  Every
-affine map of (Xt - Xs, Xs) is then one matrix [G | h] acting on v, so
-each map of the run is one matrix per node, built once per run.  One
+`closed_loop` builds the per-node coefficients of the coupled pair once
+per run, and `run_coupled` steps both ensembles in lockstep with them.
+A chunk of L paths is one homogeneous state v = (Xt - Xs, Xs, 1) of
+shape (2n + 1, L).  Every affine map of (Xt - Xs, Xs) is then one matrix
+[G | h] acting on v, so each map of the run is one matrix per node.  One
 Euler-Maruyama step of both ensembles is
 
     v <- F_k v + (G_k v) dW_k,
@@ -40,16 +42,16 @@ loop every node series comes from
 
 in one vectorized pass over the nodes.  The gaps read the difference
 block directly, never E|Xt|^2 - 2 E[Xt.Xs] + E|Xs|^2, so they stay
-accurate where they fall to 1e-17.  What stays per path is the running
-cost, one quadratic form v' W_k v per ensemble and node with the
-linear and constant terms in the last row and column of W_k (its
-standard error needs the per-path totals), and the snapshot sub-mesh,
-one product with the stacked maps per snapshot node.
+accurate where they fall to 1e-17.  What stays per path is the optimal
+running cost, one quadratic form v' W_k v per node with the linear and
+constant terms in the last row and column of W_k (its standard error
+needs the per-path totals), and the snapshot sub-mesh, one product
+with the stacked maps per snapshot node.
 
 Memory is allocated once.  The run holds one snapshot buffer of shape
 (nodes, 2(n + m), n_paths); each chunk writes its columns in place, and
 `RawPaths.X` and `.u` are views of it.  Each chunk allocates its (., L)
-work buffers (v, the cost forms, the noise term) before the step loop,
+work buffers (v, the cost form, the noise term) before the step loop,
 and every step writes into them, so the Brownian draw is the only
 per-step allocation of paths' size.
 
@@ -83,8 +85,10 @@ __all__ = [
     "EnsembleStats",
     "RawPaths",
     "CoupledResult",
+    "ClosedLoop",
     "brownian_increments",
     "propagate_mean",
+    "closed_loop",
     "run_coupled",
     "write_ensemble_csv",
 ]
@@ -127,8 +131,8 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class EnsembleStats:
-    """Nodewise moments and cost of one ensemble; the gap series of the
-    coupled pair are set on the optimal ensemble only."""
+    """Nodewise moments and cost of the optimal ensemble, and the gap
+    series of the coupled pair."""
 
     mesh: np.ndarray
     mean_X: np.ndarray
@@ -137,10 +141,10 @@ class EnsembleStats:
     second_moment_u: np.ndarray
     cost_estimate: float
     cost_stderr: float
-    gap_X: np.ndarray | None = None
-    gap_u: np.ndarray | None = None
-    gap_Y: np.ndarray | None = None
-    gap_Z: np.ndarray | None = None
+    gap_X: np.ndarray
+    gap_u: np.ndarray
+    gap_Y: np.ndarray
+    gap_Z: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -158,7 +162,6 @@ class RawPaths:
 @dataclass(frozen=True)
 class CoupledResult:
     optimal: EnsembleStats
-    turnpike: EnsembleStats
     raw_optimal: RawPaths
     raw_turnpike: RawPaths
 
@@ -219,11 +222,26 @@ def _affine(K1, Gd, Gs, h):
     return G
 
 
-class _ClosedLoop:
-    """Per-node coefficients of the coupled pair, built once per run.
+@dataclass(frozen=True)
+class ClosedLoop:
+    """Per-node coefficients of the coupled pair on one horizon, built
+    by `closed_loop`; every matrix acts on v = (Xt - Xs, Xs, 1)."""
 
-    Everything acts on the homogeneous state v = (Xt - Xs, Xs, 1) of
-    shape (2n + 1, L).  The Euler step is v <- F_k v + (G_k v) dW with
+    m_t: np.ndarray
+    F: np.ndarray
+    G: np.ndarray
+    maps: dict
+    snap: np.ndarray
+    cost_W: np.ndarray
+
+
+def closed_loop(feedback: Feedback, x0, T: float, dt: float) -> ClosedLoop:
+    """The coupled pair's coefficients on the horizon T cut from the
+    feedback's march, from X(0) = x0: the mean m_t of `propagate_mean`
+    and the per-node matrices below.  Raises ValueError unless T is a
+    node of the march and dt its step.
+
+    The Euler step of v = (Xt - Xs, Xs, 1) is v <- F_k v + (G_k v) dW with
 
         F_k = [[I + dt Acl_k, dt B dTheta_k, dt dconst_k],
                [0,            I + dt Atp,    0          ],
@@ -233,86 +251,83 @@ class _ClosedLoop:
                [0,     0,          0     ]],
 
     with dTheta_k = Theta_T(t_k) - Theta, so Acl_k - Atp and Ccl_k - Ctp
-    carry no cancellation error where the gain has converged.  `maps` is the table of the
-    observables as one matrix each, [G | h] of `_affine`: the states and
-    controls of both ensembles (original variables) and the four gaps.
-    The snapshot stack and the per-path cost matrices are read off that
-    table: each ensemble's trapezoid-weighted running cost at node k is
-    v' W_k v, with W_k = G'M G plus G'l on the last row and column for
-    its (X, u) rows G of the table, M = [[Q, S'], [S, R]] and l = (q, r).
+    carry no cancellation error where the gain has converged.  `maps`
+    holds each observable as one [G | h] of `_affine`: the states and
+    controls of both ensembles (original variables) and the four gaps;
+    `snap` stacks the four state and control maps.  The optimal
+    trapezoid-weighted running cost at node k is v' W_k v (`cost_W`),
+    with W_k = G'M G plus G'l on the last row and column for the optimal
+    (X, u) rows G, M = [[Q, S'], [S, R]] and l = (q, r).
     """
+    problem, are, static = feedback.problem, feedback.are, feedback.static
+    path = feedback.path(T)
+    K = len(path.mesh) - 1
+    if K != int(round(T / dt)):
+        raise ValueError(f"simulation step dt={dt} does not match "
+                         f"the Riccati march step {path.T / K}")
+    x0 = np.asarray(x0, dtype=float).reshape(problem.n)
+    m_t = propagate_mean(problem, path, x0, static.x_star)
+    n, m = problem.n, problem.m
+    K1 = K + 1
+    hats = assemble_hats(problem)
+    A, B, C, D = problem.A, problem.B, problem.C, problem.D
+    Th, ThH = path.Theta_of_t, path.ThetaHat_of_t
+    off = path.thetaHat_of_t                             # (K+1, m)
+    P_t, Pi_t = path.P_of_t, path.Pi_of_t
+    x_star, u_star = static.x_star, static.u_star
+    sig = static.sigma_star
+    Acl = A + np.einsum("im,kmn->kin", B, Th)            # (K+1, n, n)
+    Ccl = C + np.einsum("im,kmn->kin", D, Th)
+    AclHat = hats.Ahat + np.einsum("im,kmn->kin", hats.Bhat, ThH)
+    CclHat = hats.Chat + np.einsum("im,kmn->kin", hats.Dhat, ThH)
+    dconst = np.einsum("kij,kj->ki", AclHat - Acl, m_t) + off @ hats.Bhat.T
+    c0 = np.einsum("kij,kj->ki", CclHat - Ccl, m_t) + off @ hats.Dhat.T
+    uconst = np.einsum("kij,kj->ki", ThH - Th, m_t) + off
+    dTh = Th - are.Theta
+    Atp, Ctp = A + B @ are.Theta, C + D @ are.Theta
+    I, O = np.eye(n), np.zeros((n, n))
 
-    def __init__(self, feedback, path, m_t, dt):
-        problem, are, static = feedback.problem, feedback.are, feedback.static
-        n, m = problem.n, problem.m
-        K1 = len(m_t)
-        hats = assemble_hats(problem)
-        A, B, C, D = problem.A, problem.B, problem.C, problem.D
-        Th = path.Theta_of_t
-        ThH = path.ThetaHat_of_t
-        off = path.thetaHat_of_t                             # (K+1, m)
-        P_t, Pi_t = path.P_of_t, path.Pi_of_t
-        x_star, u_star = static.x_star, static.u_star
-        sig = static.sigma_star
-        Acl = A + np.einsum("im,kmn->kin", B, Th)            # (K+1, n, n)
-        Ccl = C + np.einsum("im,kmn->kin", D, Th)
-        AclHat = hats.Ahat + np.einsum("im,kmn->kin", hats.Bhat, ThH)
-        CclHat = hats.Chat + np.einsum("im,kmn->kin", hats.Dhat, ThH)
-        dconst = np.einsum("kij,kj->ki", AclHat - Acl, m_t) + off @ hats.Bhat.T
-        c0 = np.einsum("kij,kj->ki", CclHat - Ccl, m_t) + off @ hats.Dhat.T
-        uconst = np.einsum("kij,kj->ki", ThH - Th, m_t) + off
-        dTh = Th - are.Theta
-        Atp = A + B @ are.Theta
-        Ctp = C + D @ are.Theta
-        I, O = np.eye(n), np.zeros((n, n))
+    F = np.zeros((K1, 2 * n + 1, 2 * n + 1))
+    F[:, :n] = _affine(K1, I + dt * Acl, dt * (B @ dTh), dt * dconst)
+    F[:, n:-1] = _affine(K1, O, I + dt * Atp, np.zeros(n))
+    F[:, -1, -1] = 1.0
+    G = np.zeros_like(F)
+    G[:, :n] = _affine(K1, Ccl, D @ dTh, c0)
+    G[:, n:-1] = _affine(K1, O, Ctp, sig)
 
-        self.m0 = m_t[0]
-        self.F = np.zeros((K1, 2 * n + 1, 2 * n + 1))
-        self.F[:, :n] = _affine(K1, I + dt * Acl, dt * (B @ dTh), dt * dconst)
-        self.F[:, n:-1] = _affine(K1, O, I + dt * Atp, np.zeros(n))
-        self.F[:, -1, -1] = 1.0
-        self.G = np.zeros_like(self.F)
-        self.G[:, :n] = _affine(K1, Ccl, D @ dTh, c0)
-        self.G[:, n:-1] = _affine(K1, O, Ctp, sig)
+    # feedback-form adjoints: Y = P_T (Xt - m) + Pi_T m + phiHat + lam,
+    # Z = P_T (Ccl Xt + c0 + sigma*), against Y* = P Xs + lam and
+    # Z* = P (Ctp Xs + sigma*); the Xs and constant parts of the
+    # differences are formed from P_T - P and Theta_T - Theta, which
+    # vanish mid-horizon, so they carry no cancellation error
+    PC = P_t @ Ccl
+    dP = P_t - are.P
+    Yc = np.einsum("kij,kj->ki", Pi_t - P_t, m_t) + path.phiHat_of_t
+    maps = {
+        "X_opt": _affine(K1, I, I, x_star),
+        "u_opt": _affine(K1, Th, Th, uconst + u_star),
+        "X_tp": _affine(K1, O, I, x_star),
+        "u_tp": _affine(K1, np.zeros((m, n)), are.Theta, u_star),
+        "gap_X": _affine(K1, I, O, np.zeros(n)),
+        "gap_u": _affine(K1, Th, dTh, uconst),
+        "gap_Y": _affine(K1, P_t, dP, Yc),
+        "gap_Z": _affine(K1, PC, dP @ Ccl + are.P @ D @ dTh,
+                         np.einsum("kij,kj->ki", P_t, c0) + dP @ sig),
+    }
+    snap = np.concatenate(
+        [maps[name] for name in ("X_opt", "u_opt", "X_tp", "u_tp")], axis=1)
 
-        # feedback-form adjoints: Y = P_T (Xt - m) + Pi_T m + phiHat + lam,
-        # Z = P_T (Ccl Xt + c0 + sigma*), against Y* = P Xs + lam and
-        # Z* = P (Ctp Xs + sigma*); the Xs and constant parts of the
-        # differences are formed from P_T - P and Theta_T - Theta, which
-        # vanish mid-horizon, so they carry no cancellation error
-        PC = P_t @ Ccl
-        dP = P_t - are.P
-        Yc = np.einsum("kij,kj->ki", Pi_t - P_t, m_t) + path.phiHat_of_t
-        self.maps = {
-            "X_opt": _affine(K1, I, I, x_star),
-            "u_opt": _affine(K1, Th, Th, uconst + u_star),
-            "X_tp": _affine(K1, O, I, x_star),
-            "u_tp": _affine(K1, np.zeros((m, n)), are.Theta, u_star),
-            "gap_X": _affine(K1, I, O, np.zeros(n)),
-            "gap_u": _affine(K1, Th, dTh, uconst),
-            "gap_Y": _affine(K1, P_t, dP, Yc),
-            "gap_Z": _affine(K1, PC, dP @ Ccl + are.P @ D @ dTh,
-                             np.einsum("kij,kj->ki", P_t, c0) + dP @ sig),
-        }
-        self.snap = np.concatenate(
-            [self.maps[name] for name in ("X_opt", "u_opt", "X_tp", "u_tp")],
-            axis=1)
-
-        w = np.full(K1, dt)
-        w[0] = w[-1] = 0.5 * dt
-        Mq = np.block([[problem.Q, problem.S.T], [problem.S, problem.R]])
-        lq = np.concatenate([problem.q, problem.r])
-        W = []
-        for side in ("opt", "tp"):
-            G = np.concatenate([self.maps["X_" + side],
-                                self.maps["u_" + side]], axis=1)
-            Ws = G.mT @ Mq @ G
-            lin = lq @ G
-            Ws[:, -1, :] += lin
-            Ws[:, :, -1] += lin
-            W.append(Ws)
-        # (K+1, 2, r, r): one matrix per ensemble, trapezoid weights folded in
-        self.cost_W = w[:, None, None, None] * np.stack(W, axis=1)
+    w = np.full(K1, dt)
+    w[0] = w[-1] = 0.5 * dt
+    Mq = np.block([[problem.Q, problem.S.T], [problem.S, problem.R]])
+    lq = np.concatenate([problem.q, problem.r])
+    Gc = snap[:, :n + m]                                 # optimal (X, u) rows
+    W = Gc.mT @ Mq @ Gc
+    lin = lq @ Gc
+    W[:, -1, :] += lin
+    W[:, :, -1] += lin
+    return ClosedLoop(m_t=m_t, F=F, G=G, maps=maps, snap=snap,
+                      cost_W=w[:, None, None] * W)
 
 
 def _node_series(G, S):
@@ -333,11 +348,11 @@ def _mean_cost_series(problem, mean_X, mean_u):
 class _ChunkAcc:
     """Accumulators for one chunk of L paths: the per-node path sums
     S (K+1, r, r) of v v' for the homogeneous state v of r = 2n + 1 rows
-    and the per-path costs of both ensembles (2, L)."""
+    and the per-path optimal costs (L,)."""
 
     def __init__(self, K, r, L):
         self.S = np.empty((K + 1, r, r))
-        self.cost = np.zeros((2, L))
+        self.cost = np.zeros(L)
 
 
 def _check_finite(X, finite, chunk_lo, step):
@@ -355,8 +370,8 @@ def _run_chunk(cl, config, chunk_idx, lo, hi, snaps, snap_idx,
     """Simulate paths [lo, hi) of both ensembles through all steps,
     writing their snapshots into the columns lo:hi of `snaps`.
 
-    Per node: the path sums S of v v', one quadratic form per ensemble
-    for the cost and, on the snapshot nodes, the snapshot rows; then one
+    Per node: the path sums S of v v', one quadratic form for the
+    optimal cost and, on the snapshot nodes, the snapshot rows; then one
     Euler step v <- F v + (G v) dW.  Every (., L) buffer is allocated
     once, before the loop, and written in place.  Returns the chunk's
     accumulators.
@@ -368,15 +383,15 @@ def _run_chunk(cl, config, chunk_idx, lo, hi, snaps, snap_idx,
     acc = _ChunkAcc(K, r, L)
     own_snaps = snaps[:, :, lo:hi]
     v = np.zeros((r, L))
-    v[:r // 2] = cl.m0[:, None]        # Xt - Xs starts at x0 - x*, Xs at 0
+    v[:r // 2] = cl.m_t[0][:, None]    # Xt - Xs starts at x0 - x*, Xs at 0
     v[-1] = 1.0
     v_next = np.empty((r, L))
     # numpy sends v @ v.T to BLAS syrk, which OpenBLAS runs three to six
     # times slower than gemm when r is small against L; between steps the
     # noise buffer holds a copy of v, and v times that copy is a gemm
     noise = v.copy()
-    q = np.empty((2, r, L))
-    q_sum = np.empty((2, L))
+    q = np.empty((r, L))
+    q_sum = np.empty(L)
     finite = np.empty((r, L), dtype=bool)
     snap_pos = {k: i for i, k in enumerate(snap_idx)}
 
@@ -384,7 +399,7 @@ def _run_chunk(cl, config, chunk_idx, lo, hi, snaps, snap_idx,
         np.matmul(v, noise.T, out=acc.S[k])
         np.matmul(cl.cost_W[k], v, out=q)
         q *= v
-        acc.cost += np.sum(q, axis=1, out=q_sum)
+        acc.cost += np.sum(q, axis=0, out=q_sum)
         snap = snap_pos.get(k)
         if snap is not None:
             np.matmul(cl.snap[k], v, out=own_snaps[snap])
@@ -423,27 +438,10 @@ def _chunk_length(n, m):
                       BLAS_SERIAL_MNK // max(r * r, 2 * (n + m) * r)))
 
 
-def _ensemble(problem, cl, mesh, side, S, cost_paths, **gaps):
-    """EnsembleStats of one ensemble from the combined path sums and its
-    per-path costs."""
-    N = len(cost_paths)
-    sum_X, sq_X = _node_series(cl.maps["X_" + side], S)
-    sum_u, sq_u = _node_series(cl.maps["u_" + side], S)
-    mean_X, mean_u = sum_X / N, sum_u / N
-    mean_part = np.trapezoid(_mean_cost_series(problem, mean_X, mean_u), mesh)
-    cost_paths = cost_paths + mean_part
-    cost = float(np.mean(cost_paths))
-    stderr = (float(np.std(cost_paths, ddof=1)) / math.sqrt(N)
-              if N > 1 else 0.0)
-    return EnsembleStats(mesh=mesh, mean_X=mean_X, mean_u=mean_u,
-                         second_moment_X=sq_X / N, second_moment_u=sq_u / N,
-                         cost_estimate=cost, cost_stderr=stderr, **gaps)
-
-
 def run_coupled(feedback: Feedback, x0, config: SimulationConfig,
                 increments=None) -> CoupledResult:
     """Lockstep simulation of both ensembles with shared increments, on
-    the horizon config.T cut from the feedback's march.
+    the closed loop of horizon config.T (`closed_loop`).
 
     Gap series (state, control, and reconstructed adjoints) are computed
     at full time resolution: the chunks' path sums of v = (Xt - Xs, Xs)
@@ -454,14 +452,8 @@ def run_coupled(feedback: Feedback, x0, config: SimulationConfig,
     of the generated ones.
     """
     problem = feedback.problem
-    path = feedback.path(config.T)
-    K = len(path.mesh) - 1
-    if K != config.n_steps:
-        raise ValueError(f"simulation step dt={config.dt} does not match "
-                         f"the Riccati march step {path.T / K}")
-    x0 = np.asarray(x0, dtype=float).reshape(problem.n)
-    m_t = propagate_mean(problem, path, x0, feedback.static.x_star)
-    cl = _ClosedLoop(feedback, path, m_t, config.dt)
+    cl = closed_loop(feedback, x0, config.T, config.dt)
+    K = config.n_steps
     N = config.n_paths
     snap_idx = _snapshot_indices(K)
     chunk = _chunk_length(problem.n, problem.m)
@@ -481,18 +473,25 @@ def run_coupled(feedback: Feedback, x0, config: SimulationConfig,
 
     mesh = np.linspace(0.0, config.T, K + 1)
     S = sum(a.S for a in accs)
-    cost = np.concatenate([a.cost for a in accs], axis=1)
-    gaps = {name: _node_series(cl.maps[name], S)[1] / N
-            for name in ("gap_X", "gap_u", "gap_Y", "gap_Z")}
-    opt_stats = _ensemble(problem, cl, mesh, "opt", S, cost[0], **gaps)
-    tp_stats = _ensemble(problem, cl, mesh, "tp", S, cost[1])
+    sum_X, sq_X = _node_series(cl.maps["X_opt"], S)
+    sum_u, sq_u = _node_series(cl.maps["u_opt"], S)
+    mean_X, mean_u = sum_X / N, sum_u / N
+    cost = (np.concatenate([a.cost for a in accs])
+            + np.trapezoid(_mean_cost_series(problem, mean_X, mean_u), mesh))
+    stderr = float(np.std(cost, ddof=1)) / math.sqrt(N) if N > 1 else 0.0
+    optimal = EnsembleStats(
+        mesh=mesh, mean_X=mean_X, mean_u=mean_u,
+        second_moment_X=sq_X / N, second_moment_u=sq_u / N,
+        cost_estimate=float(np.mean(cost)), cost_stderr=stderr,
+        **{name: _node_series(cl.maps[name], S)[1] / N
+           for name in ("gap_X", "gap_u", "gap_Y", "gap_Z")})
     n, m = problem.n, problem.m
     raw_opt, raw_tp = (
         RawPaths(mesh=mesh[snap_idx], indices=snap_idx,
                  X=snaps[:, lo:lo + n], u=snaps[:, lo + n:lo + n + m])
         for lo in (0, n + m))
-    return CoupledResult(optimal=opt_stats, turnpike=tp_stats,
-                         raw_optimal=raw_opt, raw_turnpike=raw_tp)
+    return CoupledResult(optimal=optimal, raw_optimal=raw_opt,
+                         raw_turnpike=raw_tp)
 
 
 def write_ensemble_csv(stats: EnsembleStats, fh, header_comments=()) -> None:
@@ -504,10 +503,8 @@ def write_ensemble_csv(stats: EnsembleStats, fh, header_comments=()) -> None:
     series = [stats.mesh] + [stats.mean_X[:, i] for i in range(n)] \
         + [stats.second_moment_X, stats.second_moment_u]
     for name in ("gap_X", "gap_u", "gap_Y", "gap_Z"):
-        val = getattr(stats, name)
-        if val is not None:
-            header.append(name.replace("_", ""))
-            series.append(val)
+        header.append(name.replace("_", ""))
+        series.append(getattr(stats, name))
     fh.write(",".join(header) + "\n")
     for row in zip(*series):
         fh.write(",".join(repr(float(v)) for v in row) + "\n")

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import NumericalFailure
 from .model import ProblemData, assemble_hats
 
-__all__ = ["StaticSolution", "evaluate_F", "solve_static", "kkt_residual"]
+__all__ = ["StaticSolution", "evaluate_F", "solve_static"]
 
 KKT_RCOND_TOL = 1e-14
 KKT_RESIDUAL_TOL = 1e-10
@@ -97,17 +97,3 @@ def solve_static(problem: ProblemData, P: np.ndarray) -> StaticSolution:
         sigma_star=h.Chat @ x + h.Dhat @ u + problem.sigma,
     )
 
-
-def kkt_residual(problem: ProblemData, P: np.ndarray,
-                 solution: StaticSolution):
-    """Max-abs residuals (feasibility, stationarity-x, stationarity-u)."""
-    h = assemble_hats(problem)
-    P = np.asarray(P, dtype=float)
-    x, u, lam = solution.x_star, solution.u_star, solution.lambda_star
-    w = P @ (h.Chat @ x + h.Dhat @ u + problem.sigma)
-    feas = h.Ahat @ x + h.Bhat @ u + problem.b
-    stat_x = h.Ahat.T @ lam + h.Qhat @ x + h.Chat.T @ w + h.Shat.T @ u + problem.q
-    stat_u = h.Bhat.T @ lam + h.Rhat @ u + h.Dhat.T @ w + h.Shat @ x + problem.r
-    return (float(np.max(np.abs(feas), initial=0.0)),
-            float(np.max(np.abs(stat_x), initial=0.0)),
-            float(np.max(np.abs(stat_u), initial=0.0)))

@@ -20,11 +20,8 @@ from mflq import (
     convergence_profile,
     evaluate_F,
     fit_turnpike_decay,
-    horizon_monotonicity_check,
     integrate_finite_horizon,
-    kkt_residual,
     lemma_suite,
-    normalize_cross_terms,
     make_problem,
     run_coupled,
     solve_are,
@@ -33,6 +30,12 @@ from mflq import (
 )
 from mflq.analysis import value_convergence
 from mflq.cli import main as cli_main
+
+from paper_checks import (
+    horizon_monotonicity_check,
+    kkt_residual,
+    normalize_cross_terms,
+)
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)

@@ -8,7 +8,6 @@ from mflq import (
     check_mean_system_stabilizability,
     check_ms_stability,
     make_problem,
-    normalize_cross_terms,
     problem_from_dict,
     validate_assumption_a1,
 )
@@ -18,6 +17,8 @@ from mflq.model import (
     hat_coefficient_maps,
     require_a1,
 )
+
+from paper_checks import normalize_cross_terms
 
 
 def test_dimensions_positive():

@@ -16,10 +16,8 @@ from mflq import (
     NumericalFailure,
     assemble_hats,
     convergence_profile,
-    horizon_monotonicity_check,
     integrate_finite_horizon,
     make_problem,
-    normalize_cross_terms,
     propagate_mean,
     solve_are,
     solve_feedback,
@@ -30,6 +28,7 @@ from mflq.model import _maps, coefficient_maps, hat_coefficient_maps
 from mflq.riccati import write_convergence_csv
 
 from conftest import small_problems
+from paper_checks import horizon_monotonicity_check, normalize_cross_terms
 
 SQRT2 = math.sqrt(2.0)
 
@@ -157,6 +156,18 @@ def test_are_slow_open_loop_unstable_root_in_bounded_time():
 @given(st.floats(-1e-3, 1e-3), st.floats(-8.0, -3.0))
 def test_are_slow_scalar_family_matches_closed_form(A, log10_Q):
     _assert_scalar_closed_form(A, 10.0 ** log10_Q)
+
+
+@pytest.mark.parametrize("A", [-1e-3, 1e-3, 0.1, 1.0, 10.0])
+@pytest.mark.parametrize("Q", [1e6, 1e8])
+def test_are_large_weight_scalar_matches_closed_form(A, Q):
+    # |P| near 10^3 to 10^4: a residual's rounding floor is eps |P|^2,
+    # far above an absolute 1e-10, so the Newton tolerances are relative
+    p = make_problem(1, 1, A=[[A]], B=[[1.0]], Q=[[Q]], R=[[1.0]])
+    are = solve_are(p)
+    root = A + math.sqrt(A * A + Q)
+    assert abs(are.P[0, 0] - root) <= 1e-12 * root
+    assert abs(are.Pi[0, 0] - root) <= 1e-12 * root
 
 
 @pytest.mark.parametrize("a", [1.0, 0.0])

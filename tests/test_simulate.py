@@ -24,6 +24,7 @@ from mflq import (
     solve_static,
     validate_assumption_a1,
 )
+from mflq import simulate
 from mflq.simulate import (
     BLAS_SERIAL_MNK,
     PATH_CHUNK,
@@ -143,9 +144,7 @@ def test_worker_count_does_not_change_results_in_short_chunks():
                  "second_moment_X"):
         assert np.array_equal(getattr(r1.optimal, name),
                               getattr(r2.optimal, name))
-    for side in ("optimal", "turnpike"):
-        assert (getattr(r1, side).cost_estimate
-                == getattr(r2, side).cost_estimate)
+    assert r1.optimal.cost_estimate == r2.optimal.cost_estimate
     for side in ("raw_optimal", "raw_turnpike"):
         for name in ("X", "u"):
             assert np.array_equal(getattr(getattr(r1, side), name),
@@ -260,18 +259,21 @@ def test_optimal_mean_tracks_turnpike(sp2):
 def test_turnpike_without_noise_sits_at_steady_state(spmf_b):
     fb = solve_feedback(spmf_b, 2.0, 200)
     cfg = SimulationConfig(T=2.0, dt=0.01, n_paths=20, seed=2)
-    res = run_coupled(fb, [1.5], cfg)
-    assert np.max(np.abs(res.turnpike.mean_X - fb.static.x_star)) < 1e-12
-    assert np.max(np.abs(res.raw_turnpike.u - fb.static.u_star[0])) < 1e-12
+    raw = run_coupled(fb, [1.5], cfg).raw_turnpike
+    # every turnpike path, not only their mean, stays at (x*, u*)
+    assert np.max(np.abs(raw.X - fb.static.x_star[0])) < 1e-12
+    assert np.max(np.abs(raw.u - fb.static.u_star[0])) < 1e-12
 
 
 def test_turnpike_stationary_variance(sp2):
     fb = solve_feedback(sp2, 10.0, 1000)
     cfg = SimulationConfig(T=10.0, dt=0.01, n_paths=8000, seed=12)
-    stats = run_coupled(fb, [1.5], cfg).turnpike
-    # E|X*|^2 around x*^2 + sigma*^2/(2 sqrt 2) at stationarity
+    raw = run_coupled(fb, [1.5], cfg).raw_turnpike
+    # E|X*|^2 around x*^2 + sigma*^2/(2 sqrt 2) at stationarity, read
+    # off the last snapshot node, t = T
+    assert raw.indices[-1] == cfg.n_steps
     target = 0.25 + 0.25 / (2.0 * SQRT2)
-    assert stats.second_moment_X[-1] == pytest.approx(target, rel=0.1)
+    assert np.mean(raw.X[-1] ** 2) == pytest.approx(target, rel=0.1)
 
 
 def test_coupled_matches_separate_runs_exactly(sp2):
@@ -345,11 +347,29 @@ def test_weak_euler_order(sp2):
         fb = solve_feedback(sp2, T, K)
         inc = fine.reshape(K, K_fine // K, N).sum(axis=1)
         cfg = SimulationConfig(T=T, dt=dt, n_paths=N, seed=7)
-        res = run_coupled(fb, [1.5], cfg, increments=inc)
-        vals.append(res.turnpike.second_moment_X[K // 2])
+        raw = run_coupled(fb, [1.5], cfg, increments=inc).raw_turnpike
+        # K // 2 is a snapshot node for K = 100, 200 and 400
+        i = int(np.searchsorted(raw.indices, K // 2))
+        assert raw.indices[i] == K // 2
+        vals.append(np.mean(np.sum(raw.X[i] ** 2, axis=0)))
     d1 = abs(vals[0] - vals[1])
     d2 = abs(vals[1] - vals[2])
     assert math.log2(d1 / d2) >= 0.8
+
+
+def test_run_coupled_calls_propagate_mean_once_through_module(sp2,
+                                                              monkeypatch):
+    # a wrapper set on the module attribute, as a tracer sets it, sees
+    # the run's one mean propagation
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return propagate_mean(*args, **kwargs)
+    monkeypatch.setattr(simulate, "propagate_mean", counted)
+    fb = solve_feedback(sp2, 1.0, 100)
+    run_coupled(fb, [1.5], SimulationConfig(T=1.0, dt=0.01, n_paths=10))
+    assert len(calls) == 1
 
 
 def test_mesh_mismatch_rejected(sp2):
@@ -415,9 +435,6 @@ def test_ensemble_csv_format(sp2):
     assert lines[0] == "# digest: x"
     assert lines[1] == "t,meanX0,m2X,m2u,gapX,gapu,gapY,gapZ"
     assert len(lines) == 2 + cfg.n_steps + 1
-    buf = io.StringIO()
-    write_ensemble_csv(res.turnpike, buf)
-    assert buf.getvalue().splitlines()[0] == "t,meanX0,m2X,m2u"
 
 
 def test_first_node_gaps_are_exact():
@@ -446,9 +463,10 @@ def test_first_node_gaps_are_exact():
 
 def _reference_coupled(fb, x0, cfg, inc):
     """Every series of run_coupled, evaluated path by path: the closed
-    loop's per-node formulas for u, Y and Z, the four gaps, the per-path
-    running cost and the plain sums over paths, driven by the Brownian
-    increments inc of shape (n_steps, n_paths)."""
+    loop's per-node formulas for u, Y and Z, the four gaps against the
+    turnpike paths, the optimal per-path running cost, the plain sums
+    over paths and the snapshots of both ensembles, driven by the
+    Brownian increments inc of shape (n_steps, n_paths)."""
     p, are, static = fb.problem, fb.are, fb.static
     path = fb.path(cfg.T)
     h = assemble_hats(p)
@@ -460,10 +478,10 @@ def _reference_coupled(fb, x0, cfg, inc):
     Atp, Ctp = p.A + p.B @ are.Theta, p.C + p.D @ are.Theta
     Xt = np.tile(m_t[0][:, None], (1, N))
     Xs = np.zeros((p.n, N))
-    names = ("mean_X", "mean_u", "second_moment_X", "second_moment_u")
-    out = {(side, name): [] for side in ("opt", "tp") for name in names}
+    out = {name: [] for name in ("mean_X", "mean_u", "second_moment_X",
+                                 "second_moment_u")}
     gaps = {name: [] for name in ("gap_X", "gap_u", "gap_Y", "gap_Z")}
-    cost = {"opt": np.zeros(N), "tp": np.zeros(N)}
+    cost = np.zeros(N)
     snaps = {"opt": [], "tp": []}
     snap_idx = set(_snapshot_indices(K).tolist())
     for k in range(K + 1):
@@ -475,18 +493,18 @@ def _reference_coupled(fb, x0, cfg, inc):
         X = {"opt": Xt + x_star, "tp": Xs + x_star}
         u = {"opt": u_sh + u_star, "tp": are.Theta @ Xs + u_star}
         w = dt if 0 < k < K else 0.5 * dt
-        for side in ("opt", "tp"):
-            Xp, up = X[side], u[side]
-            out[side, "mean_X"].append(Xp.sum(axis=1) / N)
-            out[side, "mean_u"].append(up.sum(axis=1) / N)
-            out[side, "second_moment_X"].append(np.sum(Xp * Xp) / N)
-            out[side, "second_moment_u"].append(np.sum(up * up) / N)
-            cost[side] += w * (np.einsum("ip,ij,jp->p", Xp, p.Q, Xp)
-                               + 2.0 * np.einsum("mp,mj,jp->p", up, p.S, Xp)
-                               + np.einsum("mp,mj,jp->p", up, p.R, up)
-                               + 2.0 * (p.q @ Xp) + 2.0 * (p.r @ up))
-            if k in snap_idx:
-                snaps[side].append((Xp, up))
+        Xp, up = X["opt"], u["opt"]
+        out["mean_X"].append(Xp.sum(axis=1) / N)
+        out["mean_u"].append(up.sum(axis=1) / N)
+        out["second_moment_X"].append(np.sum(Xp * Xp) / N)
+        out["second_moment_u"].append(np.sum(up * up) / N)
+        cost += w * (np.einsum("ip,ij,jp->p", Xp, p.Q, Xp)
+                     + 2.0 * np.einsum("mp,mj,jp->p", up, p.S, Xp)
+                     + np.einsum("mp,mj,jp->p", up, p.R, up)
+                     + 2.0 * (p.q @ Xp) + 2.0 * (p.r @ up))
+        if k in snap_idx:
+            for side in ("opt", "tp"):
+                snaps[side].append((X[side], u[side]))
         Y = Pk @ (Xt - mk[:, None]) + (path.Pi_of_t[k] @ mk
                                        + path.phiHat_of_t[k] + lam)[:, None]
         Z = Pk @ (Ccl @ Xt + cconst[:, None])
@@ -502,14 +520,13 @@ def _reference_coupled(fb, x0, cfg, inc):
               + (Ccl @ Xt + cconst[:, None]) * dW)
         Xs = Xs + dt * (Atp @ Xs) + (Ctp @ Xs + sig[:, None]) * dW
     series = {key: np.array(val) for key, val in out.items()}
-    for side in ("opt", "tp"):
-        mX, mu = series[side, "mean_X"], series[side, "mean_u"]
-        mean_cost = (np.einsum("ki,ij,kj->k", mX, p.Qbar, mX)
-                     + 2.0 * np.einsum("km,mj,kj->k", mu, p.Sbar, mX)
-                     + np.einsum("km,mj,kj->k", mu, p.Rbar, mu))
-        paths = cost[side] + np.trapezoid(mean_cost, path.mesh)
-        series[side, "cost_estimate"] = np.mean(paths)
-        series[side, "cost_stderr"] = np.std(paths, ddof=1) / math.sqrt(N)
+    mX, mu = series["mean_X"], series["mean_u"]
+    mean_cost = (np.einsum("ki,ij,kj->k", mX, p.Qbar, mX)
+                 + 2.0 * np.einsum("km,mj,kj->k", mu, p.Sbar, mX)
+                 + np.einsum("km,mj,kj->k", mu, p.Rbar, mu))
+    paths = cost + np.trapezoid(mean_cost, path.mesh)
+    series["cost_estimate"] = np.mean(paths)
+    series["cost_stderr"] = np.std(paths, ddof=1) / math.sqrt(N)
     return series, {k: np.array(v) for k, v in gaps.items()}, snaps
 
 
@@ -534,9 +551,9 @@ def test_engine_matches_per_path_reference(case):
         got = getattr(res.optimal, name)
         assert np.all(want > 0.0)
         assert np.max(np.abs(got - want) / want) <= 1e-8, name
-    for (side, name), want in series.items():
-        got = getattr(res.optimal if side == "opt" else res.turnpike, name)
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-12), (side, name)
+    for name, want in series.items():
+        got = getattr(res.optimal, name)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12), name
     for side, raw in (("opt", res.raw_optimal), ("tp", res.raw_turnpike)):
         want_X = np.array([X for X, _ in snaps[side]])
         want_u = np.array([u for _, u in snaps[side]])
@@ -565,8 +582,6 @@ def test_worker_count_never_changes_results(drawn):
     for name in ("gap_X", "gap_u", "gap_Y", "gap_Z"):
         assert np.array_equal(getattr(one.optimal, name),
                               getattr(two.optimal, name))
-    for side in ("optimal", "turnpike"):
-        for name in ("cost_estimate", "cost_stderr"):
-            assert (getattr(getattr(one, side), name)
-                    == getattr(getattr(two, side), name))
+    for name in ("cost_estimate", "cost_stderr"):
+        assert getattr(one.optimal, name) == getattr(two.optimal, name)
     assert np.array_equal(one.raw_turnpike.X, two.raw_turnpike.X)

@@ -12,7 +12,6 @@ from mflq import (
     NumericalFailure,
     assemble_hats,
     evaluate_F,
-    kkt_residual,
     make_problem,
     solve_are,
     solve_static,
@@ -20,6 +19,7 @@ from mflq import (
 )
 
 from conftest import random_problem
+from paper_checks import kkt_residual
 
 SQRT2 = math.sqrt(2.0)
 
