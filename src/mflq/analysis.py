@@ -4,7 +4,7 @@ convergence, matrix-inequality spot checks, and composite reports."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass, fields, replace as dc_replace
 
 import numpy as np
 
@@ -17,6 +17,7 @@ __all__ = [
     "fit_turnpike_decay",
     "integral_turnpike",
     "value_convergence",
+    "record",
     "matrix_contraction_check",
     "block_psd_check",
     "lemma_suite",
@@ -26,13 +27,13 @@ __all__ = [
 LOG_FLOOR = 1e-14
 PSD_CHECK_TOL = 1e-10
 MIN_WINDOW_NODES = 5
+LEMMA_MAX_SIZE = 6
 
 TOLERANCES = {
     "symmetry": model.SYMMETRY_TOL,
     "positive_definite": riccati.PD_TOL,
     "are_residual": riccati.RESIDUAL_TOL,
     "are_stationarity": riccati.NEWTON_TOL,
-    "psd_order": riccati.PSD_ORDER_TOL,
     "kkt_residual": static_opt.KKT_RESIDUAL_TOL,
     "kkt_rcond": static_opt.KKT_RCOND_TOL,
     "log_floor": LOG_FLOOR,
@@ -55,6 +56,14 @@ class ValueRow:
     V: float
     difference: float
     avg_gap: float
+
+
+def record(obj) -> dict:
+    """A result record (ArePair, StaticSolution, ValueRow) as its JSON
+    object: one entry per field, arrays as nested lists."""
+    values = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in values.items()}
 
 
 def _log_linear(x, g, window):
@@ -129,22 +138,26 @@ def value_convergence(problem: ProblemData, x0, horizons,
     horizons = [float(T) for T in horizons]
     longest = dc_replace(config, T=max(horizons))
     feedback = riccati.solve_feedback(problem, longest.T, longest.n_steps)
-    V = feedback.static.V
     rows = []
     for T in horizons:
         res = simulate.run_coupled(feedback, x0, dc_replace(config, T=T))
-        gap = res.optimal.gap_X + res.optimal.gap_u
-        rows.append(ValueRow(
-            T=T,
-            estimate_over_T=res.optimal.cost_estimate / T,
-            stderr_over_T=res.optimal.cost_stderr / T,
-            V=V,
-            difference=res.optimal.cost_estimate / T - V,
-            avg_gap=integral_turnpike(gap, T, res.optimal.mesh),
-        ))
+        rows.append(_value_row(T, res.optimal, feedback.static.V))
         # release this horizon's ensembles before the next run
         del res
     return rows
+
+
+def _value_row(T, stats: simulate.EnsembleStats, V: float) -> ValueRow:
+    """The optimal ensemble's average cost over [0, T] against the
+    static value V, and its time-averaged gap to the turnpike."""
+    return ValueRow(
+        T=T,
+        estimate_over_T=stats.cost_estimate / T,
+        stderr_over_T=stats.cost_stderr / T,
+        V=V,
+        difference=stats.cost_estimate / T - V,
+        avg_gap=integral_turnpike(stats.gap_X + stats.gap_u, T, stats.mesh),
+    )
 
 
 def matrix_contraction_check(M: np.ndarray, K: np.ndarray):
@@ -185,22 +198,23 @@ def block_psd_check(hats: HatCoefficients, Delta: np.ndarray):
     return holds, low
 
 
-def lemma_suite(trials: int = 1000, seed: int = 42, max_size: int = 6):
-    """Randomized trials of both matrix lemmas; returns pass counts."""
+def lemma_suite(trials: int = 1000, seed: int = 42):
+    """Randomized trials of both matrix lemmas, on blocks of 1 to
+    LEMMA_MAX_SIZE rows and columns; returns pass counts."""
     rng = np.random.default_rng(seed)
     contraction_pass = 0
     block_pass = 0
     for _ in range(trials):
-        n = int(rng.integers(1, max_size + 1))
-        m = int(rng.integers(1, max_size + 1))
+        n = int(rng.integers(1, LEMMA_MAX_SIZE + 1))
+        m = int(rng.integers(1, LEMMA_MAX_SIZE + 1))
         M = rng.standard_normal((n, m))
         L = rng.standard_normal((m, m))
         K = L.T @ L + 1e-6 * np.eye(m)
         ok, _ = matrix_contraction_check(M, K)
         contraction_pass += ok
     for _ in range(trials):
-        n = int(rng.integers(1, max_size + 1))
-        m = int(rng.integers(1, max_size + 1))
+        n = int(rng.integers(1, LEMMA_MAX_SIZE + 1))
+        m = int(rng.integers(1, LEMMA_MAX_SIZE + 1))
         GQ = rng.standard_normal((n, n))
         GR = rng.standard_normal((m, m))
         hats = HatCoefficients(
@@ -259,6 +273,9 @@ def turnpike_pipeline(problem: ProblemData, x0, T: float,
         }
     idx = res.raw_optimal.indices
     mid = len(stats.mesh) // 2
+    value = record(_value_row(T, stats, static.V))
+    del value["T"]
+    avg_gap = value.pop("avg_gap")
     report = {
         "schema": 3,
         "horizon": float(T),
@@ -267,23 +284,12 @@ def turnpike_pipeline(problem: ProblemData, x0, T: float,
         "config": {"T": cfg.T, "dt": cfg.dt, "n_paths": cfg.n_paths,
                    "seed": cfg.seed},
         "riccati": {
-            "residual_P": are.residual_P,
-            "residual_Pi": are.residual_Pi,
-            "P": are.P.tolist(),
-            "Pi": are.Pi.tolist(),
-            "Theta": are.Theta.tolist(),
-            "ThetaHat": are.ThetaHat.tolist(),
+            **record(are),
             "profile_t": _thin(profile[:, 0], idx),
             "profile_err_P": _thin(profile[:, 1], idx),
             "profile_err_Pi": _thin(profile[:, 2], idx),
         },
-        "static": {
-            "x_star": static.x_star.tolist(),
-            "u_star": static.u_star.tolist(),
-            "lambda_star": static.lambda_star.tolist(),
-            "sigma_star": static.sigma_star.tolist(),
-            "V": static.V,
-        },
+        "static": record(static),
         "gaps": {
             "t": _thin(stats.mesh, idx),
             "gap_X": _thin(stats.gap_X, idx),
@@ -292,14 +298,9 @@ def turnpike_pipeline(problem: ProblemData, x0, T: float,
             "gap_Z": _thin(stats.gap_Z, idx),
             "midpoint_gap": float(gap[mid]),
             "midpoint_adjoint_gap": float(adjoint_gap[mid]),
-            "avg_gap": integral_turnpike(gap, T, stats.mesh),
+            "avg_gap": avg_gap,
             "decay_fits": fits,
         },
-        "value": {
-            "estimate_over_T": stats.cost_estimate / T,
-            "stderr_over_T": stats.cost_stderr / T,
-            "V": static.V,
-            "difference": stats.cost_estimate / T - static.V,
-        },
+        "value": value,
     }
     return report, res

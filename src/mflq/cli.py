@@ -29,14 +29,14 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import analysis, riccati, simulate, static_opt
 from .errors import AssumptionViolation, MflqError, NumericalFailure
 from .model import (ProblemData, json_integer, json_number, problem_from_dict,
-                    validate_assumption_a1)
+                    require_a1)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -123,10 +123,7 @@ def load_config(path, command: str = "turnpike",
         problem = problem_from_dict(doc["problem"])
     except ValueError as exc:
         raise ValueError(f"problem: {exc}") from exc
-    report = validate_assumption_a1(problem)
-    if not report.passed:
-        raise AssumptionViolation(
-            "A1 violated: " + ", ".join(report.failures))
+    require_a1(problem)
     T = doc.get("T")
     horizons = doc.get("horizons")
     marched = _MARCHES.get(command)
@@ -216,6 +213,17 @@ def _artifact_header(config):
             "tolerances: " + json.dumps(analysis.TOLERANCES, sort_keys=True)]
 
 
+def _write_csv(config, path, header, rows):
+    """Write a CSV artifact: the two `# ` header comments, the column
+    names, then one line of plain floats per row."""
+    with open(path, "w") as fh:
+        for line in _artifact_header(config):
+            fh.write(f"# {line}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+
+
 def _write_json_artifact(config, name, payload, outdir):
     payload = dict(payload)
     payload.setdefault("config_digest", config.digest)
@@ -234,24 +242,16 @@ def _publish(config, name, payload, outdir):
 
 def _cmd_are(config, outdir):
     are = riccati.solve_are(config.problem)
-    _publish(config, "are.json", {
-        "schema": 1,
-        "P": are.P.tolist(), "Pi": are.Pi.tolist(),
-        "Theta": are.Theta.tolist(), "ThetaHat": are.ThetaHat.tolist(),
-        "residual_P": are.residual_P, "residual_Pi": are.residual_Pi,
-    }, outdir)
+    _publish(config, "are.json", {"schema": 1, **analysis.record(are)},
+             outdir)
     return EXIT_OK
 
 
 def _cmd_static(config, outdir):
     are = riccati.solve_are(config.problem)
     sol = static_opt.solve_static(config.problem, are.P)
-    _publish(config, "static.json", {
-        "schema": 1,
-        "x_star": sol.x_star.tolist(), "u_star": sol.u_star.tolist(),
-        "lambda_star": sol.lambda_star.tolist(),
-        "sigma_star": sol.sigma_star.tolist(), "V": sol.V,
-    }, outdir)
+    _publish(config, "static.json", {"schema": 1, **analysis.record(sol)},
+             outdir)
     return EXIT_OK
 
 
@@ -260,10 +260,8 @@ def _cmd_riccati_profile(config, outdir):
     path = riccati.integrate_finite_horizon(config.problem, config.sim.T,
                                             steps=config.sim.n_steps)
     profile = riccati.convergence_profile(path, are)
-    with open(outdir / "riccati_profile.csv", "w") as fh:
-        for line in _artifact_header(config):
-            fh.write(f"# {line}\n")
-        riccati.write_convergence_csv(profile, fh)
+    _write_csv(config, outdir / "riccati_profile.csv",
+               ["t", "err_P", "err_Pi"], profile)
     print(f"wrote {outdir / 'riccati_profile.csv'}")
     return EXIT_OK
 
@@ -282,16 +280,12 @@ def _cmd_turnpike(config, outdir):
 def _cmd_value_convergence(config, outdir):
     rows = analysis.value_convergence(config.problem, config.x0,
                                       config.horizons, config.sim)
+    records = [analysis.record(r) for r in rows]
     _publish(config, "value_convergence.json", {
-        "schema": 1, "rows": [asdict(r) for r in rows]}, outdir)
+        "schema": 1, "rows": records}, outdir)
     if outdir is not None:
-        names = [f.name for f in fields(analysis.ValueRow)]
-        with open(outdir / "value_convergence.csv", "w") as fh:
-            for line in _artifact_header(config):
-                fh.write(f"# {line}\n")
-            fh.write(",".join(names) + "\n")
-            for r in rows:
-                fh.write(",".join(repr(getattr(r, k)) for k in names) + "\n")
+        _write_csv(config, outdir / "value_convergence.csv", records[0],
+                   (r.values() for r in records))
     return EXIT_OK
 
 

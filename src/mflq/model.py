@@ -209,7 +209,6 @@ def hat_coefficient_maps(hats: HatCoefficients, P: np.ndarray, Pi: np.ndarray):
 class A1Report:
     passed: bool
     failures: list[str] = field(default_factory=list)
-    min_eigenvalues: dict = field(default_factory=dict)
 
 
 def validate_assumption_a1(problem: ProblemData) -> A1Report:
@@ -221,12 +220,9 @@ def validate_assumption_a1(problem: ProblemData) -> A1Report:
     """
     h = assemble_hats(problem)
     conditions = [("R ≻ 0", problem.R), ("R̂ ≻ 0", h.Rhat)]
-    min_eigs = {}
     failures = []
     for name, M in conditions:
-        lo = float(np.min(np.linalg.eigvalsh(M)))
-        min_eigs[name] = lo
-        if lo <= PD_EIG_TOL:
+        if np.min(np.linalg.eigvalsh(M)) <= PD_EIG_TOL:
             failures.append(name)
     # Schur complements need invertible R blocks
     if not failures:
@@ -236,11 +232,9 @@ def validate_assumption_a1(problem: ProblemData) -> A1Report:
             ("Q − SᵀR⁻¹S ≻ 0", schur),
             ("Q̂ − ŜᵀR̂⁻¹Ŝ ≻ 0", schur_hat),
         ):
-            lo = float(np.min(np.linalg.eigvalsh(0.5 * (M + M.T))))
-            min_eigs[name] = lo
-            if lo <= PD_EIG_TOL:
+            if np.min(np.linalg.eigvalsh(0.5 * (M + M.T))) <= PD_EIG_TOL:
                 failures.append(name)
-    return A1Report(passed=not failures, failures=failures, min_eigenvalues=min_eigs)
+    return A1Report(passed=not failures, failures=failures)
 
 
 def require_a1(problem: ProblemData) -> None:

@@ -43,13 +43,11 @@ __all__ = [
     "integrate_offsets",
     "solve_feedback",
     "convergence_profile",
-    "write_convergence_csv",
 ]
 
 RESIDUAL_TOL = 1e-10
 PD_TOL = 1e-10
 INVERSION_TOL = 1e-12
-PSD_ORDER_TOL = 1e-9
 NEWTON_TOL = 1e-13
 NEWTON_MAX_ITER = 50
 SHIFT_MAX_STEPS = 100
@@ -460,9 +458,3 @@ def convergence_profile(path: RiccatiPath, are: ArePair) -> np.ndarray:
     err_P = np.max(np.abs(path.P_of_t - are.P), axis=(1, 2))
     err_Pi = np.max(np.abs(path.Pi_of_t - are.Pi), axis=(1, 2))
     return np.column_stack([path.mesh, err_P, err_Pi])
-
-
-def write_convergence_csv(profile: np.ndarray, fh) -> None:
-    fh.write("t,err_P,err_Pi\n")
-    for t, e1, e2 in profile:
-        fh.write(f"{float(t)!r},{float(e1)!r},{float(e2)!r}\n")

@@ -365,8 +365,7 @@ def _check_finite(X, finite, chunk_lo, step):
             f"non-finite state at path {path_idx}, step {step}")
 
 
-def _run_chunk(cl, config, chunk_idx, lo, hi, snaps, snap_idx,
-               increments=None):
+def _run_chunk(cl, config, chunk_idx, lo, hi, snaps, snap_idx):
     """Simulate paths [lo, hi) of both ensembles through all steps,
     writing their snapshots into the columns lo:hi of `snaps`.
 
@@ -405,10 +404,7 @@ def _run_chunk(cl, config, chunk_idx, lo, hi, snaps, snap_idx,
             np.matmul(cl.snap[k], v, out=own_snaps[snap])
         if k == K:
             break
-        if increments is not None:
-            dW = increments[k, lo:hi]
-        else:
-            dW = brownian_increments(config.seed, chunk_idx, k, L, dt)
+        dW = brownian_increments(config.seed, chunk_idx, k, L, dt)
         np.matmul(cl.G[k], v, out=noise)
         noise *= dW
         np.matmul(cl.F[k], v, out=v_next)
@@ -438,8 +434,8 @@ def _chunk_length(n, m):
                       BLAS_SERIAL_MNK // max(r * r, 2 * (n + m) * r)))
 
 
-def run_coupled(feedback: Feedback, x0, config: SimulationConfig,
-                increments=None) -> CoupledResult:
+def run_coupled(feedback: Feedback, x0,
+                config: SimulationConfig) -> CoupledResult:
     """Lockstep simulation of both ensembles with shared increments, on
     the closed loop of horizon config.T (`closed_loop`).
 
@@ -447,9 +443,7 @@ def run_coupled(feedback: Feedback, x0, config: SimulationConfig,
     at full time resolution: the chunks' path sums of v = (Xt - Xs, Xs)
     are added in chunk order and every node series follows from them
     (see the module docstring).  Raises ValueError unless config.T is a
-    node of the march and config.dt its step.  `increments`, when given,
-    is a (n_steps, n_paths) array of Brownian increments used in place
-    of the generated ones.
+    node of the march and config.dt its step.
     """
     problem = feedback.problem
     cl = closed_loop(feedback, x0, config.T, config.dt)
@@ -464,7 +458,7 @@ def run_coupled(feedback: Feedback, x0, config: SimulationConfig,
 
     def work(args):
         c, lo, hi = args
-        return _run_chunk(cl, config, c, lo, hi, snaps, snap_idx, increments)
+        return _run_chunk(cl, config, c, lo, hi, snaps, snap_idx)
     if config.workers == 1 or len(ranges) == 1:
         accs = [work(r) for r in ranges]
     else:

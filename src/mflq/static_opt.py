@@ -73,10 +73,14 @@ def _kkt_system(problem: ProblemData, P: np.ndarray):
 
 
 def solve_static(problem: ProblemData, P: np.ndarray) -> StaticSolution:
-    """Solve the KKT system for (x*, u*, lambda*) and fill V, sigma*.
+    """Solve the KKT system M sol = rhs for (x*, u*, lambda*) and fill
+    V, sigma*.
 
     One dense (2n+m)-square solve with partial pivoting; the multiplier
-    is kept as a first-class output.
+    is kept as a first-class output.  Raises NumericalFailure when M's
+    reciprocal condition number is below KKT_RCOND_TOL, or when the
+    solve fails its certificate: max|M sol - rhs| above KKT_RESIDUAL_TOL
+    times max(1, max|M| max|sol| + max|rhs|).
     """
     P = np.asarray(P, dtype=float)
     if P.shape != (problem.n, problem.n):
@@ -86,6 +90,12 @@ def solve_static(problem: ProblemData, P: np.ndarray) -> StaticSolution:
     if sv[0] == 0.0 or sv[-1] / sv[0] < KKT_RCOND_TOL:
         raise NumericalFailure("static problem degenerate (check A1/A2)")
     sol = np.linalg.solve(M, rhs)
+    scale = max(1.0, np.max(np.abs(M)) * np.max(np.abs(sol))
+                + np.max(np.abs(rhs)))
+    residual = np.max(np.abs(M @ sol - rhs))
+    if not residual <= KKT_RESIDUAL_TOL * scale:
+        raise NumericalFailure(f"static problem: KKT residual {residual:.3g} "
+                               f"above KKT_RESIDUAL_TOL * {scale:.3g}")
     n, m = problem.n, problem.m
     x = sol[:n]
     u = sol[n:n + m]

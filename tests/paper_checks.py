@@ -7,7 +7,9 @@ from dataclasses import replace
 import numpy as np
 
 from mflq import AssumptionViolation, assemble_hats, integrate_finite_horizon
-from mflq.riccati import PSD_ORDER_TOL, _sym
+from mflq.riccati import _sym
+
+PSD_ORDER_TOL = 1e-9
 
 
 def horizon_monotonicity_check(problem, horizons, steps_per_unit):

@@ -180,7 +180,7 @@ def test_integral_turnpike_average_decreases(horizon_rows):
 
 def test_lemma_suites():
     t0 = time.monotonic()
-    counts = lemma_suite(trials=1000, seed=42, max_size=6)
+    counts = lemma_suite(trials=1000, seed=42)
     assert counts["contraction_pass"] == 1000
     assert counts["block_psd_pass"] == 1000
     assert time.monotonic() - t0 < 5.0

@@ -1,11 +1,14 @@
 import collections
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from mflq import (
+    ArePair,
     SimulationConfig,
+    StaticSolution,
     assemble_hats,
     block_psd_check,
     fit_turnpike_decay,
@@ -18,6 +21,7 @@ from mflq import model, riccati, static_opt
 from mflq.analysis import (
     LOG_FLOOR,
     TOLERANCES,
+    ValueRow,
     turnpike_pipeline,
     value_convergence,
 )
@@ -29,7 +33,6 @@ def test_tolerances_are_the_module_constants():
         "positive_definite": riccati.PD_TOL,
         "are_residual": riccati.RESIDUAL_TOL,
         "are_stationarity": riccati.NEWTON_TOL,
-        "psd_order": riccati.PSD_ORDER_TOL,
         "kkt_residual": static_opt.KKT_RESIDUAL_TOL,
         "kkt_rcond": static_opt.KKT_RCOND_TOL,
         "log_floor": LOG_FLOOR,
@@ -138,6 +141,19 @@ def test_pipeline_report_sections(sp2):
     # value section consistent with the ensemble cost
     assert report["value"]["estimate_over_T"] == pytest.approx(
         res.optimal.cost_estimate / 4.0)
+
+
+def test_pipeline_report_blocks_are_the_records(sp2):
+    cfg = SimulationConfig(T=2.0, dt=0.01, n_paths=100, seed=4)
+    report, res = turnpike_pipeline(sp2, [1.5], 2.0, cfg)
+    assert set(report["riccati"]) == {f.name for f in fields(ArePair)} | {
+        "profile_t", "profile_err_P", "profile_err_Pi"}
+    assert set(report["static"]) == {f.name for f in fields(StaticSolution)}
+    # one ValueRow: T is the report's horizon, avg_gap sits with the gaps
+    assert set(report["value"]) | {"T", "avg_gap"} == {
+        f.name for f in fields(ValueRow)}
+    assert report["gaps"]["avg_gap"] == integral_turnpike(
+        res.optimal.gap_X + res.optimal.gap_u, 2.0, res.optimal.mesh)
 
 
 def test_pipeline_mean_field_static_section(spmf_b):

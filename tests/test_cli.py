@@ -1,9 +1,10 @@
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
-from mflq import riccati
+from mflq import ArePair, StaticSolution, riccati
 from mflq.cli import load_config, main
 
 SP1 = {"n": 1, "m": 1, "A": [[-1.0]], "B": [[1.0]], "Q": [[1.0]],
@@ -268,6 +269,22 @@ def test_static_command(tmp_path, capsys, monkeypatch):
     assert payload["x_star"] == pytest.approx([0.5])
     assert payload["V"] == pytest.approx(0.5 + 0.25 * (math.sqrt(2) - 1))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("command, name, record", [
+    ("are", "are.json", ArePair), ("static", "static.json", StaticSolution)])
+def test_json_artifact_is_the_record(tmp_path, capsys, command, name,
+                                     record):
+    # the artifact holds the record's fields and the three artifact keys;
+    # stdout holds the record's fields and the schema
+    out = tmp_path / "out"
+    assert main([command, "--config", _write(tmp_path, {"problem": SP2}),
+                 "--out", str(out)]) == 0
+    keys = {f.name for f in fields(record)} | {"schema"}
+    assert set(json.loads(capsys.readouterr().out)) == keys
+    artifact = json.loads((out / name).read_text())
+    assert set(artifact) == keys | {"config_digest", "tolerances"}
+    assert "psd_order" not in artifact["tolerances"]
 
 
 def test_riccati_profile_command(tmp_path):

@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import math
 import time
 
@@ -25,7 +24,6 @@ from mflq import (
 )
 from mflq import riccati
 from mflq.model import _maps, coefficient_maps, hat_coefficient_maps
-from mflq.riccati import write_convergence_csv
 
 from conftest import small_problems
 from paper_checks import horizon_monotonicity_check, normalize_cross_terms
@@ -540,14 +538,3 @@ def test_cross_term_normalization_on_random_problems(drawn):
         assume(False)
     assert np.max(np.abs(are_p.P - are_q.P)) <= 1e-8
     assert np.max(np.abs(are_p.Pi - are_q.Pi)) <= 1e-8
-
-
-def test_csv_writers(sp1):
-    are = solve_are(sp1)
-    path = integrate_finite_horizon(sp1, 1.0, steps=10)
-    prof = convergence_profile(path, are)
-    buf = io.StringIO()
-    write_convergence_csv(prof, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "t,err_P,err_Pi"
-    assert len(lines) == 12

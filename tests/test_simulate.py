@@ -335,7 +335,17 @@ def test_jensen_gap_nonnegative(sp2):
     assert np.min(gap) >= -1e-12
 
 
-def test_weak_euler_order(sp2):
+def _serve_increments(monkeypatch, inc):
+    """Make run_coupled step with the increments inc of shape
+    (n_steps, n_paths): chunk c, step k reads the columns of chunk c's
+    paths from row k."""
+    def served(seed, chunk, step, count, dt):
+        lo = chunk * PATH_CHUNK
+        return inc[step, lo:lo + count]
+    monkeypatch.setattr(simulate, "brownian_increments", served)
+
+
+def test_weak_euler_order(sp2, monkeypatch):
     T, N = 4.0, 4000
     dts = [0.04, 0.02, 0.01]
     K_fine = int(T / dts[-1])
@@ -347,7 +357,8 @@ def test_weak_euler_order(sp2):
         fb = solve_feedback(sp2, T, K)
         inc = fine.reshape(K, K_fine // K, N).sum(axis=1)
         cfg = SimulationConfig(T=T, dt=dt, n_paths=N, seed=7)
-        raw = run_coupled(fb, [1.5], cfg, increments=inc).raw_turnpike
+        _serve_increments(monkeypatch, inc)
+        raw = run_coupled(fb, [1.5], cfg).raw_turnpike
         # K // 2 is a snapshot node for K = 100, 200 and 400
         i = int(np.searchsorted(raw.indices, K // 2))
         assert raw.indices[i] == K // 2
@@ -381,18 +392,20 @@ def test_mesh_mismatch_rejected(sp2):
         run_coupled(fb, [1.5], cfg)
 
 
-def test_nonfinite_state_is_located(sp2):
+def test_nonfinite_state_is_located(sp2, monkeypatch):
     fb = solve_feedback(sp2, 1.0, 100)
     cfg = SimulationConfig(T=1.0, dt=0.01, n_paths=8, seed=0)
     inc = np.zeros((100, 8))
     inc[10, 2] = np.nan
+    _serve_increments(monkeypatch, inc)
     with pytest.raises(NumericalFailure,
                        match="non-finite state at path 2"):
-        run_coupled(fb, [1.0], cfg, increments=inc)
+        run_coupled(fb, [1.0], cfg)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_nonfinite_state_in_second_chunk_is_located(sp2, workers):
+def test_nonfinite_state_in_second_chunk_is_located(sp2, workers,
+                                                     monkeypatch):
     # the second chunk writes into columns PATH_CHUNK: of the shared
     # snapshot buffer; the reported path must carry that offset
     fb = solve_feedback(sp2, 1.0, 100)
@@ -401,9 +414,10 @@ def test_nonfinite_state_in_second_chunk_is_located(sp2, workers):
                            workers=workers)
     inc = np.zeros((100, N))
     inc[10, PATH_CHUNK + 3] = np.nan
+    _serve_increments(monkeypatch, inc)
     with pytest.raises(NumericalFailure,
                        match="non-finite state at path 8195,"):
-        run_coupled(fb, [1.0], cfg, increments=inc)
+        run_coupled(fb, [1.0], cfg)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -545,7 +559,8 @@ def test_engine_matches_per_path_reference(case):
     fb = solve_feedback(p, T, cfg.n_steps)
     inc = np.stack([brownian_increments(11, 0, k, N, dt)
                     for k in range(cfg.n_steps)])
-    res = run_coupled(fb, x0, cfg, increments=inc)
+    # run_coupled draws the same increments at these addresses
+    res = run_coupled(fb, x0, cfg)
     series, gaps, snaps = _reference_coupled(fb, x0, cfg, inc)
     for name, want in gaps.items():
         got = getattr(res.optimal, name)

@@ -17,6 +17,7 @@ from mflq import (
     solve_static,
     validate_assumption_a1,
 )
+from mflq import static_opt
 
 from conftest import random_problem
 from paper_checks import kkt_residual
@@ -105,6 +106,29 @@ def test_feasible_perturbations_never_beat_V_on_random_problems(drawn):
         d = basis @ c
         val = evaluate_F(p, are.P, sol.x_star + d[:p.n], sol.u_star + d[p.n:])
         assert val >= sol.V - tol
+
+
+@pytest.mark.parametrize("A, Q, R, b", [
+    (-1.0, 1e6, 1.0, 1e3), (10.0, 1e8, 1.0, 1e3),
+    (0.1, 1e4, 1e4, 1e5), (-1.0, 1e4, 1e6, 1e5)])
+def test_kkt_certificate_holds_on_stiff_scalar_problems(A, Q, R, b):
+    # large weights make max|M| large; on the last two problems the
+    # rounding residual of the solve is about 1e-7, above KKT_RESIDUAL_TOL
+    # in absolute terms, so the certificate must be relative
+    p = make_problem(1, 1, A=[[A]], B=[[1.0]], Q=[[Q]], R=[[R]],
+                     b=[b], sigma=[0.5])
+    sol = solve_static(p, solve_are(p).P)
+    assert A * sol.x_star[0] + sol.u_star[0] + b == pytest.approx(
+        0.0, abs=1e-12 * b)
+
+
+def test_kkt_certificate_rejects_a_perturbed_solve(sp2, monkeypatch):
+    are = solve_are(sp2)
+    solve = np.linalg.solve
+    monkeypatch.setattr(static_opt.np.linalg, "solve",
+                        lambda M, rhs: solve(M, rhs) + 1e-6)
+    with pytest.raises(NumericalFailure, match="KKT residual"):
+        solve_static(sp2, are.P)
 
 
 def test_degenerate_problem_raises():
