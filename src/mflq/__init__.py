@@ -9,10 +9,8 @@ problem data and assumption checks and `cli` the experiment driver.
 
 from .errors import AssumptionViolation, MflqError, NumericalFailure
 from .model import (
-    Dimensions,
     HatCoefficients,
     ProblemData,
-    assemble_hats,
     check_mean_system_stabilizability,
     check_ms_stability,
     make_problem,

@@ -9,7 +9,7 @@ from dataclasses import dataclass, fields, replace as dc_replace
 import numpy as np
 
 from . import model, riccati, simulate, static_opt
-from .model import HatCoefficients, ProblemData, assemble_hats
+from .model import HatCoefficients, ProblemData
 
 __all__ = [
     "DecayFit",
@@ -238,20 +238,20 @@ def _thin(series, indices):
     return np.asarray(series)[indices].tolist()
 
 
-def turnpike_pipeline(problem: ProblemData, x0, T: float,
+def turnpike_pipeline(problem: ProblemData, x0,
                       config: simulate.SimulationConfig):
-    """Run the full pipeline at one horizon.
+    """Run the full pipeline at the horizon config.T.
 
     Returns (report, coupled_result): the JSON-ready composite report
     (Riccati convergence, static solution, gap series with decay fits,
     adjoint gaps, value row) and the full-resolution ensemble statistics.
     """
     x0 = np.asarray(x0, dtype=float).reshape(problem.n)
-    cfg = dc_replace(config, T=float(T))
-    feedback = riccati.solve_feedback(problem, T, cfg.n_steps)
+    T = float(config.T)
+    feedback = riccati.solve_feedback(problem, T, config.n_steps)
     are, static = feedback.are, feedback.static
     profile = riccati.convergence_profile(feedback.path(T), are)
-    res = simulate.run_coupled(feedback, x0, cfg)
+    res = simulate.run_coupled(feedback, x0, config)
     stats = res.optimal
     gap = stats.gap_X + stats.gap_u
     adjoint_gap = stats.gap_Y + stats.gap_Z
@@ -278,11 +278,11 @@ def turnpike_pipeline(problem: ProblemData, x0, T: float,
     avg_gap = value.pop("avg_gap")
     report = {
         "schema": 3,
-        "horizon": float(T),
+        "horizon": T,
         "trivial_problem": bool(trivial),
         "tolerances": dict(TOLERANCES),
-        "config": {"T": cfg.T, "dt": cfg.dt, "n_paths": cfg.n_paths,
-                   "seed": cfg.seed},
+        "config": {"T": T, "dt": config.dt, "n_paths": config.n_paths,
+                   "seed": config.seed},
         "riccati": {
             **record(are),
             "profile_t": _thin(profile[:, 0], idx),

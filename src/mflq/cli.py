@@ -268,7 +268,7 @@ def _cmd_riccati_profile(config, outdir):
 
 def _cmd_turnpike(config, outdir):
     report, res = analysis.turnpike_pipeline(config.problem, config.x0,
-                                             config.sim.T, config.sim)
+                                             config.sim)
     _write_json_artifact(config, "turnpike_report.json", report, outdir)
     with open(outdir / "ensemble.csv", "w") as fh:
         simulate.write_ensemble_csv(res.optimal, fh,

@@ -33,20 +33,30 @@ _SYMMETRIC_BLOCKS = ("Q", "Qbar", "R", "Rbar")
 
 
 @dataclass(frozen=True)
-class Dimensions:
-    n: int
-    m: int
+class HatCoefficients:
+    """Sums of unbarred and barred blocks; these drive the mean dynamics."""
 
-    def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ValueError(f"dimensions must be >= 1, got n={self.n}, m={self.m}")
+    Ahat: np.ndarray
+    Bhat: np.ndarray
+    Chat: np.ndarray
+    Dhat: np.ndarray
+    Qhat: np.ndarray
+    Shat: np.ndarray
+    Rhat: np.ndarray
+
+
+def _check_dimensions(n, m):
+    if n < 1 or m < 1:
+        raise ValueError(f"dimensions must be >= 1, got n={n}, m={m}")
 
 
 @dataclass(frozen=True)
 class ProblemData:
-    """All constant coefficients of the state equation and cost."""
+    """All constant coefficients of the state equation and cost, and
+    their hat blocks (computed once, not an init argument)."""
 
-    dims: Dimensions
+    n: int
+    m: int
     A: np.ndarray
     Abar: np.ndarray
     B: np.ndarray
@@ -65,10 +75,11 @@ class ProblemData:
     sigma: np.ndarray
     q: np.ndarray
     r: np.ndarray
+    hats: HatCoefficients = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n, m = self.dims.n, self.dims.m
-        sizes = {"n": n, "m": m}
+        _check_dimensions(self.n, self.m)
+        sizes = {"n": self.n, "m": self.m}
         for name, code in _MATRIX_SHAPES.items():
             want = (sizes[code[0]], sizes[code[1]])
             arr = np.asarray(getattr(self, name), dtype=float)
@@ -87,19 +98,13 @@ class ProblemData:
             arr = getattr(self, name)
             if np.max(np.abs(arr - arr.T), initial=0.0) > SYMMETRY_TOL:
                 raise ValueError(f"{name} must be symmetric to {SYMMETRY_TOL}")
-
-    @property
-    def n(self) -> int:
-        return self.dims.n
-
-    @property
-    def m(self) -> int:
-        return self.dims.m
+        object.__setattr__(self, "hats", HatCoefficients(
+            *(getattr(self, k) + getattr(self, k + "bar") for k in "ABCDQSR")))
 
 
 def make_problem(n: int, m: int, **blocks) -> ProblemData:
     """Build a ProblemData, defaulting every omitted block to zero."""
-    dims = Dimensions(n, m)
+    _check_dimensions(n, m)
     sizes = {"n": n, "m": m}
     data = {}
     for name, code in _MATRIX_SHAPES.items():
@@ -111,7 +116,7 @@ def make_problem(n: int, m: int, **blocks) -> ProblemData:
         data[name] = np.zeros(sizes[code]) if val is None else np.asarray(val, dtype=float)
     if blocks:
         raise ValueError(f"unknown problem blocks: {sorted(blocks)}")
-    return ProblemData(dims=dims, **data)
+    return ProblemData(n=n, m=m, **data)
 
 
 def json_number(name, value, finite=True):
@@ -160,31 +165,6 @@ def problem_from_dict(doc: dict) -> ProblemData:
     return make_problem(n, m, **blocks)
 
 
-@dataclass(frozen=True)
-class HatCoefficients:
-    """Sums of unbarred and barred blocks; these drive the mean dynamics."""
-
-    Ahat: np.ndarray
-    Bhat: np.ndarray
-    Chat: np.ndarray
-    Dhat: np.ndarray
-    Qhat: np.ndarray
-    Shat: np.ndarray
-    Rhat: np.ndarray
-
-
-def assemble_hats(problem: ProblemData) -> HatCoefficients:
-    return HatCoefficients(
-        Ahat=problem.A + problem.Abar,
-        Bhat=problem.B + problem.Bbar,
-        Chat=problem.C + problem.Cbar,
-        Dhat=problem.D + problem.Dbar,
-        Qhat=problem.Q + problem.Qbar,
-        Shat=problem.S + problem.Sbar,
-        Rhat=problem.R + problem.Rbar,
-    )
-
-
 def _maps(A, B, C, D, Q, S, R, P, M):
     """Riccati maps of one system at (P, M), broadcasting over leading
     axes of the coefficient blocks as well as of P and M."""
@@ -205,20 +185,15 @@ def hat_coefficient_maps(hats: HatCoefficients, P: np.ndarray, Pi: np.ndarray):
                  hats.Qhat, hats.Shat, hats.Rhat, P, Pi)
 
 
-@dataclass(frozen=True)
-class A1Report:
-    passed: bool
-    failures: list[str] = field(default_factory=list)
-
-
-def validate_assumption_a1(problem: ProblemData) -> A1Report:
+def validate_assumption_a1(problem: ProblemData) -> list[str]:
     """Check positive definiteness of R, Rhat and the Schur-reduced weights.
 
-    Passes iff R > 0, Rhat > 0, Q - S' R^{-1} S > 0 and
-    Qhat - Shat' Rhat^{-1} Shat > 0, each with minimum eigenvalue above
-    PD_EIG_TOL.  Failures are reported, never raised.
+    Returns the failed conditions among R > 0, Rhat > 0,
+    Q - S' R^{-1} S > 0 and Qhat - Shat' Rhat^{-1} Shat > 0, each judged
+    by its minimum eigenvalue against PD_EIG_TOL; empty when A1 holds.
+    Failures are reported, never raised.
     """
-    h = assemble_hats(problem)
+    h = problem.hats
     conditions = [("R ≻ 0", problem.R), ("R̂ ≻ 0", h.Rhat)]
     failures = []
     for name, M in conditions:
@@ -234,33 +209,26 @@ def validate_assumption_a1(problem: ProblemData) -> A1Report:
         ):
             if np.min(np.linalg.eigvalsh(0.5 * (M + M.T))) <= PD_EIG_TOL:
                 failures.append(name)
-    return A1Report(passed=not failures, failures=failures)
+    return failures
 
 
 def require_a1(problem: ProblemData) -> None:
-    report = validate_assumption_a1(problem)
-    if not report.passed:
-        raise AssumptionViolation(f"A1 violated: {', '.join(report.failures)}")
+    failures = validate_assumption_a1(problem)
+    if failures:
+        raise AssumptionViolation(f"A1 violated: {', '.join(failures)}")
 
 
-@dataclass(frozen=True)
-class StabilizabilityCertificate:
-    stabilizable: bool
-    violating_eigenvalues: list = field(default_factory=list)
-
-
-def check_mean_system_stabilizability(hats: HatCoefficients) -> StabilizabilityCertificate:
+def check_mean_system_stabilizability(hats: HatCoefficients) -> list[complex]:
     """PBH-style eigenvector test for stabilizability of (Ahat, Bhat).
 
     For every eigenvalue of Ahat with nonnegative real part and left
     eigenvector v, the mode is controllable iff ||Bhat' v|| > PD_EIG_TOL.
+    Returns the eigenvalues of the uncontrollable such modes; empty when
+    (Ahat, Bhat) is stabilizable.
     """
     eigvals, left = np.linalg.eig(hats.Ahat.T)
-    violating = []
-    for lam, v in zip(eigvals, left.T):
-        if lam.real >= 0 and np.linalg.norm(hats.Bhat.T @ v) <= PD_EIG_TOL:
-            violating.append(complex(lam))
-    return StabilizabilityCertificate(stabilizable=not violating, violating_eigenvalues=violating)
+    return [complex(lam) for lam, v in zip(eigvals, left.T)
+            if lam.real >= 0 and np.linalg.norm(hats.Bhat.T @ v) <= PD_EIG_TOL]
 
 
 def mean_square_generator(A_cl: np.ndarray, C_cl: np.ndarray) -> np.ndarray:

@@ -19,12 +19,12 @@ from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import static_opt
 from .errors import NumericalFailure
 from .model import (
     ProblemData,
-    assemble_hats,
     check_mean_system_stabilizability,
     check_ms_stability,
     _maps,
@@ -52,7 +52,6 @@ NEWTON_TOL = 1e-13
 NEWTON_MAX_ITER = 50
 SHIFT_MAX_STEPS = 100
 SHIFT_FLOOR = 1e-2
-_BLOWUP = 1e8
 
 
 @dataclass(frozen=True)
@@ -126,11 +125,20 @@ def _sym(M):
     return 0.5 * (M + M.mT)
 
 
+def _riccati_terms(maps):
+    """(Q, S' R^{-1} S) from a (Q, S, R) triple: the two terms of the
+    Riccati right-hand side.  The solve is LAPACK's gufunc, which
+    np.linalg.solve wraps: a singular R gives inf or nan (and a
+    floating-point invalid flag) rather than LinAlgError."""
+    Qm, Sm, Rm = maps
+    return Qm, Sm.mT @ _umath_linalg.solve(Rm, Sm)
+
+
 def _riccati_rhs(maps):
     """Q - S' R^{-1} S from a (Q, S, R) triple; the Riccati ODE right-hand
     side in s = T - t (forward-in-s form of the backward ODE)."""
-    Qm, Sm, Rm = maps
-    return _sym(Qm - Sm.mT @ np.linalg.solve(Rm, Sm))
+    Qm, quad = _riccati_terms(maps)
+    return _sym(Qm - quad)
 
 
 def _rhs_P(problem: ProblemData, P):
@@ -149,9 +157,9 @@ def _gain(maps):
     return -np.linalg.solve(Rm, Sm)
 
 
-def _gains(problem: ProblemData, hats, P, Pi):
+def _gains(problem: ProblemData, P, Pi):
     return (_gain(coefficient_maps(problem, P)),
-            _gain(hat_coefficient_maps(hats, P, Pi)))
+            _gain(hat_coefficient_maps(problem.hats, P, Pi)))
 
 
 def _hermite_mid(y0, y1, f0, f1, h):
@@ -224,7 +232,7 @@ def _pair_maps(problem: ProblemData):
     the constant blocks Q, S, R zeroed, so that no column carries the
     constant's rounding.  A call is then one matrix-vector product.
     """
-    hats = assemble_hats(problem)
+    hats = problem.hats
     # (problem, hats) blocks stacked on a leading axis of length 2: _maps
     # at (P, (P, Pi)) gives the maps of both equations
     blocks = [np.stack([getattr(problem, k), getattr(hats, k + "hat")])
@@ -254,6 +262,8 @@ def integrate_finite_horizon(problem: ProblemData, T: float,
     the P stage values.  Each stage reads the coefficient maps of both
     equations off one affine map of (P, Pi) (`_pair_maps`).  The offsets
     phiHat, thetaHat are zero-filled; integrate_offsets fills them.
+    Raises NumericalFailure if the march is not finite, as when a stage
+    R(P) is singular.
     """
     if T <= 0:
         raise ValueError(f"T must be positive, got {T}")
@@ -267,11 +277,14 @@ def integrate_finite_horizon(problem: ProblemData, T: float,
         return _riccati_rhs(maps(y))
 
     # node j in s = T - t is node steps - j in t
-    pair = _rk4(rhs, np.zeros((2, problem.n, problem.n)), T / steps, steps)
+    with np.errstate(all="ignore"):
+        pair = _rk4(rhs, np.zeros((2, problem.n, problem.n)), T / steps,
+                    steps)
+    if not np.all(np.isfinite(pair)):
+        raise NumericalFailure("Riccati inversion breakdown")
     P_of_t = pair[::-1, 0].copy()
     Pi_of_t = pair[::-1, 1].copy()
-    Theta_of_t, ThetaHat_of_t = _gains(problem, assemble_hats(problem),
-                                       P_of_t, Pi_of_t)
+    Theta_of_t, ThetaHat_of_t = _gains(problem, P_of_t, Pi_of_t)
     return RiccatiPath(
         T=float(T), mesh=np.linspace(0.0, T, steps + 1), P_of_t=P_of_t,
         Pi_of_t=Pi_of_t, Theta_of_t=Theta_of_t, ThetaHat_of_t=ThetaHat_of_t,
@@ -280,58 +293,68 @@ def integrate_finite_horizon(problem: ProblemData, T: float,
     )
 
 
-def _continuation(rhs, generator, M):
-    """Newton-Kleinman on rhs(M) = 0 from M, continued in a shift of A.
+def _continuation(maps, generator, M):
+    """Newton-Kleinman on the Riccati equation of `maps` from M, continued
+    in a shift of A.
 
-    A shift of A (or Ahat) by -alpha I subtracts 2 alpha M from rhs and
+    A shift of A (or Ahat) by -alpha I subtracts 2 alpha M from Q(M) and
     2 alpha I from generator(M).  While generator(M) has abscissa
     a >= -PD_TOL, the shifted equation is solved from M, alpha first
     max(a, SHIFT_FLOOR), then the midpoint of a/2 and alpha (M is
     stabilizing for alpha > a/2).  Raises ARE divergence (check A2) when a
-    shifted solve fails or |M| passes _BLOWUP, or after SHIFT_MAX_STEPS.
+    shifted solve fails, or after SHIFT_MAX_STEPS.
     """
     for k in range(SHIFT_MAX_STEPS):
         a = np.max(np.linalg.eigvals(generator(M)).real)
         if a < -PD_TOL:
-            return _newton(rhs, generator, M)
+            return _newton(maps, generator, M)
         alpha = 0.5 * (0.5 * a + alpha) if k else max(a, SHIFT_FLOOR)
         try:
-            M = _newton(lambda X: rhs(X) - 2 * alpha * X,
-                        lambda X: generator(X) - 2 * alpha * np.eye(X.size), M)
+            M = _newton(maps, generator, M, alpha)
         except NumericalFailure as exc:
             raise NumericalFailure(f"ARE divergence (check A2): {exc}") from exc
-        if not np.max(np.abs(M)) <= _BLOWUP:
-            break
     raise NumericalFailure("ARE divergence (check A2)")
 
 
-def _scale(M):
-    """max(1, max|M|^2), the unit of NEWTON_TOL and RESIDUAL_TOL at M: a
-    Riccati residual's rounding floor grows like eps |M|^2."""
-    return max(1.0, float(np.max(np.abs(M))) ** 2)
+def _residual(Qm, quad):
+    """The Riccati right-hand side Q - S' R^{-1} S from its two terms, and
+    its scale max(1, max|Q|, max|S' R^{-1} S|), the unit of NEWTON_TOL and
+    RESIDUAL_TOL: the residual's rounding floor grows like eps times its
+    terms."""
+    return _sym(Qm - quad), max(1.0, float(np.max(np.abs(Qm))),
+                                float(np.max(np.abs(quad))))
 
 
-def _newton(rhs, generator, M):
-    """Newton-Kleinman iteration on rhs(M) = 0, whose derivative at M is
-    the transpose of generator(M) acting on the row-major vec(M).
+def _newton(maps, generator, M, alpha=0.0):
+    """Newton-Kleinman iteration on the Riccati equation of `maps` (M to
+    its (Q, S, R) triple) with A shifted by -alpha I, whose derivative at
+    M is the transpose of generator(M) - 2 alpha I acting on the
+    row-major vec(M).
 
-    Stops when max|rhs(M)| is below NEWTON_TOL or, once within
-    RESIDUAL_TOL, a step stops reducing it (the rounding floor), both
-    in units of _scale(M); raises after NEWTON_MAX_ITER steps.
+    Stops when the max-abs residual is below NEWTON_TOL or, once within
+    RESIDUAL_TOL, a step stops reducing it (the rounding floor), both in
+    units of its scale at M (`_residual`); raises when a Newton system is
+    singular, or after NEWTON_MAX_ITER steps.
     """
-    F = rhs(M)
-    r = np.max(np.abs(F))
+    def residual(X):
+        Qm, quad = _riccati_terms(maps(X))
+        F, scale = _residual(Qm - 2 * alpha * X, quad)
+        return F, np.max(np.abs(F)), scale
+
+    F, r, scale = residual(M)
     for _ in range(NEWTON_MAX_ITER):
-        scale = _scale(M)
         if r < NEWTON_TOL * scale:
             return M
-        step = np.linalg.solve(generator(M).T, -F.reshape(-1))
+        J = generator(M) - 2 * alpha * np.eye(M.size)
+        try:
+            step = np.linalg.solve(J.T, -F.reshape(-1))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure("singular Newton system") from exc
         M_next = _sym(M + step.reshape(M.shape))
-        F_next = rhs(M_next)
-        r_next = np.max(np.abs(F_next))
+        F_next, r_next, scale_next = residual(M_next)
         if r <= RESIDUAL_TOL * scale and not r_next < r:
             return M
-        M, F, r = M_next, F_next, r_next
+        M, F, r, scale = M_next, F_next, r_next, scale_next
     raise NumericalFailure(
         f"ARE Newton iteration not converged after {NEWTON_MAX_ITER} steps "
         f"(residual {r:.3e})")
@@ -347,17 +370,18 @@ def solve_are(problem: ProblemData) -> ArePair:
     loop's generator: the mean-square generator for P, the Lyapunov
     operator of Ahat + Bhat ThetaHat for Pi.  Residuals, positivity of
     both solutions and the stabilizing property of the gains are asserted
-    before returning.  NEWTON_TOL and RESIDUAL_TOL are relative to
-    max(1, max|M|^2) for the solution M they judge (P or Pi): a residual's
-    rounding floor grows like eps |M|^2.
+    before returning.  NEWTON_TOL and RESIDUAL_TOL are relative to the
+    size of the residual's two terms at the solution M they judge (P or
+    Pi), max(1, max|Q(M)|, max|S(M)' R(M)^{-1} S(M)|): a residual's
+    rounding floor grows like eps times its terms.
     """
     require_a1(problem)
-    hats = assemble_hats(problem)
-    cert = check_mean_system_stabilizability(hats)
-    if not cert.stabilizable:
+    hats = problem.hats
+    violating = check_mean_system_stabilizability(hats)
+    if violating:
         raise NumericalFailure(
             f"ARE divergence (check A2): mean system not stabilizable, "
-            f"eigenvalues {cert.violating_eigenvalues}")
+            f"eigenvalues {violating}")
     zero = np.zeros((problem.n, problem.n))
 
     def ms_generator(M):
@@ -365,24 +389,28 @@ def solve_are(problem: ProblemData) -> ArePair:
         return mean_square_generator(problem.A + problem.B @ Theta,
                                      problem.C + problem.D @ Theta)
 
-    P = _continuation(partial(_rhs_P, problem), ms_generator, zero)
+    P = _continuation(partial(coefficient_maps, problem), ms_generator, zero)
 
     def mean_generator(M):
         ThetaHat = _gain(hat_coefficient_maps(hats, P, M))
         return mean_square_generator(hats.Ahat + hats.Bhat @ ThetaHat, zero)
 
-    Pi = _continuation(partial(_rhs_Pi, hats, P), mean_generator, zero)
+    Pi = _continuation(partial(hat_coefficient_maps, hats, P), mean_generator,
+                       zero)
 
-    residual_P = float(np.max(np.abs(_rhs_P(problem, P))))
-    residual_Pi = float(np.max(np.abs(_rhs_Pi(hats, P, Pi))))
-    for residual, M in ((residual_P, P), (residual_Pi, Pi)):
-        tol = RESIDUAL_TOL * _scale(M)
+    residuals = []
+    for maps in (coefficient_maps(problem, P),
+                 hat_coefficient_maps(hats, P, Pi)):
+        F, scale = _residual(*_riccati_terms(maps))
+        residual, tol = float(np.max(np.abs(F))), RESIDUAL_TOL * scale
         if residual > tol:
             raise NumericalFailure(f"ARE residual {residual:.3e} above {tol:.3e}")
+        residuals.append(residual)
+    residual_P, residual_Pi = residuals
     if (np.min(np.linalg.eigvalsh(P)) <= PD_TOL
             or np.min(np.linalg.eigvalsh(Pi)) <= PD_TOL):
         raise NumericalFailure("ARE solution not positive definite")
-    Theta, ThetaHat = _gains(problem, hats, P, Pi)
+    Theta, ThetaHat = _gains(problem, P, Pi)
     mean_abscissa = float(np.max(np.linalg.eigvals(
         hats.Ahat + hats.Bhat @ ThetaHat).real))
     if mean_abscissa >= 0:
@@ -411,7 +439,7 @@ def integrate_offsets(problem: ProblemData, are: ArePair, path: RiccatiPath,
     """
     lam = np.asarray(lambda_star, dtype=float).reshape(problem.n)
     sig = np.asarray(sigma_star, dtype=float).reshape(problem.n)
-    hats = assemble_hats(problem)
+    hats = problem.hats
     K = len(path.mesh) - 1
     h = path.T / K
     P_t, Pi_t = path.P_of_t, path.Pi_of_t

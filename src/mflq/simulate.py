@@ -77,7 +77,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure
-from .model import ProblemData, assemble_hats
+from .model import ProblemData
 from .riccati import Feedback, RiccatiPath, _half_steps, _rk4_linear
 
 __all__ = [
@@ -201,7 +201,7 @@ def propagate_mean(problem: ProblemData, path: RiccatiPath,
     dm/dt = [Ahat + Bhat ThetaHat_T(t)] m + Bhat thetaHat_T(t),
     with half-step coefficients averaged from the adjacent nodes.
     """
-    hats = assemble_hats(problem)
+    hats = problem.hats
     x0 = np.asarray(x0, dtype=float).reshape(problem.n)
     x_star = np.asarray(x_star, dtype=float).reshape(problem.n)
     K = len(path.mesh) - 1
@@ -269,7 +269,7 @@ def closed_loop(feedback: Feedback, x0, T: float, dt: float) -> ClosedLoop:
     m_t = propagate_mean(problem, path, x0, static.x_star)
     n, m = problem.n, problem.m
     K1 = K + 1
-    hats = assemble_hats(problem)
+    hats = problem.hats
     A, B, C, D = problem.A, problem.B, problem.C, problem.D
     Th, ThH = path.Theta_of_t, path.ThetaHat_of_t
     off = path.thetaHat_of_t                             # (K+1, m)
@@ -500,5 +500,5 @@ def write_ensemble_csv(stats: EnsembleStats, fh, header_comments=()) -> None:
         header.append(name.replace("_", ""))
         series.append(getattr(stats, name))
     fh.write(",".join(header) + "\n")
-    for row in zip(*series):
-        fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    for row in np.column_stack(series).tolist():
+        fh.write(",".join(map(repr, row)) + "\n")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure
-from .model import ProblemData, assemble_hats
+from .model import ProblemData
 
 __all__ = ["StaticSolution", "evaluate_F", "solve_static"]
 
@@ -38,7 +38,7 @@ class StaticSolution:
 def evaluate_F(problem: ProblemData, P: np.ndarray,
                x: np.ndarray, u: np.ndarray) -> float:
     """Static cost at a point (x, u), including the diffusion term."""
-    h = assemble_hats(problem)
+    h = problem.hats
     x = np.asarray(x, dtype=float).reshape(problem.n)
     u = np.asarray(u, dtype=float).reshape(problem.m)
     P = np.asarray(P, dtype=float)
@@ -50,7 +50,7 @@ def evaluate_F(problem: ProblemData, P: np.ndarray,
 
 
 def _kkt_system(problem: ProblemData, P: np.ndarray):
-    h = assemble_hats(problem)
+    h = problem.hats
     n, m = problem.n, problem.m
     CtPC = h.Chat.T @ P @ h.Chat
     CtPD = h.Chat.T @ P @ h.Dhat
@@ -100,7 +100,7 @@ def solve_static(problem: ProblemData, P: np.ndarray) -> StaticSolution:
     x = sol[:n]
     u = sol[n:n + m]
     lam = sol[n + m:]
-    h = assemble_hats(problem)
+    h = problem.hats
     return StaticSolution(
         x_star=x, u_star=u, lambda_star=lam,
         V=evaluate_F(problem, P, x, u),

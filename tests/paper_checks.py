@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from mflq import AssumptionViolation, assemble_hats, integrate_finite_horizon
+from mflq import AssumptionViolation, integrate_finite_horizon
 from mflq.riccati import _sym
 
 PSD_ORDER_TOL = 1e-9
@@ -41,7 +41,7 @@ def normalize_cross_terms(problem):
     the new hats are exactly the transformed hats.  The finite-horizon
     Riccati solutions are unchanged by this transform.
     """
-    h = assemble_hats(problem)
+    h = problem.hats
     try:
         RinvS = np.linalg.solve(problem.R, problem.S)
         RhinvSh = np.linalg.solve(h.Rhat, h.Shat)
@@ -66,7 +66,7 @@ def normalize_cross_terms(problem):
 
 def kkt_residual(problem, P, solution):
     """Max-abs residuals (feasibility, stationarity-x, stationarity-u)."""
-    h = assemble_hats(problem)
+    h = problem.hats
     P = np.asarray(P, dtype=float)
     x, u, lam = solution.x_star, solution.u_star, solution.lambda_star
     w = P @ (h.Chat @ x + h.Dhat @ u + problem.sigma)

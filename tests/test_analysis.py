@@ -9,7 +9,6 @@ from mflq import (
     ArePair,
     SimulationConfig,
     StaticSolution,
-    assemble_hats,
     block_psd_check,
     fit_turnpike_decay,
     integral_turnpike,
@@ -95,7 +94,7 @@ def test_contraction_check():
 
 
 def test_block_psd_check(sp1):
-    hats = assemble_hats(sp1)
+    hats = sp1.hats
     holds, low = block_psd_check(hats, np.zeros((1, 1)))
     assert holds and low == pytest.approx(1.0)  # diag(Qhat, Rhat)
     holds, low = block_psd_check(hats, np.array([[1.0]]))
@@ -116,7 +115,7 @@ def test_lemma_suite_deterministic():
 
 def test_trivial_problem_report(sp1):
     cfg = SimulationConfig(T=2.0, dt=0.01, n_paths=200, seed=4)
-    report = turnpike_pipeline(sp1, [0.0], 2.0, cfg)[0]
+    report = turnpike_pipeline(sp1, [0.0], cfg)[0]
     assert report["schema"] == 3
     assert report["trivial_problem"] is True
     assert report["gaps"]["decay_fits"] == {}
@@ -126,7 +125,7 @@ def test_trivial_problem_report(sp1):
 
 def test_pipeline_report_sections(sp2):
     cfg = SimulationConfig(T=4.0, dt=0.01, n_paths=1000, seed=4)
-    report, res = turnpike_pipeline(sp2, [1.5], 4.0, cfg)
+    report, res = turnpike_pipeline(sp2, [1.5], cfg)
     assert report["trivial_problem"] is False
     # A1 is enforced by solve_are before any report exists
     assert "assumption_a1" not in report
@@ -145,7 +144,7 @@ def test_pipeline_report_sections(sp2):
 
 def test_pipeline_report_blocks_are_the_records(sp2):
     cfg = SimulationConfig(T=2.0, dt=0.01, n_paths=100, seed=4)
-    report, res = turnpike_pipeline(sp2, [1.5], 2.0, cfg)
+    report, res = turnpike_pipeline(sp2, [1.5], cfg)
     assert set(report["riccati"]) == {f.name for f in fields(ArePair)} | {
         "profile_t", "profile_err_P", "profile_err_Pi"}
     assert set(report["static"]) == {f.name for f in fields(StaticSolution)}
@@ -158,7 +157,7 @@ def test_pipeline_report_blocks_are_the_records(sp2):
 
 def test_pipeline_mean_field_static_section(spmf_b):
     cfg = SimulationConfig(T=4.0, dt=0.01, n_paths=200, seed=4)
-    report, _ = turnpike_pipeline(spmf_b, [1.5], 4.0, cfg)
+    report, _ = turnpike_pipeline(spmf_b, [1.5], cfg)
     assert report["static"]["x_star"] == pytest.approx([0.4], abs=1e-10)
     assert report["static"]["u_star"] == pytest.approx([-0.8], abs=1e-10)
     assert report["static"]["lambda_star"] == pytest.approx([0.8], abs=1e-10)

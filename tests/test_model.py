@@ -4,7 +4,6 @@ import pytest
 
 from mflq import (
     AssumptionViolation,
-    assemble_hats,
     check_mean_system_stabilizability,
     check_ms_stability,
     make_problem,
@@ -12,7 +11,6 @@ from mflq import (
     validate_assumption_a1,
 )
 from mflq.model import (
-    Dimensions,
     coefficient_maps,
     hat_coefficient_maps,
     require_a1,
@@ -22,10 +20,10 @@ from paper_checks import normalize_cross_terms
 
 
 def test_dimensions_positive():
-    with pytest.raises(ValueError):
-        Dimensions(0, 1)
-    with pytest.raises(ValueError):
-        Dimensions(2, -1)
+    with pytest.raises(ValueError, match="dimensions must be >= 1"):
+        make_problem(0, 1)
+    with pytest.raises(ValueError, match="dimensions must be >= 1"):
+        make_problem(2, -1)
 
 
 def test_make_problem_defaults_to_zero():
@@ -76,8 +74,8 @@ def test_problem_from_dict_rejects_unknown_field():
         problem_from_dict({"A": [[1.0]]})
 
 
-def test_assemble_hats(spmf):
-    h = assemble_hats(spmf)
+def test_problem_hats(spmf):
+    h = spmf.hats
     assert h.Ahat[0, 0] == pytest.approx(-0.5)
     assert h.Bhat[0, 0] == 1.0
     assert h.Qhat[0, 0] == 1.0
@@ -85,7 +83,7 @@ def test_assemble_hats(spmf):
 
 def _all_maps(problem, P, Pi):
     return (*coefficient_maps(problem, P),
-            *hat_coefficient_maps(assemble_hats(problem), P, Pi))
+            *hat_coefficient_maps(problem.hats, P, Pi))
 
 
 def test_coefficient_maps_scalar(sp1):
@@ -111,15 +109,15 @@ def test_coefficient_maps_broadcast_over_stacks(random_2x2):
 
 def test_a1_passes_on_standard_problems(sp1, sp2, spmf, random_2x2):
     for p in (sp1, sp2, spmf, random_2x2):
-        report = validate_assumption_a1(p)
-        assert report.passed, report.failures
+        failures = validate_assumption_a1(p)
+        assert not failures, failures
 
 
 def test_a1_failure_names_condition():
     p = make_problem(1, 1, A=[[-1.0]], B=[[1.0]], Q=[[1.0]])  # R = 0
-    report = validate_assumption_a1(p)
-    assert not report.passed
-    assert "R ≻ 0" in report.failures
+    failures = validate_assumption_a1(p)
+    assert failures
+    assert "R ≻ 0" in failures
     with pytest.raises(AssumptionViolation, match="A1 violated"):
         require_a1(p)
 
@@ -128,19 +126,18 @@ def test_a1_schur_failure():
     # R fine but Q - S'R^{-1}S = 1 - 4 < 0
     p = make_problem(1, 1, A=[[-1.0]], B=[[1.0]], Q=[[1.0]], R=[[1.0]],
                      S=[[2.0]])
-    report = validate_assumption_a1(p)
-    assert not report.passed
-    assert any("Q − SᵀR⁻¹S" in f for f in report.failures)
+    failures = validate_assumption_a1(p)
+    assert failures
+    assert any("Q − SᵀR⁻¹S" in f for f in failures)
 
 
 def test_stabilizability_detects_uncontrollable_unstable_mode():
-    good = assemble_hats(make_problem(1, 1, A=[[-1.0]], B=[[1.0]],
-                                      Q=[[1.0]], R=[[1.0]]))
-    assert check_mean_system_stabilizability(good).stabilizable
-    bad = assemble_hats(make_problem(1, 1, A=[[1.0]], Q=[[1.0]], R=[[1.0]]))
-    cert = check_mean_system_stabilizability(bad)
-    assert not cert.stabilizable
-    assert cert.violating_eigenvalues[0].real == pytest.approx(1.0)
+    good = make_problem(1, 1, A=[[-1.0]], B=[[1.0]], Q=[[1.0]], R=[[1.0]]).hats
+    assert not check_mean_system_stabilizability(good)
+    bad = make_problem(1, 1, A=[[1.0]], Q=[[1.0]], R=[[1.0]]).hats
+    violating = check_mean_system_stabilizability(bad)
+    assert violating
+    assert violating[0].real == pytest.approx(1.0)
 
 
 def test_ms_stability(sp1):
@@ -160,7 +157,7 @@ def test_normalize_cross_terms_zeroes_S():
     assert q.A[0, 0] == pytest.approx(-1.5)
     assert q.Q[0, 0] == pytest.approx(1.75)
     # hats of the transform equal the transformed hats
-    hq = assemble_hats(q)
+    hq = q.hats
     assert hq.Ahat[0, 0] == pytest.approx(-1.5)
     assert hq.Qhat[0, 0] == pytest.approx(1.75)
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from scipy.linalg import expm, solve_continuous_are
 from mflq import (
     MflqError,
     NumericalFailure,
-    assemble_hats,
     convergence_profile,
     integrate_finite_horizon,
     make_problem,
@@ -168,6 +168,22 @@ def test_are_large_weight_scalar_matches_closed_form(A, Q):
     assert abs(are.Pi[0, 0] - root) <= 1e-12 * root
 
 
+@pytest.mark.parametrize("A, B, R", [
+    (1.0, 1.0, 1e6), (1.0, 1e-3, 1.0), (10.0, 1.0, 1e6),
+    (1.0, 1.0, 1e8), (10.0, 1.0, 1e7), (10.0, 1.0, 1e8)])
+def test_are_large_solution_scalar_matches_closed_form(A, B, R):
+    # |P| from 2e6 to 2e9 with Q = 1: the residual's terms 2AP + 1 and
+    # (BP)^2 / R are far below |P|^2, so tolerances in units of |P|^2
+    # certify a P off by 3e-8; and the shifted solutions approach P as
+    # the shift goes to 0, so no absolute bound on them may stop the
+    # continuation
+    p = make_problem(1, 1, A=[[A]], B=[[B]], Q=[[1.0]], R=[[R]])
+    are = solve_are(p)
+    root = R * (A + math.sqrt(A * A + B * B / R)) / (B * B)
+    assert abs(are.P[0, 0] - root) <= 1e-12 * root
+    assert abs(are.Pi[0, 0] - root) <= 1e-12 * root
+
+
 @pytest.mark.parametrize("a", [1.0, 0.0])
 def test_are_unstabilizable_state_equation_diverges_in_bounded_time(a):
     # (Ahat, Bhat) = (a, 1) is stabilizable, (A, B) = (a, 0) is not: the
@@ -255,8 +271,24 @@ def test_finite_horizon_rejects_bad_inputs(sp1):
         integrate_finite_horizon(sp1, 1.0, steps=0)
 
 
+def test_finite_horizon_singular_stage_R_raises(sp1, monkeypatch):
+    # a singular R(P) at a stage makes the march non-finite: a
+    # NumericalFailure, with no LinAlgError and no floating-point warning
+    pair_maps = riccati._pair_maps
+
+    def singular_R(problem):
+        maps = pair_maps(problem)
+        return lambda y: [*maps(y)[:2], np.zeros((2, 1, 1))]
+    monkeypatch.setattr(riccati, "_pair_maps", singular_R)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure,
+                           match="Riccati inversion breakdown"):
+            integrate_finite_horizon(sp1, 1.0, steps=10)
+
+
 def _pair_blocks(problem):
-    hats = assemble_hats(problem)
+    hats = problem.hats
     return [np.stack([getattr(problem, k), getattr(hats, k + "hat")])
             for k in "ABCDQSR"]
 
@@ -269,7 +301,7 @@ def test_stacked_maps_match_single_maps(random_2x2, all_blocks_4x2):
         P, Pi = G @ G.T, H @ H.T
         stacked = _maps(*_pair_blocks(problem), P, np.stack([P, Pi]))
         single = coefficient_maps(problem, P)
-        hat = hat_coefficient_maps(assemble_hats(problem), P, Pi)
+        hat = hat_coefficient_maps(problem.hats, P, Pi)
         for got, want_P, want_Pi in zip(stacked, single, hat):
             assert np.array_equal(got[0], want_P)
             assert np.array_equal(got[1], want_Pi)
@@ -281,7 +313,7 @@ def test_batched_rhs_march_is_bit_identical(request, name):
     # affine map of (P, Pi), against the same RK4 march with one
     # right-hand side call per equation: they agree to rounding
     problem = request.getfixturevalue(name)
-    hats = assemble_hats(problem)
+    hats = problem.hats
     T, steps = 3.0, 600
 
     def rhs(j, c, y):
@@ -429,7 +461,7 @@ def test_finite_horizon_matches_hamiltonian_expm():
         B=[[0.0], [1.0]], Bbar=[[0.4], [0.1]], Q=[[2.0, 0.3], [0.3, 1.0]],
         Qbar=[[0.2, 0.1], [0.1, 0.3]], S=[[0.3, -0.2]], Sbar=[[0.1, 0.3]],
         R=[[1.0]], Rbar=[[0.5]])
-    h = assemble_hats(p)
+    h = p.hats
     assert np.all(p.S != 0) and np.all(h.Shat != 0)
     T = 3.0
     path = integrate_finite_horizon(p, T, steps=600)
@@ -514,7 +546,7 @@ def test_horizon_monotonicity_on_random_problems(drawn):
     # under A1 the homogeneous cost is nonnegative, so Pi_T(0) is
     # nondecreasing in T
     p, _ = drawn
-    assume(validate_assumption_a1(p).passed)
+    assume(not validate_assumption_a1(p))
     _, verdict = horizon_monotonicity_check(p, (0.5, 1.0, 2.0, 4.0),
                                             steps_per_unit=200)
     assert verdict
@@ -526,7 +558,7 @@ def test_cross_term_normalization_on_random_problems(drawn):
     # the transform does not move q, so the value V is not invariant;
     # the Riccati pairs are
     p, _ = drawn
-    assume(validate_assumption_a1(p).passed)
+    assume(not validate_assumption_a1(p))
     q = normalize_cross_terms(p)
     path_p = integrate_finite_horizon(p, 2.0, steps=400)
     path_q = integrate_finite_horizon(q, 2.0, steps=400)

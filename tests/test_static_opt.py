@@ -10,7 +10,6 @@ from scipy.linalg import null_space
 from mflq import (
     MflqError,
     NumericalFailure,
-    assemble_hats,
     evaluate_F,
     make_problem,
     solve_are,
@@ -93,13 +92,13 @@ def test_feasible_perturbations_never_beat_V_on_random_problems(drawn):
     # (x* + dx, u* + du) with Ahat dx + Bhat du = 0 stays feasible, and
     # the static cost is convex on the feasible set
     p, coeffs = drawn
-    assume(validate_assumption_a1(p).passed)
+    assume(not validate_assumption_a1(p))
     try:
         are = solve_are(p)
         sol = solve_static(p, are.P)
     except MflqError:
         assume(False)
-    h = assemble_hats(p)
+    h = p.hats
     basis = null_space(np.hstack([h.Ahat, h.Bhat]))      # (n + m, >= m)
     tol = 1e-10 * max(1.0, abs(sol.V))
     for c in coeffs[:, :basis.shape[1]]:
