@@ -25,13 +25,13 @@ __all__ = [
 ]
 
 LOG_FLOOR = 1e-14
-PSD_CHECK_TOL = 1e-10
 MIN_WINDOW_NODES = 5
 LEMMA_MAX_SIZE = 6
 
 TOLERANCES = {
     "symmetry": model.SYMMETRY_TOL,
-    "positive_definite": riccati.PD_TOL,
+    "positive_definite": model.PD_TOL,
+    "inversion": riccati.INVERSION_TOL,
     "are_residual": riccati.RESIDUAL_TOL,
     "are_stationarity": riccati.NEWTON_TOL,
     "kkt_residual": static_opt.KKT_RESIDUAL_TOL,
@@ -109,13 +109,9 @@ def fit_turnpike_decay(series, T: float, mesh=None):
         mesh = np.linspace(0.0, T, len(series))
     else:
         mesh = np.asarray(mesh, dtype=float)
-    left = _log_linear(mesh, series, (0.05 * T, 0.45 * T))
-    right_mask = (mesh >= 0.55 * T - 1e-12) & (mesh <= 0.95 * T + 1e-12)
-    if np.count_nonzero(right_mask) < MIN_WINDOW_NODES:
-        raise ValueError("window too sparse")
-    right = _log_linear(T - mesh[right_mask], series[right_mask],
-                        (0.05 * T, 0.45 * T))
-    return left, right
+    window = (0.05 * T, 0.45 * T)
+    return (_log_linear(mesh, series, window),
+            _log_linear(T - mesh, series, window))
 
 
 def integral_turnpike(series, T: float, mesh=None) -> float:
@@ -171,7 +167,7 @@ def matrix_contraction_check(M: np.ndarray, K: np.ndarray):
         raise ValueError("K must be positive definite")
     G = M @ np.linalg.solve(K + M.T @ M, M.T)
     top = float(np.max(np.linalg.eigvalsh(0.5 * (G + G.T))))
-    return top <= 1.0 + PSD_CHECK_TOL, top
+    return top <= 1.0 + model.PD_TOL, top
 
 
 def block_psd_check(hats: HatCoefficients, Delta: np.ndarray):
@@ -194,7 +190,7 @@ def block_psd_check(hats: HatCoefficients, Delta: np.ndarray):
     low = float(np.min(np.linalg.eigvalsh(0.5 * (block + block.T))))
     schur = top_left - off @ np.linalg.solve(bottom, off.T)
     schur_low = float(np.min(np.linalg.eigvalsh(0.5 * (schur + schur.T))))
-    holds = low >= -PSD_CHECK_TOL and schur_low >= -PSD_CHECK_TOL
+    holds = low >= -model.PD_TOL and schur_low >= -model.PD_TOL
     return holds, low
 
 

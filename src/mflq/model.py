@@ -20,7 +20,7 @@ import numpy as np
 from .errors import AssumptionViolation
 
 SYMMETRY_TOL = 1e-12
-PD_EIG_TOL = 1e-10
+PD_TOL = 1e-10    # the one definiteness tolerance, of every check
 
 _MATRIX_SHAPES = {
     "A": "nn", "Abar": "nn", "C": "nn", "Cbar": "nn", "Q": "nn", "Qbar": "nn",
@@ -190,14 +190,14 @@ def validate_assumption_a1(problem: ProblemData) -> list[str]:
 
     Returns the failed conditions among R > 0, Rhat > 0,
     Q - S' R^{-1} S > 0 and Qhat - Shat' Rhat^{-1} Shat > 0, each judged
-    by its minimum eigenvalue against PD_EIG_TOL; empty when A1 holds.
+    by its minimum eigenvalue against PD_TOL; empty when A1 holds.
     Failures are reported, never raised.
     """
     h = problem.hats
     conditions = [("R ≻ 0", problem.R), ("R̂ ≻ 0", h.Rhat)]
     failures = []
     for name, M in conditions:
-        if np.min(np.linalg.eigvalsh(M)) <= PD_EIG_TOL:
+        if np.min(np.linalg.eigvalsh(M)) <= PD_TOL:
             failures.append(name)
     # Schur complements need invertible R blocks
     if not failures:
@@ -207,7 +207,7 @@ def validate_assumption_a1(problem: ProblemData) -> list[str]:
             ("Q − SᵀR⁻¹S ≻ 0", schur),
             ("Q̂ − ŜᵀR̂⁻¹Ŝ ≻ 0", schur_hat),
         ):
-            if np.min(np.linalg.eigvalsh(0.5 * (M + M.T))) <= PD_EIG_TOL:
+            if np.min(np.linalg.eigvalsh(0.5 * (M + M.T))) <= PD_TOL:
                 failures.append(name)
     return failures
 
@@ -222,13 +222,13 @@ def check_mean_system_stabilizability(hats: HatCoefficients) -> list[complex]:
     """PBH-style eigenvector test for stabilizability of (Ahat, Bhat).
 
     For every eigenvalue of Ahat with nonnegative real part and left
-    eigenvector v, the mode is controllable iff ||Bhat' v|| > PD_EIG_TOL.
+    eigenvector v, the mode is controllable iff ||Bhat' v|| > PD_TOL.
     Returns the eigenvalues of the uncontrollable such modes; empty when
     (Ahat, Bhat) is stabilizable.
     """
     eigvals, left = np.linalg.eig(hats.Ahat.T)
     return [complex(lam) for lam, v in zip(eigvals, left.T)
-            if lam.real >= 0 and np.linalg.norm(hats.Bhat.T @ v) <= PD_EIG_TOL]
+            if lam.real >= 0 and np.linalg.norm(hats.Bhat.T @ v) <= PD_TOL]
 
 
 def mean_square_generator(A_cl: np.ndarray, C_cl: np.ndarray) -> np.ndarray:
@@ -248,5 +248,5 @@ def check_ms_stability(problem: ProblemData, Theta: np.ndarray) -> tuple[bool, f
     C_cl = problem.C + problem.D @ Theta
     L = mean_square_generator(A_cl, C_cl)
     abscissa = float(np.max(np.linalg.eigvals(L).real))
-    return abscissa < -PD_EIG_TOL, abscissa
+    return abscissa < -PD_TOL, abscissa
 

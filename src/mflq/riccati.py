@@ -24,6 +24,7 @@ from numpy.linalg import _umath_linalg
 from . import static_opt
 from .errors import NumericalFailure
 from .model import (
+    PD_TOL,
     ProblemData,
     check_mean_system_stabilizability,
     check_ms_stability,
@@ -46,7 +47,6 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-10
-PD_TOL = 1e-10
 INVERSION_TOL = 1e-12
 NEWTON_TOL = 1e-13
 NEWTON_MAX_ITER = 50
@@ -72,7 +72,9 @@ class RiccatiPath:
 
     Arrays are indexed by mesh node (ascending t); matrices are stored
     as (K+1, n, n), gains as (K+1, m, n), the mean offsets phiHat as
-    (K+1, n) and thetaHat as (K+1, m).
+    (K+1, n) and thetaHat as (K+1, m).  The mean's gains ThetaHat and
+    thetaHat are also stored on the half steps, (2K+1, ...) stacks whose
+    entry 2j is node j and entry 2j + 1 the midpoint of interval j.
     """
 
     T: float
@@ -83,6 +85,8 @@ class RiccatiPath:
     ThetaHat_of_t: np.ndarray
     phiHat_of_t: np.ndarray
     thetaHat_of_t: np.ndarray
+    ThetaHat_half: np.ndarray
+    thetaHat_half: np.ndarray
 
     def tail(self, T: float) -> RiccatiPath:
         """The path of horizon T: the last K + 1 nodes, K = T / h for the
@@ -98,8 +102,9 @@ class RiccatiPath:
             raise ValueError(
                 f"horizon T={T} is not a node of the Riccati march "
                 f"(step {h} up to T={self.T})")
-        arrays = {f.name: getattr(self, f.name)[-K - 1:] for f in fields(self)
-                  if f.name.endswith("_of_t")}
+        arrays = {f.name: getattr(self, f.name)[
+                      -(K if f.name.endswith("_of_t") else 2 * K) - 1:]
+                  for f in fields(self) if f.name not in ("T", "mesh")}
         return RiccatiPath(T=float(T), mesh=np.linspace(0.0, T, K + 1),
                            **arrays)
 
@@ -261,7 +266,7 @@ def integrate_finite_horizon(problem: ProblemData, T: float,
     stacked pair (P, Pi) jointly in s = T - t: the Pi equation consumes
     the P stage values.  Each stage reads the coefficient maps of both
     equations off one affine map of (P, Pi) (`_pair_maps`).  The offsets
-    phiHat, thetaHat are zero-filled; integrate_offsets fills them.
+    and the half-step gains are zero-filled; integrate_offsets fills them.
     Raises NumericalFailure if the march is not finite, as when a stage
     R(P) is singular.
     """
@@ -290,6 +295,8 @@ def integrate_finite_horizon(problem: ProblemData, T: float,
         Pi_of_t=Pi_of_t, Theta_of_t=Theta_of_t, ThetaHat_of_t=ThetaHat_of_t,
         phiHat_of_t=np.zeros((steps + 1, problem.n)),
         thetaHat_of_t=np.zeros((steps + 1, problem.m)),
+        ThetaHat_half=np.zeros((2 * steps + 1, problem.m, problem.n)),
+        thetaHat_half=np.zeros((2 * steps + 1, problem.m)),
     )
 
 
@@ -427,15 +434,16 @@ def solve_are(problem: ProblemData) -> ArePair:
 def integrate_offsets(problem: ProblemData, are: ArePair, path: RiccatiPath,
                       lambda_star: np.ndarray,
                       sigma_star: np.ndarray) -> RiccatiPath:
-    """Fill the mean offsets on the mesh of an existing RiccatiPath.
+    """Fill the mean offsets and the mean's half-step gains of a path.
 
     phiHat solves, backward from phiHat(T) = -lambda*,
 
         dphiHat/dt + [Ahat + Bhat ThetaHat_T(t)]' phiHat
                    + [Chat + Dhat ThetaHat_T(t)]' [P_T(t) - P] sigma* = 0,
 
-    with half-step P, Pi from cubic Hermite interpolation of the nodes;
-    the control offset thetaHat is an algebraic function of the node.
+    with half-step P, Pi and phiHat from cubic Hermite interpolation of
+    the nodes.  ThetaHat and the control offset thetaHat are algebraic in
+    them, evaluated on every half step; the nodes' are the even entries.
     """
     lam = np.asarray(lambda_star, dtype=float).reshape(problem.n)
     sig = np.asarray(sigma_star, dtype=float).reshape(problem.n)
@@ -451,17 +459,20 @@ def integrate_offsets(problem: ProblemData, are: ArePair, path: RiccatiPath,
         Pi_t, _hermite_mid(Pi_t[:-1], Pi_t[1:], Fh_t[:-1], Fh_t[1:], -h))
 
     # dphiHat/ds = Mhat phiHat + ghat with s = T - t: reverse the stacks
-    ThetaHat = _gain(hat_coefficient_maps(hats, P_half, Pi_half))
-    Mhat = (hats.Ahat + hats.Bhat @ ThetaHat).mT[::-1]
-    ghat = np.einsum('kji,kj->ki', hats.Chat + hats.Dhat @ ThetaHat,
-                     (P_half - are.P) @ sig)[::-1]
-    phiHat = _rk4_linear(Mhat, ghat, -lam, h, K)[::-1].copy()
+    maps = hat_coefficient_maps(hats, P_half, Pi_half)
+    ThetaHat = _gain(maps)
+    Mhat = (hats.Ahat + hats.Bhat @ ThetaHat).mT
+    dP = (P_half - are.P) @ sig
+    ghat = np.einsum('kji,kj->ki', hats.Chat + hats.Dhat @ ThetaHat, dP)
+    phiHat = _rk4_linear(Mhat[::-1], ghat[::-1], -lam, h, K)[::-1].copy()
+    slope = (Mhat[::2] @ phiHat[..., None])[..., 0] + ghat[::2]
+    phi_half = _half_steps(phiHat, _hermite_mid(
+        phiHat[:-1], phiHat[1:], slope[:-1], slope[1:], -h))
 
-    RhatOf = hat_coefficient_maps(hats, P_t, Pi_t)[2]
-    dP = (P_t - are.P) @ sig
     thetaHat = -np.linalg.solve(
-        RhatOf, (phiHat @ hats.Bhat + dP @ hats.Dhat)[..., None])[..., 0]
-    return replace(path, phiHat_of_t=phiHat, thetaHat_of_t=thetaHat)
+        maps[2], (phi_half @ hats.Bhat + dP @ hats.Dhat)[..., None])[..., 0]
+    return replace(path, phiHat_of_t=phiHat, thetaHat_of_t=thetaHat[::2],
+                   ThetaHat_half=ThetaHat, thetaHat_half=thetaHat)
 
 
 def solve_feedback(problem: ProblemData, T: float, steps: int) -> Feedback:

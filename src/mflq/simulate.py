@@ -62,9 +62,10 @@ problem's (n, m) alone: PATH_CHUNK = 8192 paths, fewer where a
 per-step product would pass BLAS's threading threshold
 (`_chunk_length`; every problem with n <= 4 and m <= 2 keeps 8192).
 So the addresses, and the increments a path receives, depend on
-(seed, n, m), never on the worker count.  All reductions are combined
-in chunk order, which keeps results bit-identical for any number of
-workers.
+(seed, n, m), never on the worker count.  Every run maps its chunks
+through one pool of min(workers, chunks) threads, and all reductions
+are combined in chunk order, which keeps results bit-identical for any
+number of workers.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .model import ProblemData
-from .riccati import Feedback, RiccatiPath, _half_steps, _rk4_linear
+from .riccati import Feedback, RiccatiPath, _rk4_linear
 
 __all__ = [
     "SimulationConfig",
@@ -198,17 +199,16 @@ def propagate_mean(problem: ProblemData, path: RiccatiPath,
     """Mean of the shifted closed-loop state, m(t) = E[X_T(t) - x*].
 
     RK4 forward on the path mesh for
-    dm/dt = [Ahat + Bhat ThetaHat_T(t)] m + Bhat thetaHat_T(t),
-    with half-step coefficients averaged from the adjacent nodes.
+    dm/dt = [Ahat + Bhat ThetaHat_T(t)] m + Bhat thetaHat_T(t), with the
+    gains read from the path's half-step stacks, which integrate_offsets
+    fills.
     """
     hats = problem.hats
     x0 = np.asarray(x0, dtype=float).reshape(problem.n)
     x_star = np.asarray(x_star, dtype=float).reshape(problem.n)
     K = len(path.mesh) - 1
-    Acl = hats.Ahat + np.einsum("im,kmn->kin", hats.Bhat, path.ThetaHat_of_t)
-    force = path.thetaHat_of_t @ hats.Bhat.T
-    return _rk4_linear(_half_steps(Acl, 0.5 * (Acl[:-1] + Acl[1:])),
-                       _half_steps(force, 0.5 * (force[:-1] + force[1:])),
+    Acl = hats.Ahat + np.einsum("im,kmn->kin", hats.Bhat, path.ThetaHat_half)
+    return _rk4_linear(Acl, path.thetaHat_half @ hats.Bhat.T,
                        x0 - x_star, path.T / K, K)
 
 
@@ -345,16 +345,6 @@ def _mean_cost_series(problem, mean_X, mean_u):
             + np.einsum("km,mj,kj->k", mean_u, problem.Rbar, mean_u))
 
 
-class _ChunkAcc:
-    """Accumulators for one chunk of L paths: the per-node path sums
-    S (K+1, r, r) of v v' for the homogeneous state v of r = 2n + 1 rows
-    and the per-path optimal costs (L,)."""
-
-    def __init__(self, K, r, L):
-        self.S = np.empty((K + 1, r, r))
-        self.cost = np.zeros(L)
-
-
 def _check_finite(X, finite, chunk_lo, step):
     """Raise on the first non-finite entry of X, naming its path;
     `finite` is a boolean work buffer of X's shape."""
@@ -372,14 +362,16 @@ def _run_chunk(cl, config, chunk_idx, lo, hi, snaps, snap_idx):
     Per node: the path sums S of v v', one quadratic form for the
     optimal cost and, on the snapshot nodes, the snapshot rows; then one
     Euler step v <- F v + (G v) dW.  Every (., L) buffer is allocated
-    once, before the loop, and written in place.  Returns the chunk's
-    accumulators.
+    once, before the loop, and written in place.  Returns the per-node
+    path sums S, of shape (K+1, r, r) for the r = 2n + 1 rows of v, and
+    the per-path optimal costs, of shape (L,).
     """
     K = config.n_steps
     dt = config.dt
     L = hi - lo
     r = cl.F.shape[-1]
-    acc = _ChunkAcc(K, r, L)
+    S = np.empty((K + 1, r, r))
+    cost = np.zeros(L)
     own_snaps = snaps[:, :, lo:hi]
     v = np.zeros((r, L))
     v[:r // 2] = cl.m_t[0][:, None]    # Xt - Xs starts at x0 - x*, Xs at 0
@@ -395,10 +387,10 @@ def _run_chunk(cl, config, chunk_idx, lo, hi, snaps, snap_idx):
     snap_pos = {k: i for i, k in enumerate(snap_idx)}
 
     for k in range(K + 1):
-        np.matmul(v, noise.T, out=acc.S[k])
+        np.matmul(v, noise.T, out=S[k])
         np.matmul(cl.cost_W[k], v, out=q)
         q *= v
-        acc.cost += np.sum(q, axis=0, out=q_sum)
+        cost += np.sum(q, axis=0, out=q_sum)
         snap = snap_pos.get(k)
         if snap is not None:
             np.matmul(cl.snap[k], v, out=own_snaps[snap])
@@ -413,7 +405,7 @@ def _run_chunk(cl, config, chunk_idx, lo, hi, snaps, snap_idx):
         np.copyto(noise, v)
         if (k + 1) % FINITE_CHECK_EVERY == 0 or k + 1 == K:
             _check_finite(v, finite, lo, k + 1)
-    return acc
+    return S, cost
 
 
 def _snapshot_indices(K):
@@ -456,21 +448,16 @@ def run_coupled(feedback: Feedback, x0,
     # one buffer for the whole run; each chunk fills its own columns
     snaps = np.empty((len(snap_idx), cl.snap.shape[1], N))
 
-    def work(args):
-        c, lo, hi = args
-        return _run_chunk(cl, config, c, lo, hi, snaps, snap_idx)
-    if config.workers == 1 or len(ranges) == 1:
-        accs = [work(r) for r in ranges]
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            accs = list(pool.map(work, ranges))
+    with ThreadPoolExecutor(min(config.workers, len(ranges))) as pool:
+        sums, costs = zip(*pool.map(
+            lambda r: _run_chunk(cl, config, *r, snaps, snap_idx), ranges))
 
     mesh = np.linspace(0.0, config.T, K + 1)
-    S = sum(a.S for a in accs)
+    S = sum(sums)
     sum_X, sq_X = _node_series(cl.maps["X_opt"], S)
     sum_u, sq_u = _node_series(cl.maps["u_opt"], S)
     mean_X, mean_u = sum_X / N, sum_u / N
-    cost = (np.concatenate([a.cost for a in accs])
+    cost = (np.concatenate(costs)
             + np.trapezoid(_mean_cost_series(problem, mean_X, mean_u), mesh))
     stderr = float(np.std(cost, ddof=1)) / math.sqrt(N) if N > 1 else 0.0
     optimal = EnsembleStats(

@@ -35,6 +35,7 @@ from paper_checks import (
     horizon_monotonicity_check,
     kkt_residual,
     normalize_cross_terms,
+    predicted_left_rate,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -44,13 +45,15 @@ SQRT5 = math.sqrt(5.0)
 @pytest.fixture(scope="module")
 def coupled_runs(sp2, spmf_b):
     """Coupled T=10 ensembles (dt=1e-3, 10^4 paths) shared by the
-    turnpike and adjoint tests; wall time recorded."""
-    runs = {}
+    turnpike and adjoint tests, and their feedbacks under "feedback";
+    wall time recorded."""
+    runs = {"feedback": {}}
     t0 = time.monotonic()
     for name, problem in (("sp2", sp2), ("spmf_b", spmf_b)):
         feedback = solve_feedback(problem, 10.0, 10_000)
         cfg = SimulationConfig(T=10.0, dt=1e-3, n_paths=10_000, seed=42)
         runs[name] = run_coupled(feedback, [1.5], cfg)
+        runs["feedback"][name] = feedback
     runs["elapsed"] = time.monotonic() - t0
     return runs
 
@@ -144,6 +147,11 @@ def test_strong_turnpike(coupled_runs):
         left, right = fit_turnpike_decay(gap, 10.0, stats.mesh)
         for fit in (left, right):
             assert 1.5 <= fit.lam <= 4.5
+        # the left rate is the slower of the fluctuation and mean decay
+        # rates of the stationary closed loop (the right one is not
+        # derived in general)
+        predicted = predicted_left_rate(coupled_runs["feedback"][name])
+        assert abs(left.lam / predicted - 1.0) <= 0.01
         # fitted envelope with 3x slack dominates at >= 95% of nodes
         K_hat = 3.0 * max(left.K, right.K)
         lam_hat = min(left.lam, right.lam)

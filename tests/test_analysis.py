@@ -27,9 +27,12 @@ from mflq.analysis import (
 
 
 def test_tolerances_are_the_module_constants():
+    # one definiteness tolerance, defined in model and read by riccati
+    assert riccati.PD_TOL is model.PD_TOL
     assert TOLERANCES == {
         "symmetry": model.SYMMETRY_TOL,
         "positive_definite": riccati.PD_TOL,
+        "inversion": riccati.INVERSION_TOL,
         "are_residual": riccati.RESIDUAL_TOL,
         "are_stationarity": riccati.NEWTON_TOL,
         "kkt_residual": static_opt.KKT_RESIDUAL_TOL,

@@ -239,17 +239,14 @@ def test_finite_horizon_converges_to_stationary(sp1):
 
 
 def _mean_at_T(p, steps):
-    """propagate_mean at t = T = 1 on a path whose mean coefficients are
-    linear in t, so that the node averages it takes for the midpoints are
-    exact and the order of its RK4 march shows."""
-    path = integrate_finite_horizon(p, 1.0, steps=steps)
-    t = path.mesh[:, None]
-    path = dataclasses.replace(path, ThetaHat_of_t=(-0.5 - t)[:, :, None],
-                               thetaHat_of_t=0.3 + 0.2 * t)
-    return propagate_mean(p, path, [1.0], [0.0])[-1, 0]
+    """propagate_mean at t = T = 1 from x0 = 1 on the solve_feedback
+    path of `steps` intervals, so the order of the whole mean march shows:
+    the Riccati nodes, the half-step gains and the RK4 march."""
+    fb = solve_feedback(p, 1.0, steps)
+    return propagate_mean(p, fb.march, [1.0], fb.static.x_star)[-1, 0]
 
 
-def test_integration_order_at_least_3p5(sp1, spmf):
+def test_integration_order_at_least_3p5(sp1, spmf, spmf_b):
     for p in (sp1, spmf):
         ref = integrate_finite_horizon(p, 1.0, steps=512)
         coarse = integrate_finite_horizon(p, 1.0, steps=8)
@@ -258,6 +255,7 @@ def test_integration_order_at_least_3p5(sp1, spmf):
             e_c = abs(getattr(coarse, attr)[0, 0, 0] - getattr(ref, attr)[0, 0, 0])
             e_f = abs(getattr(fine, attr)[0, 0, 0] - getattr(ref, attr)[0, 0, 0])
             assert math.log2(e_c / e_f) >= 3.5
+    for p in (sp1, spmf, spmf_b):
         m_ref = _mean_at_T(p, 512)
         e_c = abs(_mean_at_T(p, 8) - m_ref)
         e_f = abs(_mean_at_T(p, 16) - m_ref)
