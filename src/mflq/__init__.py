@@ -20,6 +20,7 @@ from .model import (
 from .riccati import (
     ArePair,
     Feedback,
+    FeedbackPath,
     RiccatiPath,
     convergence_profile,
     integrate_finite_horizon,

@@ -181,7 +181,7 @@ def block_psd_check(hats: HatCoefficients, Delta: np.ndarray):
     """
     Delta = np.atleast_2d(np.asarray(Delta, dtype=float))
     Delta = 0.5 * (Delta + Delta.T)
-    if np.min(np.linalg.eigvalsh(Delta)) < -1e-12:
+    if np.min(np.linalg.eigvalsh(Delta)) < -model.PD_TOL:
         raise ValueError("Delta must be positive semidefinite")
     top_left = hats.Chat.T @ Delta @ hats.Chat + hats.Qhat
     off = hats.Chat.T @ Delta @ hats.Dhat

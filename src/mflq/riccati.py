@@ -7,15 +7,17 @@ The state-weight matrix P_T(t) solves the matrix Riccati ODE
 and the mean-weight matrix Pi_T(t) solves the analogous equation in the
 hat coefficients, consuming P but not conversely.  Dropping the time
 derivative gives the algebraic Riccati pair whose solutions (P, Pi) are
-the infinite-horizon limits.  The mean offsets (phiHat, thetaHat) feed
-the affine part of the closed-loop feedback.  The finite-horizon data
-depend on T - t alone, so `solve_feedback` solves them once per problem,
-up to the longest horizon, and each shorter horizon reads the tail.
+the infinite-horizon limits.  `integrate_finite_horizon` marches the
+bare pair (a RiccatiPath); `integrate_offsets` adds the gains and the
+mean offsets (phiHat, thetaHat) of the closed-loop feedback (a
+FeedbackPath).  The finite-horizon data depend on T - t alone, so
+`solve_feedback` solves them once per problem, up to the longest
+horizon, and each shorter horizon reads the tail.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -38,6 +40,7 @@ from .model import (
 __all__ = [
     "ArePair",
     "RiccatiPath",
+    "FeedbackPath",
     "Feedback",
     "integrate_finite_horizon",
     "solve_are",
@@ -68,31 +71,20 @@ class ArePair:
 
 @dataclass(frozen=True)
 class RiccatiPath:
-    """Nodewise samples of the finite-horizon Riccati data on [0, T].
-
-    Arrays are indexed by mesh node (ascending t); matrices are stored
-    as (K+1, n, n), gains as (K+1, m, n), the mean offsets phiHat as
-    (K+1, n) and thetaHat as (K+1, m).  The mean's gains ThetaHat and
-    thetaHat are also stored on the half steps, (2K+1, ...) stacks whose
-    entry 2j is node j and entry 2j + 1 the midpoint of interval j.
-    """
+    """The bare finite-horizon Riccati march on [0, T]: P_T and Pi_T at
+    every mesh node (ascending t), each stored as (K+1, n, n)."""
 
     T: float
     mesh: np.ndarray
     P_of_t: np.ndarray
     Pi_of_t: np.ndarray
-    Theta_of_t: np.ndarray
-    ThetaHat_of_t: np.ndarray
-    phiHat_of_t: np.ndarray
-    thetaHat_of_t: np.ndarray
-    ThetaHat_half: np.ndarray
-    thetaHat_half: np.ndarray
 
     def tail(self, T: float) -> RiccatiPath:
-        """The path of horizon T: the last K + 1 nodes, K = T / h for the
-        step h, on the mesh of [0, T].  The data depend on T - t alone,
-        so this equals a fresh march to T with step h.  Raises ValueError
-        unless T is a node (to SimulationConfig's tolerance) up to self.T.
+        """The path of horizon T, of this type: the last K + 1 nodes
+        (2K + 1 half steps), K = T / h for the step h, on the mesh of
+        [0, T].  The data depend on T - t alone, so this equals a fresh
+        solve to T with step h.  Raises ValueError unless T is a node (to
+        SimulationConfig's tolerance) up to self.T.
         """
         h = self.T / (len(self.mesh) - 1)
         ratio = T / h
@@ -105,23 +97,38 @@ class RiccatiPath:
         arrays = {f.name: getattr(self, f.name)[
                       -(K if f.name.endswith("_of_t") else 2 * K) - 1:]
                   for f in fields(self) if f.name not in ("T", "mesh")}
-        return RiccatiPath(T=float(T), mesh=np.linspace(0.0, T, K + 1),
-                           **arrays)
+        return type(self)(T=float(T), mesh=np.linspace(0.0, T, K + 1),
+                          **arrays)
+
+
+@dataclass(frozen=True)
+class FeedbackPath(RiccatiPath):
+    """A Riccati march with its feedback (`integrate_offsets`): the gain
+    Theta_T (K+1, m, n) and the mean offset phiHat_T (K+1, n) at the
+    nodes, and the mean's gain ThetaHat_T (2K+1, m, n) and control offset
+    thetaHat_T (2K+1, m) on the half steps, entry 2j node j and 2j + 1
+    the midpoint of interval j: their node values are the even entries.
+    """
+
+    Theta_of_t: np.ndarray
+    phiHat_of_t: np.ndarray
+    ThetaHat_half: np.ndarray
+    thetaHat_half: np.ndarray
 
 
 @dataclass(frozen=True)
 class Feedback:
     """The optimal closed loop of a problem at every horizon up to
-    march.T: the stationary pair, the static solution and the Riccati
-    path with its mean offsets, marched once to the longest horizon.
-    The path of a shorter horizon is the march's tail."""
+    march.T: the stationary pair, the static solution and the feedback
+    path, marched once to the longest horizon.  The path of a shorter
+    horizon is the march's tail."""
 
     problem: ProblemData
     are: ArePair
     static: static_opt.StaticSolution
-    march: RiccatiPath
+    march: FeedbackPath
 
-    def path(self, T: float) -> RiccatiPath:
+    def path(self, T: float) -> FeedbackPath:
         """The path of horizon T, the march's tail (RiccatiPath.tail)."""
         return self.march.tail(T)
 
@@ -160,11 +167,6 @@ def _gain(maps):
     if np.min(np.linalg.eigvalsh(_sym(Rm))) < INVERSION_TOL:
         raise NumericalFailure("Riccati inversion breakdown")
     return -np.linalg.solve(Rm, Sm)
-
-
-def _gains(problem: ProblemData, P, Pi):
-    return (_gain(coefficient_maps(problem, P)),
-            _gain(hat_coefficient_maps(problem.hats, P, Pi)))
 
 
 def _hermite_mid(y0, y1, f0, f1, h):
@@ -265,10 +267,9 @@ def integrate_finite_horizon(problem: ProblemData, T: float,
     Classical RK4 on a uniform mesh of `steps` intervals, marching the
     stacked pair (P, Pi) jointly in s = T - t: the Pi equation consumes
     the P stage values.  Each stage reads the coefficient maps of both
-    equations off one affine map of (P, Pi) (`_pair_maps`).  The offsets
-    and the half-step gains are zero-filled; integrate_offsets fills them.
-    Raises NumericalFailure if the march is not finite, as when a stage
-    R(P) is singular.
+    equations off one affine map of (P, Pi) (`_pair_maps`).  Raises
+    NumericalFailure if the march is not finite, as when a stage R(P) is
+    singular.
     """
     if T <= 0:
         raise ValueError(f"T must be positive, got {T}")
@@ -287,17 +288,9 @@ def integrate_finite_horizon(problem: ProblemData, T: float,
                     steps)
     if not np.all(np.isfinite(pair)):
         raise NumericalFailure("Riccati inversion breakdown")
-    P_of_t = pair[::-1, 0].copy()
-    Pi_of_t = pair[::-1, 1].copy()
-    Theta_of_t, ThetaHat_of_t = _gains(problem, P_of_t, Pi_of_t)
-    return RiccatiPath(
-        T=float(T), mesh=np.linspace(0.0, T, steps + 1), P_of_t=P_of_t,
-        Pi_of_t=Pi_of_t, Theta_of_t=Theta_of_t, ThetaHat_of_t=ThetaHat_of_t,
-        phiHat_of_t=np.zeros((steps + 1, problem.n)),
-        thetaHat_of_t=np.zeros((steps + 1, problem.m)),
-        ThetaHat_half=np.zeros((2 * steps + 1, problem.m, problem.n)),
-        thetaHat_half=np.zeros((2 * steps + 1, problem.m)),
-    )
+    return RiccatiPath(T=float(T), mesh=np.linspace(0.0, T, steps + 1),
+                       P_of_t=pair[::-1, 0].copy(),
+                       Pi_of_t=pair[::-1, 1].copy())
 
 
 def _continuation(maps, generator, M):
@@ -417,7 +410,8 @@ def solve_are(problem: ProblemData) -> ArePair:
     if (np.min(np.linalg.eigvalsh(P)) <= PD_TOL
             or np.min(np.linalg.eigvalsh(Pi)) <= PD_TOL):
         raise NumericalFailure("ARE solution not positive definite")
-    Theta, ThetaHat = _gains(problem, P, Pi)
+    Theta = _gain(coefficient_maps(problem, P))
+    ThetaHat = _gain(hat_coefficient_maps(hats, P, Pi))
     mean_abscissa = float(np.max(np.linalg.eigvals(
         hats.Ahat + hats.Bhat @ ThetaHat).real))
     if mean_abscissa >= 0:
@@ -433,8 +427,8 @@ def solve_are(problem: ProblemData) -> ArePair:
 
 def integrate_offsets(problem: ProblemData, are: ArePair, path: RiccatiPath,
                       lambda_star: np.ndarray,
-                      sigma_star: np.ndarray) -> RiccatiPath:
-    """Fill the mean offsets and the mean's half-step gains of a path.
+                      sigma_star: np.ndarray) -> FeedbackPath:
+    """The feedback path of a Riccati march: its gains and mean offsets.
 
     phiHat solves, backward from phiHat(T) = -lambda*,
 
@@ -443,7 +437,8 @@ def integrate_offsets(problem: ProblemData, are: ArePair, path: RiccatiPath,
 
     with half-step P, Pi and phiHat from cubic Hermite interpolation of
     the nodes.  ThetaHat and the control offset thetaHat are algebraic in
-    them, evaluated on every half step; the nodes' are the even entries.
+    them, evaluated on every half step; Theta, algebraic in P, at the
+    nodes.
     """
     lam = np.asarray(lambda_star, dtype=float).reshape(problem.n)
     sig = np.asarray(sigma_star, dtype=float).reshape(problem.n)
@@ -471,8 +466,10 @@ def integrate_offsets(problem: ProblemData, are: ArePair, path: RiccatiPath,
 
     thetaHat = -np.linalg.solve(
         maps[2], (phi_half @ hats.Bhat + dP @ hats.Dhat)[..., None])[..., 0]
-    return replace(path, phiHat_of_t=phiHat, thetaHat_of_t=thetaHat[::2],
-                   ThetaHat_half=ThetaHat, thetaHat_half=thetaHat)
+    return FeedbackPath(
+        T=path.T, mesh=path.mesh, P_of_t=P_t, Pi_of_t=Pi_t,
+        Theta_of_t=_gain(coefficient_maps(problem, P_t)), phiHat_of_t=phiHat,
+        ThetaHat_half=ThetaHat, thetaHat_half=thetaHat)
 
 
 def solve_feedback(problem: ProblemData, T: float, steps: int) -> Feedback:

@@ -79,7 +79,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .model import ProblemData
-from .riccati import Feedback, RiccatiPath, _rk4_linear
+from .riccati import Feedback, FeedbackPath, _rk4_linear
 
 __all__ = [
     "SimulationConfig",
@@ -194,14 +194,13 @@ def brownian_increments(seed: int, chunk: int, step: int,
     return gen.standard_normal(count) * math.sqrt(dt)
 
 
-def propagate_mean(problem: ProblemData, path: RiccatiPath,
+def propagate_mean(problem: ProblemData, path: FeedbackPath,
                    x0: np.ndarray, x_star: np.ndarray) -> np.ndarray:
     """Mean of the shifted closed-loop state, m(t) = E[X_T(t) - x*].
 
     RK4 forward on the path mesh for
     dm/dt = [Ahat + Bhat ThetaHat_T(t)] m + Bhat thetaHat_T(t), with the
-    gains read from the path's half-step stacks, which integrate_offsets
-    fills.
+    gains read from the feedback path's half-step stacks.
     """
     hats = problem.hats
     x0 = np.asarray(x0, dtype=float).reshape(problem.n)
@@ -271,8 +270,8 @@ def closed_loop(feedback: Feedback, x0, T: float, dt: float) -> ClosedLoop:
     K1 = K + 1
     hats = problem.hats
     A, B, C, D = problem.A, problem.B, problem.C, problem.D
-    Th, ThH = path.Theta_of_t, path.ThetaHat_of_t
-    off = path.thetaHat_of_t                             # (K+1, m)
+    Th, ThH = path.Theta_of_t, path.ThetaHat_half[::2]
+    off = path.thetaHat_half[::2]                        # (K+1, m)
     P_t, Pi_t = path.P_of_t, path.Pi_of_t
     x_star, u_star = static.x_star, static.u_star
     sig = static.sigma_star

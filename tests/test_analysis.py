@@ -102,8 +102,12 @@ def test_block_psd_check(sp1):
     assert holds and low == pytest.approx(1.0)  # diag(Qhat, Rhat)
     holds, low = block_psd_check(hats, np.array([[1.0]]))
     assert holds and low == pytest.approx(1.0)  # C = D = 0
-    with pytest.raises(ValueError, match="positive semidefinite"):
-        block_psd_check(hats, np.array([[-1.0]]))
+    # Delta is judged by the one definiteness tolerance, model.PD_TOL
+    holds, _ = block_psd_check(hats, np.array([[-0.5 * model.PD_TOL]]))
+    assert holds
+    for low in (-1.0, -1e-9):
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            block_psd_check(hats, np.array([[low]]))
 
 
 def test_lemma_suite_small():

@@ -46,6 +46,13 @@ def test_traced_result_fields_exist():
     assert "mesh" in _field_names(riccati.RiccatiPath)
 
 
+def test_march_mesh_counts_rk4_steps(sp1):
+    # trace_child counts riccati.rk4_steps as len(result.mesh) - 1 of
+    # what integrate_finite_horizon returns
+    path = riccati.integrate_finite_horizon(sp1, 1.0, steps=10)
+    assert len(path.mesh) - 1 == 10
+
+
 def test_load_config_takes_command_and_overrides():
     params = inspect.signature(cli.load_config).parameters
     assert {"command", "overrides"} <= set(params)

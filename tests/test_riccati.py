@@ -367,7 +367,7 @@ def test_offsets_terminal_values(sp2):
     path, lam = fb.march, fb.static.lambda_star[0]
     assert path.phiHat_of_t[-1, 0] == pytest.approx(-lam)
     # thetaHat(T) = -Rhat^{-1}[Bhat'phiHat(T) + Dhat'(P_T(T)-P) sigma*] = lambda* here
-    assert path.thetaHat_of_t[-1, 0] == pytest.approx(lam)
+    assert path.thetaHat_half[-1, 0] == pytest.approx(lam)
 
 
 def test_offsets_decay_into_the_interior(sp2):
@@ -375,15 +375,16 @@ def test_offsets_decay_into_the_interior(sp2):
     mid = abs(path.phiHat_of_t[1000, 0])
     assert 1e-4 < mid < 5e-3
     assert abs(path.phiHat_of_t[0, 0]) < abs(path.phiHat_of_t[-1, 0])
-    assert abs(path.thetaHat_of_t[1000, 0]) < 5e-3
+    assert abs(path.thetaHat_half[::2][1000, 0]) < 5e-3
 
 
 def test_offsets_shrink_with_horizon(sp2):
     path10 = solve_feedback(sp2, 10.0, 1000).march
     path20 = solve_feedback(sp2, 20.0, 2000).march
-    for attr in ("phiHat_of_t", "thetaHat_of_t"):
-        mid10 = abs(getattr(path10, attr)[500, 0])
-        mid20 = abs(getattr(path20, attr)[1000, 0])
+    # phiHat at the nodes; thetaHat's nodes are its half stack's even entries
+    for attr, stride in (("phiHat_of_t", 1), ("thetaHat_half", 2)):
+        mid10 = abs(getattr(path10, attr)[::stride][500, 0])
+        mid20 = abs(getattr(path20, attr)[::stride][1000, 0])
         assert mid20 < mid10 / 5.0
 
 
@@ -509,7 +510,20 @@ def test_feedback_path_is_a_fresh_solve(all_blocks_4x2):
             assert np.array_equal(getattr(got, field.name),
                                   getattr(want, field.name)), field.name
         assert np.max(np.abs(want.phiHat_of_t)) > 1e-2
-        assert np.max(np.abs(want.thetaHat_of_t)) > 1e-2
+        assert np.max(np.abs(want.thetaHat_half[::2])) > 1e-2
+
+
+def test_bare_march_tail_is_a_fresh_march(all_blocks_4x2):
+    # the tail of a bare march keeps its type and equals, bit for bit,
+    # the march to T with the same step
+    march = integrate_finite_horizon(all_blocks_4x2, 4.0, 400)
+    for T in (1.0, 2.0):
+        got = march.tail(T)
+        want = integrate_finite_horizon(all_blocks_4x2, T, int(100 * T))
+        assert type(got) is riccati.RiccatiPath
+        for field in dataclasses.fields(want):
+            assert np.array_equal(getattr(got, field.name),
+                                  getattr(want, field.name)), field.name
 
 
 @pytest.mark.parametrize("T", [0.25, 2.1, 3.0, 0.0, -1.0])

@@ -150,11 +150,23 @@ def test_worker_count_does_not_change_results_in_short_chunks():
                                   getattr(getattr(r2, side), name))
 
 
-def test_propagate_mean_zero_without_offsets(sp2):
-    # zero initial condition and zero offsets: homogeneous ODE stays at 0
+def test_propagate_mean_refuses_a_bare_march(sp2):
+    # a bare (P, Pi) march carries no mean gains, so it cannot stand in
+    # for the feedback path and silently run the open loop Ahat
     path = integrate_finite_horizon(sp2, 2.0, steps=200)
     static = solve_static(sp2, solve_are(sp2).P)
-    m = propagate_mean(sp2, path, static.x_star, static.x_star)
+    with pytest.raises(AttributeError, match="ThetaHat_half"):
+        propagate_mean(sp2, path, [1.5], static.x_star)
+
+
+def test_propagate_mean_zero_without_offsets(sp1):
+    # sp1 has b = sigma = q = r = 0, so its offsets vanish: from
+    # x0 = x* = 0 the homogeneous mean ODE stays at exactly 0
+    fb = solve_feedback(sp1, 2.0, 200)
+    x_star = fb.static.x_star
+    assert np.all(x_star == 0.0)
+    assert np.all(fb.march.thetaHat_half == 0.0)
+    m = propagate_mean(sp1, fb.march, x_star, x_star)
     assert np.max(np.abs(m)) == 0.0
 
 
@@ -285,7 +297,7 @@ def test_coupled_matches_separate_runs_exactly(sp2):
     static, path = fb.static, fb.march
     # sp2 has C = D = 0 and no mean coupling: u - u* = Theta_T Xt + thetaHat_T
     A, B, sig = sp2.A[0, 0], sp2.B[0, 0], static.sigma_star[0]
-    Th, off = path.Theta_of_t[:, 0, 0], path.thetaHat_of_t[:, 0]
+    Th, off = path.Theta_of_t[:, 0, 0], path.thetaHat_half[::2, 0]
     Atp = A + B * fb.are.Theta[0, 0]
     Xt = np.full(cfg.n_paths, 1.5 - static.x_star[0])
     Xs = np.zeros(cfg.n_paths)
@@ -462,7 +474,7 @@ def test_first_node_gaps_are_exact():
     static, path = fb.static, fb.march
     h = p.hats
     m0 = x0 - static.x_star
-    ThH, thH = path.ThetaHat_of_t[0], path.thetaHat_of_t[0]
+    ThH, thH = path.ThetaHat_half[0], path.thetaHat_half[0]
     u0 = ThH @ m0 + thH
     Y0 = path.Pi_of_t[0] @ m0 + path.phiHat_of_t[0]
     Z0 = (path.P_of_t[0] @ ((h.Chat + h.Dhat @ ThH) @ m0 + h.Dhat @ thH
@@ -487,7 +499,8 @@ def _reference_coupled(fb, x0, cfg, inc):
     x_star, u_star = static.x_star[:, None], static.u_star[:, None]
     lam, sig = static.lambda_star, static.sigma_star
     m_t = propagate_mean(p, path, x0, static.x_star)
-    Th, ThH, off = path.Theta_of_t, path.ThetaHat_of_t, path.thetaHat_of_t
+    Th = path.Theta_of_t
+    ThH, off = path.ThetaHat_half[::2], path.thetaHat_half[::2]
     Atp, Ctp = p.A + p.B @ are.Theta, p.C + p.D @ are.Theta
     Xt = np.tile(m_t[0][:, None], (1, N))
     Xs = np.zeros((p.n, N))
