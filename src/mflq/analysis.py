@@ -92,7 +92,7 @@ def _log_linear(x, g, window):
                     r_squared=r2, window=(float(lo), float(hi)))
 
 
-def fit_turnpike_decay(series, T: float, mesh=None):
+def fit_turnpike_decay(series, T: float, mesh):
     """Two-sided exponential fit of a nonnegative gap series.
 
     The left fit regresses log g(t) on t over [0.05T, 0.45T]; the right
@@ -105,22 +105,16 @@ def fit_turnpike_decay(series, T: float, mesh=None):
         raise ValueError(f"T must be positive, got {T}")
     if np.any(series < 0):
         raise ValueError("gap series must be nonnegative")
-    if mesh is None:
-        mesh = np.linspace(0.0, T, len(series))
-    else:
-        mesh = np.asarray(mesh, dtype=float)
+    mesh = np.asarray(mesh, dtype=float)
     window = (0.05 * T, 0.45 * T)
     return (_log_linear(mesh, series, window),
             _log_linear(T - mesh, series, window))
 
 
-def integral_turnpike(series, T: float, mesh=None) -> float:
+def integral_turnpike(series, T: float, mesh) -> float:
     """Time average (1/T) integral of the series by trapezoid."""
     if T <= 0:
         raise ValueError(f"T must be positive, got {T}")
-    series = np.asarray(series, dtype=float)
-    if mesh is None:
-        mesh = np.linspace(0.0, T, len(series))
     return float(np.trapezoid(series, mesh) / T)
 
 
@@ -267,7 +261,7 @@ def turnpike_pipeline(problem: ProblemData, x0,
             "right": {"K": right.K, "lambda": right.lam,
                       "r_squared": right.r_squared, "window": right.window},
         }
-    idx = res.raw_optimal.indices
+    idx = simulate._snapshot_indices(len(stats.mesh) - 1)
     mid = len(stats.mesh) // 2
     value = record(_value_row(T, stats, static.V))
     del value["T"]

@@ -153,14 +153,6 @@ def _riccati_rhs(maps):
     return _sym(Qm - quad)
 
 
-def _rhs_P(problem: ProblemData, P):
-    return _riccati_rhs(coefficient_maps(problem, P))
-
-
-def _rhs_Pi(hats, P, Pi):
-    return _riccati_rhs(hat_coefficient_maps(hats, P, Pi))
-
-
 def _gain(maps):
     """Theta = -R^{-1} S from a (Q, S, R) triple, guarding the inversion."""
     _, Sm, Rm = maps
@@ -169,63 +161,61 @@ def _gain(maps):
     return -np.linalg.solve(Rm, Sm)
 
 
-def _hermite_mid(y0, y1, f0, f1, h):
-    """Cubic Hermite value at the interval midpoint."""
-    return 0.5 * (y0 + y1) + 0.125 * h * (f0 - f1)
+def _hermite_half(y, f, h):
+    """The half-step stack of node values y with slopes f (both K + 1
+    long) on a mesh of step h: entry 2j is node j, entry 2j + 1 the cubic
+    Hermite value at the midpoint of interval j."""
+    out = np.empty((2 * len(y) - 1,) + y.shape[1:])
+    out[0::2] = y
+    out[1::2] = 0.5 * (y[:-1] + y[1:]) + 0.125 * h * (f[:-1] - f[1:])
+    return out
+
+
+def _rk4_step(f, j, y, h):
+    """One classical RK4 step of dy/ds = f(j, c, y) across interval j.
+
+    The stage time is s = (j + c) h: c in {0, 0.5, 1} places it inside
+    interval j.  j may be an index array that batches intervals on y's
+    leading axis.
+    """
+    k1 = f(j, 0.0, y)
+    k2 = f(j, 0.5, y + 0.5 * h * k1)
+    k3 = f(j, 0.5, y + 0.5 * h * k2)
+    k4 = f(j, 1.0, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _rk4(f, y0, h, steps):
-    """Classical RK4 for dy/ds = f(j, c, y) from y(0) = y0.
-
-    The stage time is s = (j + c) h: c in {0, 0.5, 1} places it inside
-    interval j.  Returns the (steps + 1, ...) stack of node values.
-    """
+    """Classical RK4 (`_rk4_step`) from y(0) = y0.  Returns the
+    (steps + 1, ...) stack of node values."""
     ys = np.empty((steps + 1,) + np.shape(y0))
     y = ys[0] = y0
     for j in range(steps):
-        k1 = f(j, 0.0, y)
-        k2 = f(j, 0.5, y + 0.5 * h * k1)
-        k3 = f(j, 0.5, y + 0.5 * h * k2)
-        k4 = f(j, 1.0, y + h * k3)
-        y = ys[j + 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = ys[j + 1] = _rk4_step(f, j, y, h)
     return ys
 
 
 def _rk4_linear(M, g, y0, h, steps):
-    """Classical RK4 for the linear ODE dy/ds = M(s) y + g(s) from
-    y(0) = y0, with M and g read from half-step stacks: entry 2j + 2c is
-    the value at s = (j + c) h.
+    """Classical RK4 for dy/ds = M(s) y + g(s) from y(0) = y0, M and g
+    read from half-step stacks (entry 2j + 2c at s = (j + c) h).
 
-    One RK4 step of a linear ODE is an affine map y -> Phi_j y + psi_j.
-    The maps of all steps are built in one batched pass over the stacks;
-    the march is then one matrix-vector product per step.  Returns the
-    (steps + 1, n) stack of node values.
+    A step is affine, y -> Phi_j y + psi_j: [[Phi_j, psi_j], [0, 1]] is
+    the `_rk4_step` of the homogeneous system with matrix [[M, g], [0, 0]]
+    from the identity, all steps in one batch.  The march is then one
+    matrix-vector product per step.  Returns the (steps + 1, n) stack of
+    node values.
     """
-    M0, Mh, M1 = M[0:-1:2], M[1::2], M[2::2]
-    g0, gh, g1 = g[0:-1:2], g[1::2], g[2::2]
-
-    def mv(A, x):
-        return (A @ x[..., None])[..., 0]
-    # stage i of step j is k_i = K_i y + kappa_i
-    K1, kap1 = M0, g0
-    K2, kap2 = Mh + 0.5 * h * (Mh @ K1), 0.5 * h * mv(Mh, kap1) + gh
-    K3, kap3 = Mh + 0.5 * h * (Mh @ K2), 0.5 * h * mv(Mh, kap2) + gh
-    K4, kap4 = M1 + h * (M1 @ K3), h * mv(M1, kap3) + g1
-    Phi = np.eye(M.shape[-1]) + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
-    psi = (h / 6.0) * (kap1 + 2.0 * kap2 + 2.0 * kap3 + kap4)
+    n = M.shape[-1]
+    Ma = np.zeros((len(M), n + 1, n + 1))
+    Ma[:, :n, :n], Ma[:, :n, n] = M, g
+    maps = _rk4_step(lambda j, c, Y: Ma[2 * j + int(2 * c)] @ Y,
+                     np.arange(steps), np.eye(n + 1), h)
+    Phi, psi = maps[:, :n, :n], maps[:, :n, n]
     ys = np.empty((steps + 1,) + np.shape(y0))
     y = ys[0] = y0
     for j in range(steps):
         y = ys[j + 1] = Phi[j] @ y + psi[j]
     return ys
-
-
-def _half_steps(nodes, mids):
-    """Interleave node values and interval midpoint values, index 2j for
-    node j and 2j + 1 for the midpoint of interval j."""
-    out = np.empty((2 * len(nodes) - 1,) + nodes.shape[1:])
-    out[0::2], out[1::2] = nodes, mids
-    return out
 
 
 def _pair_maps(problem: ProblemData):
@@ -446,12 +436,10 @@ def integrate_offsets(problem: ProblemData, are: ArePair, path: RiccatiPath,
     K = len(path.mesh) - 1
     h = path.T / K
     P_t, Pi_t = path.P_of_t, path.Pi_of_t
-    F_t = _rhs_P(problem, P_t)
-    Fh_t = _rhs_Pi(hats, P_t, Pi_t)
-    P_half = _half_steps(
-        P_t, _hermite_mid(P_t[:-1], P_t[1:], F_t[:-1], F_t[1:], -h))
-    Pi_half = _half_steps(
-        Pi_t, _hermite_mid(Pi_t[:-1], Pi_t[1:], Fh_t[:-1], Fh_t[1:], -h))
+    P_half = _hermite_half(
+        P_t, _riccati_rhs(coefficient_maps(problem, P_t)), -h)
+    Pi_half = _hermite_half(
+        Pi_t, _riccati_rhs(hat_coefficient_maps(hats, P_t, Pi_t)), -h)
 
     # dphiHat/ds = Mhat phiHat + ghat with s = T - t: reverse the stacks
     maps = hat_coefficient_maps(hats, P_half, Pi_half)
@@ -460,9 +448,8 @@ def integrate_offsets(problem: ProblemData, are: ArePair, path: RiccatiPath,
     dP = (P_half - are.P) @ sig
     ghat = np.einsum('kji,kj->ki', hats.Chat + hats.Dhat @ ThetaHat, dP)
     phiHat = _rk4_linear(Mhat[::-1], ghat[::-1], -lam, h, K)[::-1].copy()
-    slope = (Mhat[::2] @ phiHat[..., None])[..., 0] + ghat[::2]
-    phi_half = _half_steps(phiHat, _hermite_mid(
-        phiHat[:-1], phiHat[1:], slope[:-1], slope[1:], -h))
+    phi_half = _hermite_half(
+        phiHat, (Mhat[::2] @ phiHat[..., None])[..., 0] + ghat[::2], -h)
 
     thetaHat = -np.linalg.solve(
         maps[2], (phi_half @ hats.Bhat + dP @ hats.Dhat)[..., None])[..., 0]

@@ -54,17 +54,19 @@ def test_fit_recovers_synthetic_two_sided_decay():
 
 
 def test_fit_flags_constant_series():
-    left, right = fit_turnpike_decay(np.ones(501), 10.0)
+    left, right = fit_turnpike_decay(np.ones(501), 10.0,
+                                     np.linspace(0.0, 10.0, 501))
     assert abs(left.lam) < 1e-6 or left.r_squared < 0.1
 
 
 def test_fit_rejects_bad_inputs():
     with pytest.raises(ValueError, match="T must be positive"):
-        fit_turnpike_decay(np.ones(10), 0.0)
+        fit_turnpike_decay(np.ones(10), 0.0, np.linspace(0.0, 0.0, 10))
     with pytest.raises(ValueError, match="nonnegative"):
-        fit_turnpike_decay(np.array([1.0, -1.0, 1.0]), 1.0)
+        fit_turnpike_decay(np.array([1.0, -1.0, 1.0]), 1.0,
+                           np.linspace(0.0, 1.0, 3))
     with pytest.raises(ValueError, match="window too sparse"):
-        fit_turnpike_decay(np.ones(6), 10.0)
+        fit_turnpike_decay(np.ones(6), 10.0, np.linspace(0.0, 10.0, 6))
 
 
 def test_fit_floors_tiny_values():
@@ -76,14 +78,15 @@ def test_fit_floors_tiny_values():
 
 
 def test_integral_turnpike_examples():
-    assert integral_turnpike(np.full(101, 3.0), 5.0) == pytest.approx(3.0)
+    assert integral_turnpike(np.full(101, 3.0), 5.0,
+                             np.linspace(0.0, 5.0, 101)) == pytest.approx(3.0)
     T = 10.0
     t = np.linspace(0.0, T, 20001)
     g = np.exp(-t) + np.exp(-(T - t))
     expect = 2.0 / T * (1.0 - math.exp(-T))
     assert integral_turnpike(g, T, t) == pytest.approx(expect, rel=1e-6)
     with pytest.raises(ValueError, match="T must be positive"):
-        integral_turnpike(np.ones(3), -1.0)
+        integral_turnpike(np.ones(3), -1.0, np.linspace(0.0, -1.0, 3))
 
 
 def test_contraction_check():

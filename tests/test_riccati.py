@@ -121,12 +121,13 @@ def test_are_open_loop_unstable_root():
 
 
 def test_are_marches_no_riccati_ode(monkeypatch):
-    calls, rk4 = [], riccati._rk4
+    # every march, nonlinear or linear, takes its steps in _rk4_step
+    calls, step = [], riccati._rk4_step
 
     def counted(*args):
         calls.append(args)
-        return rk4(*args)
-    monkeypatch.setattr(riccati, "_rk4", counted)
+        return step(*args)
+    monkeypatch.setattr(riccati, "_rk4_step", counted)
     p = make_problem(1, 1, A=[[1.0]], B=[[1.0]], Q=[[1.0]], R=[[1.0]])
     solve_are(p)
     assert calls == []
@@ -315,8 +316,9 @@ def test_batched_rhs_march_is_bit_identical(request, name):
     T, steps = 3.0, 600
 
     def rhs(j, c, y):
-        return np.stack([riccati._rhs_P(problem, y[0]),
-                         riccati._rhs_Pi(hats, y[0], y[1])])
+        return np.stack([
+            riccati._riccati_rhs(coefficient_maps(problem, y[0])),
+            riccati._riccati_rhs(hat_coefficient_maps(hats, y[0], y[1]))])
     pair = riccati._rk4(rhs, np.zeros((2, problem.n, problem.n)),
                         T / steps, steps)
     path = integrate_finite_horizon(problem, T, steps=steps)
@@ -347,19 +349,53 @@ def test_rk4_linear_matches_generic_rk4(n):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("a, g", [(-2.5, 0.0), (1.3, 0.0), (-0.7, 2.0)])
+@pytest.mark.parametrize("a, g", [
+    (-2.5, 0.0), (1.3, 0.0), (-0.7, 2.0),
+    pytest.param([[-1.0, 0.4], [-0.3, -2.0]], [0.5, -1.0], id="matrix2"),
+    pytest.param([[-0.5, 1.2, 0.0], [-1.2, -0.5, 0.3], [0.2, 0.0, -1.5]],
+                 [1.0, 0.0, -0.5], id="matrix3"),
+])
 def test_rk4_linear_scalar_amplification(a, g):
-    # for dy/ds = a y + g the RK4 step multiplies y + g/a by the
-    # amplification factor 1 + z + z^2/2 + z^3/6 + z^4/24, z = a h
-    steps, h, y0 = 40, 0.1, 1.5
-    z = a * h
-    amp = 1.0 + z + z ** 2 / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0
-    ys = riccati._rk4_linear(np.full((2 * steps + 1, 1, 1), a),
-                             np.full((2 * steps + 1, 1), g),
-                             np.array([y0]), h, steps)[:, 0]
-    fixed = -g / a
-    want = fixed + amp ** np.arange(steps + 1) * (y0 - fixed)
+    # for dy/ds = M y + g with M constant the RK4 step multiplies
+    # y - y*, y* = -M^{-1} g, by the amplification matrix
+    # R(Z) = I + Z + Z^2/2 + Z^3/6 + Z^4/24, Z = h M
+    M, g = np.atleast_2d(a), np.atleast_1d(g)
+    n = len(g)
+    steps, h, y0 = 40, 0.1, np.linspace(1.5, -0.5, n)
+    Z = h * M
+    Z2 = Z @ Z
+    amp = np.eye(n) + Z + Z2 / 2.0 + Z2 @ Z / 6.0 + Z2 @ Z2 / 24.0
+    ys = riccati._rk4_linear(np.broadcast_to(M, (2 * steps + 1, n, n)),
+                             np.broadcast_to(g, (2 * steps + 1, n)),
+                             y0, h, steps)
+    fixed = -np.linalg.solve(M, g)
+    want = np.array([fixed + np.linalg.matrix_power(amp, k) @ (y0 - fixed)
+                     for k in range(steps + 1)])
     assert np.max(np.abs(ys - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_hermite_half_is_exact_on_cubics():
+    # a vector-valued cubic on a t mesh, slopes in s = T - t and the step
+    # -h, as integrate_offsets passes them: the midpoints are exact
+    T, K = 2.0, 8
+    t = np.linspace(0.0, T, K + 1)
+    c = np.array([[0.5, -1.0, 2.0], [1.0, 0.25, -0.5],
+                  [-1.5, 0.75, 1.0], [0.5, -0.25, -0.75]])
+
+    def cubic(t):
+        return np.polynomial.polynomial.polyval(t, c).T
+
+    def slope_s(t):
+        return -np.polynomial.polynomial.polyval(
+            t, np.polynomial.polynomial.polyder(c)).T
+    h = T / K
+    half = riccati._hermite_half(cubic(t), slope_s(t), -h)
+    want = cubic(np.linspace(0.0, T, 2 * K + 1))
+    assert half.shape == want.shape == (2 * K + 1, 3)
+    assert np.max(np.abs(half - want)) <= 1e-14 * np.max(np.abs(want))
+    # the step's sign matters: +h misreads the slopes
+    wrong = riccati._hermite_half(cubic(t), slope_s(t), h)
+    assert np.max(np.abs(wrong - want)) > 1e-3
 
 
 def test_offsets_terminal_values(sp2):
