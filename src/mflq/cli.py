@@ -18,9 +18,10 @@ Artifacts are written only under the `out` directory: without one,
 to stdout only, and `riccati-profile` and `turnpike` exit 3.  A run
 whose estimated work passes one of the MAX_* caps exits 3 before
 anything is allocated.
-Exit codes: 0 success, 2 malformed JSON, 3 shape/field errors or work
-above a cap, 4 assumption failures, 5 numerical/acceptance failures or
-out of memory.
+Exit codes: 0 success, 2 malformed JSON, 3 shape/field errors, work
+above a cap or an unusable `out`, 4 assumption failures, 5
+numerical/acceptance failures, a non-finite result (nothing is written)
+or out of memory.
 """
 
 from __future__ import annotations
@@ -203,9 +204,18 @@ def _check_work(command, problem, sim, horizons):
             f"above the cap {MAX_PATH_STEPS:.0e}")
 
 
-def _dump_json(obj, fh):
-    json.dump(obj, fh, sort_keys=True, indent=2)
-    fh.write("\n")
+def _dump_json(obj, path=None):
+    """Write obj as JSON to the file `path` (a Path), or to stdout.
+    The text is made first: a non-finite number raises NumericalFailure
+    before anything is opened or written."""
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalFailure(f"non-finite result: {exc}") from exc
+    if path is None:
+        sys.stdout.write(text + "\n")
+    else:
+        path.write_text(text + "\n")
 
 
 def _artifact_header(config):
@@ -228,14 +238,13 @@ def _write_json_artifact(config, name, payload, outdir):
     payload = dict(payload)
     payload.setdefault("config_digest", config.digest)
     payload.setdefault("tolerances", dict(analysis.TOLERANCES))
-    with open(outdir / name, "w") as fh:
-        _dump_json(payload, fh)
+    _dump_json(payload, outdir / name)
 
 
 def _publish(config, name, payload, outdir):
     """Print a JSON payload, and write it as artifact `name` if there is
     an output directory."""
-    _dump_json(payload, sys.stdout)
+    _dump_json(payload)
     if outdir is not None:
         _write_json_artifact(config, name, payload, outdir)
 
@@ -301,14 +310,19 @@ def _cmd_lemma_suite(config, outdir):
     return EXIT_OK
 
 
+def _fail(code, message):
+    """Print `message` as an error on stderr; returns the exit code."""
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def run(config: ExperimentConfig) -> int:
     """Dispatch a validated config; returns the process exit code."""
     from pathlib import Path
     if config.out is None:
         if config.command in ("riccati-profile", "turnpike"):
-            print(f"error: out: required for the {config.command} command",
-                  file=sys.stderr)
-            return EXIT_SHAPE
+            return _fail(EXIT_SHAPE,
+                         f"out: required for the {config.command} command")
         outdir = None
     else:
         outdir = Path(config.out)
@@ -343,25 +357,23 @@ def main(argv=None) -> int:
         config = load_config(args.config, command=args.command,
                              overrides=overrides)
     except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON config: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _fail(EXIT_PARSE, f"malformed JSON config: {exc}")
     except AssumptionViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ASSUMPTIONS
+        return _fail(EXIT_ASSUMPTIONS, exc)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SHAPE
+        return _fail(EXIT_SHAPE, exc)
+    except MemoryError as exc:
+        return _fail(EXIT_NUMERICAL, f"out of memory: {exc}")
     try:
         return run(config)
     except AssumptionViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ASSUMPTIONS
+        return _fail(EXIT_ASSUMPTIONS, exc)
     except MflqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return _fail(EXIT_NUMERICAL, exc)
     except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return _fail(EXIT_NUMERICAL, f"out of memory: {exc}")
+    except OSError as exc:
+        return _fail(EXIT_SHAPE, f"out: {exc}")
 
 
 if __name__ == "__main__":

@@ -29,7 +29,6 @@ from .model import (
     PD_TOL,
     ProblemData,
     check_mean_system_stabilizability,
-    check_ms_stability,
     _maps,
     coefficient_maps,
     hat_coefficient_maps,
@@ -283,59 +282,74 @@ def integrate_finite_horizon(problem: ProblemData, T: float,
                        Pi_of_t=pair[::-1, 1].copy())
 
 
-def _continuation(maps, generator, M):
+def _continuation(maps, blocks, M):
     """Newton-Kleinman on the Riccati equation of `maps` from M, continued
-    in a shift of A.
+    in a shift of A, and certified: returns (M, Theta, residual).
 
-    A shift of A (or Ahat) by -alpha I subtracts 2 alpha M from Q(M) and
-    2 alpha I from generator(M).  While generator(M) has abscissa
-    a >= -PD_TOL, the shifted equation is solved from M, alpha first
-    max(a, SHIFT_FLOOR), then the midpoint of a/2 and alpha (M is
+    The closed-loop blocks (A, B, C, D) give the generator of M,
+    mean_square_generator(A + B Theta, C + D Theta) at its gain Theta =
+    _gain(maps(M)).  A shift of A by -alpha I subtracts 2 alpha M from
+    Q(M) and 2 alpha I from the generator.  While the generator has
+    abscissa a >= -PD_TOL, the shifted equation is solved from M, alpha
+    first max(a, SHIFT_FLOOR), then the midpoint of a/2 and alpha (M is
     stabilizing for alpha > a/2).  Raises ARE divergence (check A2) when a
-    shifted solve fails, or after SHIFT_MAX_STEPS.
+    shifted solve fails, or after SHIFT_MAX_STEPS.  The unshifted solve's
+    residual is its exit test (`_newton`); its generator must have
+    abscissa below -PD_TOL and M its minimum eigenvalue above PD_TOL.
     """
+    A, B, C, D = blocks
+
+    def generator(M):
+        Theta = _gain(maps(M))
+        return mean_square_generator(A + B @ Theta, C + D @ Theta), Theta
+
     for k in range(SHIFT_MAX_STEPS):
-        a = np.max(np.linalg.eigvals(generator(M)).real)
+        a = np.max(np.linalg.eigvals(generator(M)[0]).real)
         if a < -PD_TOL:
-            return _newton(maps, generator, M)
+            break
         alpha = 0.5 * (0.5 * a + alpha) if k else max(a, SHIFT_FLOOR)
         try:
-            M = _newton(maps, generator, M, alpha)
+            M, _ = _newton(maps, generator, M, alpha)
         except NumericalFailure as exc:
             raise NumericalFailure(f"ARE divergence (check A2): {exc}") from exc
-    raise NumericalFailure("ARE divergence (check A2)")
-
-
-def _residual(Qm, quad):
-    """The Riccati right-hand side Q - S' R^{-1} S from its two terms, and
-    its scale max(1, max|Q|, max|S' R^{-1} S|), the unit of NEWTON_TOL and
-    RESIDUAL_TOL: the residual's rounding floor grows like eps times its
-    terms."""
-    return _sym(Qm - quad), max(1.0, float(np.max(np.abs(Qm))),
-                                float(np.max(np.abs(quad))))
+    else:
+        raise NumericalFailure("ARE divergence (check A2)")
+    M, residual = _newton(maps, generator, M)
+    L, Theta = generator(M)
+    a = np.max(np.linalg.eigvals(L).real)
+    if a >= -PD_TOL:
+        raise NumericalFailure(f"ARE gain not stabilizing (abscissa {a:.3e})")
+    if np.min(np.linalg.eigvalsh(M)) <= PD_TOL:
+        raise NumericalFailure("ARE solution not positive definite")
+    return M, Theta, residual
 
 
 def _newton(maps, generator, M, alpha=0.0):
     """Newton-Kleinman iteration on the Riccati equation of `maps` (M to
     its (Q, S, R) triple) with A shifted by -alpha I, whose derivative at
-    M is the transpose of generator(M) - 2 alpha I acting on the
-    row-major vec(M).
+    M is the transpose of L - 2 alpha I acting on the row-major vec(M),
+    (L, Theta) = generator(M).  Returns (M, r), r the max-abs residual at
+    M.
 
-    Stops when the max-abs residual is below NEWTON_TOL or, once within
-    RESIDUAL_TOL, a step stops reducing it (the rounding floor), both in
-    units of its scale at M (`_residual`); raises when a Newton system is
+    Stops when r is below NEWTON_TOL or, once within RESIDUAL_TOL, a step
+    stops reducing it (the rounding floor), both in units of its scale at
+    M, max(1, max|Q(M)|, max|S(M)' R(M)^{-1} S(M)|): the residual's
+    rounding floor grows like eps times its terms.  So r is within
+    RESIDUAL_TOL on every return.  Raises when a Newton system is
     singular, or after NEWTON_MAX_ITER steps.
     """
     def residual(X):
         Qm, quad = _riccati_terms(maps(X))
-        F, scale = _residual(Qm - 2 * alpha * X, quad)
-        return F, np.max(np.abs(F)), scale
+        Qm = Qm - 2 * alpha * X
+        F = _sym(Qm - quad)
+        return F, float(np.max(np.abs(F))), max(
+            1.0, float(np.max(np.abs(Qm))), float(np.max(np.abs(quad))))
 
     F, r, scale = residual(M)
     for _ in range(NEWTON_MAX_ITER):
         if r < NEWTON_TOL * scale:
-            return M
-        J = generator(M) - 2 * alpha * np.eye(M.size)
+            return M, r
+        J = generator(M)[0] - 2 * alpha * np.eye(M.size)
         try:
             step = np.linalg.solve(J.T, -F.reshape(-1))
         except np.linalg.LinAlgError as exc:
@@ -343,7 +357,7 @@ def _newton(maps, generator, M, alpha=0.0):
         M_next = _sym(M + step.reshape(M.shape))
         F_next, r_next, scale_next = residual(M_next)
         if r <= RESIDUAL_TOL * scale and not r_next < r:
-            return M
+            return M, r
         M, F, r, scale = M_next, F_next, r_next, scale_next
     raise NumericalFailure(
         f"ARE Newton iteration not converged after {NEWTON_MAX_ITER} steps "
@@ -355,15 +369,14 @@ def solve_are(problem: ProblemData) -> ArePair:
 
     P is solved first, then Pi with P frozen, each from 0 by at most
     SHIFT_MAX_STEPS Newton-Kleinman solves (`_continuation`), shifting A
-    (or Ahat) where the zero gain is not stabilizing, mean-square for P
-    and Hurwitz for Pi; no Riccati ODE is marched.  Both use the closed
-    loop's generator: the mean-square generator for P, the Lyapunov
-    operator of Ahat + Bhat ThetaHat for Pi.  Residuals, positivity of
-    both solutions and the stabilizing property of the gains are asserted
-    before returning.  NEWTON_TOL and RESIDUAL_TOL are relative to the
-    size of the residual's two terms at the solution M they judge (P or
-    Pi), max(1, max|Q(M)|, max|S(M)' R(M)^{-1} S(M)|): a residual's
-    rounding floor grows like eps times its terms.
+    (or Ahat) where the zero gain is not stabilizing; no Riccati ODE is
+    marched.  Each continuation certifies what it returns with the
+    generator its Newton steps used: the mean-square generator of
+    (A + B Theta, C + D Theta) for P, and for Pi that of
+    (Ahat + Bhat ThetaHat, 0), the Lyapunov operator whose abscissa is
+    twice that of Ahat + Bhat ThetaHat.  NEWTON_TOL and RESIDUAL_TOL are
+    relative to the size of the residual's two terms at the solution they
+    judge (`_newton`).
     """
     require_a1(problem)
     hats = problem.hats
@@ -373,44 +386,12 @@ def solve_are(problem: ProblemData) -> ArePair:
             f"ARE divergence (check A2): mean system not stabilizable, "
             f"eigenvalues {violating}")
     zero = np.zeros((problem.n, problem.n))
-
-    def ms_generator(M):
-        Theta = _gain(coefficient_maps(problem, M))
-        return mean_square_generator(problem.A + problem.B @ Theta,
-                                     problem.C + problem.D @ Theta)
-
-    P = _continuation(partial(coefficient_maps, problem), ms_generator, zero)
-
-    def mean_generator(M):
-        ThetaHat = _gain(hat_coefficient_maps(hats, P, M))
-        return mean_square_generator(hats.Ahat + hats.Bhat @ ThetaHat, zero)
-
-    Pi = _continuation(partial(hat_coefficient_maps, hats, P), mean_generator,
-                       zero)
-
-    residuals = []
-    for maps in (coefficient_maps(problem, P),
-                 hat_coefficient_maps(hats, P, Pi)):
-        F, scale = _residual(*_riccati_terms(maps))
-        residual, tol = float(np.max(np.abs(F))), RESIDUAL_TOL * scale
-        if residual > tol:
-            raise NumericalFailure(f"ARE residual {residual:.3e} above {tol:.3e}")
-        residuals.append(residual)
-    residual_P, residual_Pi = residuals
-    if (np.min(np.linalg.eigvalsh(P)) <= PD_TOL
-            or np.min(np.linalg.eigvalsh(Pi)) <= PD_TOL):
-        raise NumericalFailure("ARE solution not positive definite")
-    Theta = _gain(coefficient_maps(problem, P))
-    ThetaHat = _gain(hat_coefficient_maps(hats, P, Pi))
-    mean_abscissa = float(np.max(np.linalg.eigvals(
-        hats.Ahat + hats.Bhat @ ThetaHat).real))
-    if mean_abscissa >= 0:
-        raise NumericalFailure(
-            f"stationary mean gain not stabilizing (abscissa {mean_abscissa:.3e})")
-    stable, abscissa = check_ms_stability(problem, Theta)
-    if not stable:
-        raise NumericalFailure(
-            f"stationary gain not mean-square stabilizing (abscissa {abscissa:.3e})")
+    P, Theta, residual_P = _continuation(
+        partial(coefficient_maps, problem),
+        (problem.A, problem.B, problem.C, problem.D), zero)
+    Pi, ThetaHat, residual_Pi = _continuation(
+        partial(hat_coefficient_maps, hats, P),
+        (hats.Ahat, hats.Bhat, zero, np.zeros_like(hats.Bhat)), zero)
     return ArePair(P=P, Pi=Pi, Theta=Theta, ThetaHat=ThetaHat,
                    residual_P=residual_P, residual_Pi=residual_Pi)
 
@@ -436,8 +417,8 @@ def integrate_offsets(problem: ProblemData, are: ArePair, path: RiccatiPath,
     K = len(path.mesh) - 1
     h = path.T / K
     P_t, Pi_t = path.P_of_t, path.Pi_of_t
-    P_half = _hermite_half(
-        P_t, _riccati_rhs(coefficient_maps(problem, P_t)), -h)
+    P_maps = coefficient_maps(problem, P_t)
+    P_half = _hermite_half(P_t, _riccati_rhs(P_maps), -h)
     Pi_half = _hermite_half(
         Pi_t, _riccati_rhs(hat_coefficient_maps(hats, P_t, Pi_t)), -h)
 
@@ -455,7 +436,7 @@ def integrate_offsets(problem: ProblemData, are: ArePair, path: RiccatiPath,
         maps[2], (phi_half @ hats.Bhat + dP @ hats.Dhat)[..., None])[..., 0]
     return FeedbackPath(
         T=path.T, mesh=path.mesh, P_of_t=P_t, Pi_of_t=Pi_t,
-        Theta_of_t=_gain(coefficient_maps(problem, P_t)), phiHat_of_t=phiHat,
+        Theta_of_t=_gain(P_maps), phiHat_of_t=phiHat,
         ThetaHat_half=ThetaHat, thetaHat_half=thetaHat)
 
 

@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import pytest
 
-from mflq import ArePair, StaticSolution, riccati
+from mflq import ArePair, StaticSolution, cli, riccati
 from mflq.cli import load_config, main
 
 SP1 = {"n": 1, "m": 1, "A": [[-1.0]], "B": [[1.0]], "Q": [[1.0]],
@@ -204,6 +204,40 @@ def test_exit_code_5_on_memory_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(riccati, "solve_are", exhausted)
     assert main(["are", "--config", _write(tmp_path, {"problem": SP1})]) == 5
     assert "out of memory: no room" in capsys.readouterr().err
+
+
+def test_exit_code_5_on_memory_error_while_loading(tmp_path, capsys,
+                                                    monkeypatch):
+    def exhausted(doc):
+        raise MemoryError("no room for the problem")
+    monkeypatch.setattr(cli, "problem_from_dict", exhausted)
+    assert main(["are", "--config", _write(tmp_path, {"problem": SP1})]) == 5
+    assert ("out of memory: no room for the problem"
+            in capsys.readouterr().err)
+
+
+def test_exit_code_3_on_unusable_out(tmp_path, capsys):
+    # an existing file cannot be the output directory
+    out = tmp_path / "taken"
+    out.write_text("kept\n")
+    assert main(["are", "--config", _write(tmp_path, {"problem": SP1}),
+                 "--out", str(out)]) == 3
+    assert "error: out: " in capsys.readouterr().err
+    assert out.read_text() == "kept\n"
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_exit_code_5_on_nonfinite_result(tmp_path, capsys):
+    # the state stays finite, so the ensemble runs, but its second
+    # moments and costs overflow: nothing may be written
+    out = tmp_path / "out"
+    doc = {"problem": SP2, "T": 1.0, "x0": [1e160], "dt": 0.01,
+           "n_paths": 100}
+    assert main(["turnpike", "--config", _write(tmp_path, doc),
+                 "--out", str(out)]) == 5
+    assert "non-finite result" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("fields, message", [

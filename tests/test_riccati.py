@@ -223,6 +223,24 @@ def test_are_newton_iteration_cap(monkeypatch):
         solve_are(_are_slow_style())
 
 
+@pytest.mark.parametrize("A, P, message", [
+    (1.0, 0.1, "not stabilizing"),        # P > 0, closed loop A - P = 0.9
+    (-1.0, -0.1, "not positive definite"),  # closed loop A - P = -0.9
+], ids=["unstable-loop", "indefinite"])
+def test_are_certificates_fire(monkeypatch, A, P, message):
+    # forge what the unshifted Newton solve returns: the continuation
+    # must refuse it, not return it
+    newton = riccati._newton
+
+    def forged(maps, generator, M, alpha=0.0):
+        M, r = newton(maps, generator, M, alpha)
+        return (np.array([[P]]), r) if alpha == 0.0 else (M, r)
+    monkeypatch.setattr(riccati, "_newton", forged)
+    p = make_problem(1, 1, A=[[A]], B=[[1.0]], Q=[[1.0]], R=[[1.0]])
+    with pytest.raises(NumericalFailure, match=message):
+        solve_are(p)
+
+
 def test_finite_horizon_terminal_and_symmetry(sp1):
     path = integrate_finite_horizon(sp1, 2.0, steps=200)
     assert np.array_equal(path.P_of_t[-1], np.zeros((1, 1)))
