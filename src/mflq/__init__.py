@@ -12,7 +12,6 @@ from .model import (
     HatCoefficients,
     ProblemData,
     check_mean_system_stabilizability,
-    check_ms_stability,
     make_problem,
     problem_from_dict,
     validate_assumption_a1,

@@ -5,23 +5,24 @@ Invocation:
     mflq <command> --config <file> [--out <dir>] [--seed N] [--paths N]
          [--dt X] [--horizon T]
 
-Commands: are, static, riccati-profile, turnpike, value-convergence,
-lemma-suite.  The config file is a JSON document with a `problem` block
-(see model.problem_from_dict for the field names) and optional fields
-`T`, `horizons`, `x0`, `dt`, `n_paths`, `seed`, `workers`, `out`,
-`trials`.  Command-line flags override config fields.  `dt` is the mesh
-of every command that marches: it must divide `T` for riccati-profile
-and turnpike and each of the `horizons` for value-convergence; are,
-static and lemma-suite march nothing and check it against no horizon.
-Artifacts are written only under the `out` directory: without one,
-`are`, `static`, `value-convergence` and `lemma-suite` print their JSON
-to stdout only, and `riccati-profile` and `turnpike` exit 3.  A run
-whose estimated work passes one of the MAX_* caps exits 3 before
-anything is allocated.
-Exit codes: 0 success, 2 malformed JSON, 3 shape/field errors, work
-above a cap or an unusable `out`, 4 assumption failures, 5
-numerical/acceptance failures, a non-finite result (nothing is written)
-or out of memory.
+Commands (the COMMANDS table): are, static, riccati-profile, turnpike,
+value-convergence, lemma-suite.  The config file is a JSON document with
+a `problem` block (see model.problem_from_dict for the field names) and
+optional fields `T`, `horizons`, `x0`, `dt`, `n_paths`, `seed` (>= 0),
+`workers`, `out` (a string), `trials`.  Command-line flags override
+config fields.  `dt` is the mesh of every command that marches: it must
+divide `T` for riccati-profile and turnpike (leaving turnpike's decay
+fits MIN_WINDOW_NODES nodes a window) and each of the `horizons` for
+value-convergence; are, static and lemma-suite march nothing and check
+it against no horizon.  Artifacts are written only under the `out`
+directory: without one, `are`, `static`, `value-convergence` and
+`lemma-suite` print their JSON to stdout only, and `riccati-profile` and
+`turnpike` exit 3.  A run whose estimated work passes one of the MAX_*
+caps exits 3 before anything is allocated.
+Exit codes: 0 success, 2 malformed JSON, 3 shape/field errors (any
+ValueError, loading or running), work above a cap or an unusable `out`,
+4 assumption failures, 5 numerical/acceptance failures (LinAlgError
+too), a non-finite result (nothing is written) or out of memory.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import argparse
 import hashlib
 import json
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -45,14 +47,8 @@ EXIT_SHAPE = 3
 EXIT_ASSUMPTIONS = 4
 EXIT_NUMERICAL = 5
 
-COMMANDS = ("are", "static", "riccati-profile", "turnpike",
-            "value-convergence", "lemma-suite")
 _KNOWN_FIELDS = {"problem", "T", "horizons", "x0", "dt", "n_paths", "seed",
                  "workers", "out", "trials"}
-# the commands that march, each to the horizon field it reads; a mesh
-# (T, dt) exists only for these
-_MARCHES = {"riccati-profile": "T", "turnpike": "T",
-            "value-convergence": "horizons"}
 # Work caps, checked by load_config before anything is allocated.  The
 # march and the closed loop hold several (2n+1) x (2n+1) matrices per
 # node, so the march's size is nodes * (2n+1)^2; the snapshot buffer is
@@ -62,6 +58,12 @@ MAX_MARCH_SIZE = 10**7
 MAX_SNAPSHOT_BYTES = 2**31
 MAX_PATH_STEPS = 10**10
 MAX_TRIALS = 10**6
+
+
+# a row of COMMANDS: the horizon field the command marches (a mesh
+# (T, dt) exists only where there is one), whether it simulates from
+# `x0`, whether it needs an `out` directory, and its handler
+_Command = namedtuple("_Command", "marches simulates needs_out handler")
 
 
 @dataclass(frozen=True)
@@ -108,6 +110,7 @@ def load_config(path, command: str = "turnpike",
     standing positivity assumptions.  `dt` is checked against the
     horizons the command marches, and only for the commands that march.
     """
+    spec = COMMANDS[command]
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -127,14 +130,14 @@ def load_config(path, command: str = "turnpike",
     require_a1(problem)
     T = doc.get("T")
     horizons = doc.get("horizons")
-    marched = _MARCHES.get(command)
+    marched = spec.marches
     if marched is not None and doc.get(marched) is None:
         raise ValueError(f"{marched}: required for the {command} command")
     if marched == "horizons" and (not isinstance(horizons, list)
                                   or not horizons):
         raise ValueError("horizons: expected a non-empty list")
     x0 = doc.get("x0")
-    if command in ("turnpike", "value-convergence"):
+    if spec.simulates:
         if x0 is None:
             raise ValueError(f"x0: required for the {command} command")
         x0 = np.array([json_number("x0", v)
@@ -150,6 +153,11 @@ def load_config(path, command: str = "turnpike",
             for name in ("n_paths", "seed", "workers")}
     sim_args["dt"] = json_number("dt", resolved["dt"])
     trials = json_integer("trials", doc.get("trials", 1000))
+    if sim_args["seed"] < 0:
+        raise ValueError(f"seed: must be >= 0, got {sim_args['seed']}")
+    out = doc.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ValueError(f"out: expected a string, got {out!r}")
     sim = None
     if marched is not None:
         try:
@@ -167,20 +175,20 @@ def load_config(path, command: str = "turnpike",
     if trials > MAX_TRIALS:
         raise ValueError(f"trials: must be <= {MAX_TRIALS}, got {trials}")
     if marched is not None:
-        _check_work(command, problem, sim, horizons)
+        _check_work(spec, problem, sim, horizons)
     return ExperimentConfig(
         command=command, problem=problem, sim=sim,
         horizons=tuple(horizons) if horizons else None, x0=x0,
-        seed=sim_args["seed"],
-        out=None if doc.get("out") is None else str(doc["out"]),
-        trials=trials, digest=_digest(resolved))
+        seed=sim_args["seed"], out=out, trials=trials,
+        digest=_digest(resolved))
 
 
-def _check_work(command, problem, sim, horizons):
+def _check_work(spec, problem, sim, horizons):
     """Raise ValueError, naming the field, when the run's estimated work
     passes a cap: the march to sim.T, and for the commands that simulate
-    the snapshot buffer and the path-steps."""
-    field = _MARCHES[command]
+    the snapshot buffer and the path-steps; or when a simulated `T`
+    leaves the decay fits (on the run's mesh) a window too sparse."""
+    field = spec.marches
     nodes = sim.T / sim.dt + 1.0
     size = nodes * (2 * problem.n + 1) ** 2
     if size > MAX_MARCH_SIZE:
@@ -188,7 +196,7 @@ def _check_work(command, problem, sim, horizons):
             f"{field}: a march of {nodes:.3g} nodes at n = {problem.n} has "
             f"size {size:.3g} (nodes * (2n+1)^2), above the cap "
             f"{MAX_MARCH_SIZE:.0e}")
-    if command == "riccati-profile":
+    if not spec.simulates:
         return
     snap_bytes = (len(simulate._snapshot_indices(sim.n_steps))
                   * 2 * (problem.n + problem.m) * sim.n_paths * 8)
@@ -196,12 +204,19 @@ def _check_work(command, problem, sim, horizons):
         raise ValueError(
             f"n_paths: the snapshot buffer of {sim.n_paths} paths needs "
             f"{snap_bytes:.3g} bytes, above the cap {MAX_SNAPSHOT_BYTES}")
-    runs = horizons if command == "value-convergence" else [sim.T]
+    runs = horizons if field == "horizons" else [sim.T]
     steps = sum(round(h / sim.dt) for h in runs) * sim.n_paths
     if steps > MAX_PATH_STEPS:
         raise ValueError(
             f"n_paths: {sim.n_paths} paths make {steps:.3g} path-steps, "
             f"above the cap {MAX_PATH_STEPS:.0e}")
+    if field == "T":
+        mesh = np.linspace(0.0, sim.T, sim.n_steps + 1)
+        try:
+            analysis.fit_turnpike_decay(np.ones_like(mesh), sim.T, mesh)
+        except ValueError as exc:
+            raise ValueError(f"T: {sim.n_steps} steps are too few for the "
+                             f"decay fits ({exc})") from exc
 
 
 def _dump_json(obj, path=None):
@@ -253,7 +268,6 @@ def _cmd_are(config, outdir):
     are = riccati.solve_are(config.problem)
     _publish(config, "are.json", {"schema": 1, **analysis.record(are)},
              outdir)
-    return EXIT_OK
 
 
 def _cmd_static(config, outdir):
@@ -261,7 +275,6 @@ def _cmd_static(config, outdir):
     sol = static_opt.solve_static(config.problem, are.P)
     _publish(config, "static.json", {"schema": 1, **analysis.record(sol)},
              outdir)
-    return EXIT_OK
 
 
 def _cmd_riccati_profile(config, outdir):
@@ -272,7 +285,6 @@ def _cmd_riccati_profile(config, outdir):
     _write_csv(config, outdir / "riccati_profile.csv",
                ["t", "err_P", "err_Pi"], profile)
     print(f"wrote {outdir / 'riccati_profile.csv'}")
-    return EXIT_OK
 
 
 def _cmd_turnpike(config, outdir):
@@ -283,7 +295,6 @@ def _cmd_turnpike(config, outdir):
         simulate.write_ensemble_csv(res.optimal, fh,
                                     header_comments=_artifact_header(config))
     print(f"wrote {outdir / 'turnpike_report.json'} and {outdir / 'ensemble.csv'}")
-    return EXIT_OK
 
 
 def _cmd_value_convergence(config, outdir):
@@ -295,7 +306,6 @@ def _cmd_value_convergence(config, outdir):
     if outdir is not None:
         _write_csv(config, outdir / "value_convergence.csv", records[0],
                    (r.values() for r in records))
-    return EXIT_OK
 
 
 def _cmd_lemma_suite(config, outdir):
@@ -307,7 +317,6 @@ def _cmd_lemma_suite(config, outdir):
             print(f"{counts[name]}/{trials} passed", file=sys.stderr)
             raise NumericalFailure(f"lemma check failed: {name}")
     print(f"{trials}/{trials} passed for both lemmas", file=sys.stderr)
-    return EXIT_OK
 
 
 def _fail(code, message):
@@ -316,26 +325,33 @@ def _fail(code, message):
     return code
 
 
+COMMANDS = {
+    "are": _Command(None, False, False, _cmd_are),
+    "static": _Command(None, False, False, _cmd_static),
+    "riccati-profile": _Command("T", False, True, _cmd_riccati_profile),
+    "turnpike": _Command("T", True, True, _cmd_turnpike),
+    "value-convergence": _Command("horizons", True, False,
+                                  _cmd_value_convergence),
+    "lemma-suite": _Command(None, False, False, _cmd_lemma_suite),
+}
+
+
 def run(config: ExperimentConfig) -> int:
-    """Dispatch a validated config; returns the process exit code."""
+    """Dispatch a validated config; returns the process exit code.
+    Raises ValueError when the command needs an `out` and has none, and
+    an OSError's message gains the prefix `out:`."""
     from pathlib import Path
-    if config.out is None:
-        if config.command in ("riccati-profile", "turnpike"):
-            return _fail(EXIT_SHAPE,
-                         f"out: required for the {config.command} command")
-        outdir = None
-    else:
-        outdir = Path(config.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-    handler = {
-        "are": _cmd_are,
-        "static": _cmd_static,
-        "riccati-profile": _cmd_riccati_profile,
-        "turnpike": _cmd_turnpike,
-        "value-convergence": _cmd_value_convergence,
-        "lemma-suite": _cmd_lemma_suite,
-    }[config.command]
-    return handler(config, outdir)
+    spec = COMMANDS[config.command]
+    if config.out is None and spec.needs_out:
+        raise ValueError(f"out: required for the {config.command} command")
+    try:
+        outdir = None if config.out is None else Path(config.out)
+        if outdir is not None:
+            outdir.mkdir(parents=True, exist_ok=True)
+        spec.handler(config, outdir)
+    except OSError as exc:
+        raise OSError(f"out: {exc}") from exc
+    return EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -353,27 +369,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     overrides = {"seed": args.seed, "n_paths": args.paths, "dt": args.dt,
                  "T": args.horizon, "out": args.out}
+    # JSONDecodeError and LinAlgError are ValueErrors: they come first
     try:
-        config = load_config(args.config, command=args.command,
-                             overrides=overrides)
+        return run(load_config(args.config, command=args.command,
+                               overrides=overrides))
     except json.JSONDecodeError as exc:
         return _fail(EXIT_PARSE, f"malformed JSON config: {exc}")
     except AssumptionViolation as exc:
         return _fail(EXIT_ASSUMPTIONS, exc)
+    except (MflqError, np.linalg.LinAlgError) as exc:
+        return _fail(EXIT_NUMERICAL, exc)
     except (ValueError, OSError) as exc:
         return _fail(EXIT_SHAPE, exc)
     except MemoryError as exc:
         return _fail(EXIT_NUMERICAL, f"out of memory: {exc}")
-    try:
-        return run(config)
-    except AssumptionViolation as exc:
-        return _fail(EXIT_ASSUMPTIONS, exc)
-    except MflqError as exc:
-        return _fail(EXIT_NUMERICAL, exc)
-    except MemoryError as exc:
-        return _fail(EXIT_NUMERICAL, f"out of memory: {exc}")
-    except OSError as exc:
-        return _fail(EXIT_SHAPE, f"out: {exc}")
 
 
 if __name__ == "__main__":

@@ -236,17 +236,3 @@ def mean_square_generator(A_cl: np.ndarray, C_cl: np.ndarray) -> np.ndarray:
     n = A_cl.shape[0]
     eye = np.eye(n)
     return np.kron(eye, A_cl) + np.kron(A_cl, eye) + np.kron(C_cl, C_cl)
-
-
-def check_ms_stability(problem: ProblemData, Theta: np.ndarray) -> tuple[bool, float]:
-    """Mean-square stability of the closed loop under the feedback Theta.
-
-    Returns (stable, spectral abscissa of the second-moment generator).
-    """
-    Theta = np.asarray(Theta, dtype=float).reshape(problem.m, problem.n)
-    A_cl = problem.A + problem.B @ Theta
-    C_cl = problem.C + problem.D @ Theta
-    L = mean_square_generator(A_cl, C_cl)
-    abscissa = float(np.max(np.linalg.eigvals(L).real))
-    return abscissa < -PD_TOL, abscissa
-

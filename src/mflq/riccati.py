@@ -82,17 +82,17 @@ class RiccatiPath:
         """The path of horizon T, of this type: the last K + 1 nodes
         (2K + 1 half steps), K = T / h for the step h, on the mesh of
         [0, T].  The data depend on T - t alone, so this equals a fresh
-        solve to T with step h.  Raises ValueError unless T is a node (to
-        SimulationConfig's tolerance) up to self.T.
+        solve to T with step h.  Raises ValueError unless T is a node
+        (`_whole_steps`) up to self.T.
         """
-        h = self.T / (len(self.mesh) - 1)
-        ratio = T / h
-        K = int(round(ratio))
-        if (abs(ratio - K) > 1e-12 * max(1.0, ratio)
-                or not 1 <= K < len(self.mesh)):
+        return self._tail(T, _whole_steps(T, self.T / (len(self.mesh) - 1)))
+
+    def _tail(self, T: float, K: int | None) -> RiccatiPath:
+        """`tail` of the last K steps, given as the path of horizon T."""
+        if K is None or not K < len(self.mesh):
             raise ValueError(
                 f"horizon T={T} is not a node of the Riccati march "
-                f"(step {h} up to T={self.T})")
+                f"(step {self.T / (len(self.mesh) - 1)} up to T={self.T})")
         arrays = {f.name: getattr(self, f.name)[
                       -(K if f.name.endswith("_of_t") else 2 * K) - 1:]
                   for f in fields(self) if f.name not in ("T", "mesh")}
@@ -130,6 +130,14 @@ class Feedback:
     def path(self, T: float) -> FeedbackPath:
         """The path of horizon T, the march's tail (RiccatiPath.tail)."""
         return self.march.tail(T)
+
+
+def _whole_steps(T: float, h: float) -> int | None:
+    """The number K >= 1 of steps h that make up T, to a relative 1e-12
+    of T / h; None when T / h is no such whole number."""
+    ratio = T / h
+    K = round(ratio) if np.isfinite(ratio) else 0
+    return K if K >= 1 and abs(ratio - K) <= 1e-12 * max(1.0, ratio) else None
 
 
 def _sym(M):
@@ -335,8 +343,8 @@ def _newton(maps, generator, M, alpha=0.0):
     stops reducing it (the rounding floor), both in units of its scale at
     M, max(1, max|Q(M)|, max|S(M)' R(M)^{-1} S(M)|): the residual's
     rounding floor grows like eps times its terms.  So r is within
-    RESIDUAL_TOL on every return.  Raises when a Newton system is
-    singular, or after NEWTON_MAX_ITER steps.
+    RESIDUAL_TOL on every return.  Raises on a non-finite residual or
+    scale, a singular Newton system, or after NEWTON_MAX_ITER steps.
     """
     def residual(X):
         Qm, quad = _riccati_terms(maps(X))
@@ -347,6 +355,8 @@ def _newton(maps, generator, M, alpha=0.0):
 
     F, r, scale = residual(M)
     for _ in range(NEWTON_MAX_ITER):
+        if not np.isfinite(r + scale):
+            raise NumericalFailure(f"ARE Newton residual not finite ({r:.3e})")
         if r < NEWTON_TOL * scale:
             return M, r
         J = generator(M)[0] - 2 * alpha * np.eye(M.size)

@@ -79,7 +79,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .model import ProblemData
-from .riccati import Feedback, FeedbackPath, _rk4_linear
+from .riccati import Feedback, FeedbackPath, _rk4_linear, _whole_steps
 
 __all__ = [
     "SimulationConfig",
@@ -114,11 +114,10 @@ class SimulationConfig:
     def __post_init__(self):
         if self.T <= 0 or self.dt <= 0:
             raise ValueError(f"T and dt must be positive, got T={self.T}, dt={self.dt}")
-        ratio = self.T / self.dt
-        if not math.isfinite(ratio):
+        if not math.isfinite(self.T / self.dt):
             raise ValueError(
                 f"T/dt must be finite, got T={self.T}, dt={self.dt}")
-        if abs(ratio - round(ratio)) > 1e-12 * max(1.0, ratio):
+        if _whole_steps(self.T, self.dt) is None:
             raise ValueError(f"dt={self.dt} does not divide T={self.T}")
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
@@ -127,7 +126,7 @@ class SimulationConfig:
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.T / self.dt))
+        return _whole_steps(self.T, self.dt)
 
 
 @dataclass(frozen=True)
@@ -237,8 +236,8 @@ class ClosedLoop:
 def closed_loop(feedback: Feedback, x0, T: float, dt: float) -> ClosedLoop:
     """The coupled pair's coefficients on the horizon T cut from the
     feedback's march, from X(0) = x0: the mean m_t of `propagate_mean`
-    and the per-node matrices below.  Raises ValueError unless T is a
-    node of the march and dt its step.
+    and the per-node matrices below.  Raises ValueError unless dt is the
+    march's step and T a whole number of them in it (`_whole_steps`).
 
     The Euler step of v = (Xt - Xs, Xs, 1) is v <- F_k v + (G_k v) dW with
 
@@ -259,11 +258,13 @@ def closed_loop(feedback: Feedback, x0, T: float, dt: float) -> ClosedLoop:
     (X, u) rows G, M = [[Q, S'], [S, R]] and l = (q, r).
     """
     problem, are, static = feedback.problem, feedback.are, feedback.static
-    path = feedback.path(T)
-    K = len(path.mesh) - 1
-    if K != int(round(T / dt)):
+    march = feedback.march
+    h = march.T / (len(march.mesh) - 1)
+    if _whole_steps(dt, h) != 1:
         raise ValueError(f"simulation step dt={dt} does not match "
-                         f"the Riccati march step {path.T / K}")
+                         f"the Riccati march step {h}")
+    K = _whole_steps(T, dt)
+    path = march._tail(T, K)
     x0 = np.asarray(x0, dtype=float).reshape(problem.n)
     m_t = propagate_mean(problem, path, x0, static.x_star)
     n, m = problem.n, problem.m

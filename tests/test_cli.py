@@ -2,6 +2,7 @@ import json
 import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from mflq import ArePair, StaticSolution, cli, riccati
@@ -146,6 +147,8 @@ def test_exit_code_3_on_bad_horizons(tmp_path, capsys, horizons, message):
     ("are", "dt", math.inf, "dt: expected a finite number, got inf"),
     ("turnpike", "T", 1e308, "T/dt must be finite"),
     ("turnpike", "dt", 1e-320, "T/dt must be finite"),
+    ("lemma-suite", "seed", -1, "seed: must be >= 0, got -1"),
+    ("turnpike", "seed", -1, "seed: must be >= 0, got -1"),
 ])
 def test_exit_code_3_on_nonfinite_or_fractional_field(
         tmp_path, capsys, command, field, value, message):
@@ -214,6 +217,84 @@ def test_exit_code_5_on_memory_error_while_loading(tmp_path, capsys,
     assert main(["are", "--config", _write(tmp_path, {"problem": SP1})]) == 5
     assert ("out of memory: no room for the problem"
             in capsys.readouterr().err)
+
+
+def test_exit_code_5_on_linalg_error(tmp_path, capsys, monkeypatch):
+    # numpy's LinAlgError is a ValueError, yet a numerical failure
+    def singular(problem):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(riccati, "solve_are", singular)
+    assert main(["are", "--config", _write(tmp_path, {"problem": SP1})]) == 5
+    assert "error: Singular matrix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", [[1, 2], 5, True])
+def test_exit_code_3_on_non_string_out(tmp_path, capsys, monkeypatch, out):
+    # str() would make a directory named "[1, 2]", "5" or "True"
+    monkeypatch.chdir(tmp_path)
+    doc = {"problem": SP1, "out": out}
+    assert main(["are", "--config", _write(tmp_path, doc)]) == 3
+    assert f"out: expected a string, got {out!r}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("horizon, code", [("0.11", 3), ("0.12", 0)])
+def test_turnpike_horizon_must_hold_the_fit_windows(tmp_path, capsys,
+                                                    horizon, code):
+    # 11 steps leave 4 nodes in [0.05T, 0.45T], one short of the fit's
+    # MIN_WINDOW_NODES: rejected at load, before any solve
+    out = tmp_path / "out"
+    assert main(["turnpike", "--config", _write(tmp_path, {
+        "problem": SP2, "T": 10.0, "x0": [1.5]}), "--horizon", horizon,
+        "--dt", "0.01", "--paths", "10", "--out", str(out)]) == code
+    assert out.exists() == (code == 0)
+    if code:
+        assert "T: 11 steps are too few for the decay fits" in (
+            capsys.readouterr().err)
+
+
+def test_every_accepted_horizon_runs(tmp_path, capsys):
+    # each horizon is a whole number of steps dt to within rounding, but
+    # not of the march step T_long / K_long, which differs from dt
+    doc = {"problem": SP2, "horizons": [1.0000000000009, 1.9999999999982],
+           "x0": [1.5], "dt": 0.1, "n_paths": 10}
+    assert main(["value-convergence", "--config", _write(tmp_path, doc)]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["T"] for row in rows] == doc["horizons"]
+
+
+_RUN = {"T": 1.0, "x0": [1.5], "dt": 0.01, "n_paths": 10}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command, doc", [
+    ("are", {"problem": dict(SP1, Q=[[1e200]])}),
+    ("static", {"problem": dict(SP1, B=[[1e200]])}),
+    ("turnpike", {"problem": SP2, **_RUN, "T": 0.11}),
+    ("lemma-suite", {"problem": SP1, "seed": -1, "trials": 5}),
+    ("are", {"problem": SP1, "out": [1, 2]}),
+    ("turnpike", {"problem": dict(SP2, n=2, A=[[-1.0, 0.0], [0.0]]),
+                  **_RUN}),
+    ("turnpike", {"problem": dict(SP2, A="-1.0"), **_RUN}),
+    ("turnpike", {"problem": dict(SP2, A=None), **_RUN}),
+    ("turnpike", {"problem": dict(SP2, A=-1.0), **_RUN}),
+    ("turnpike", {"problem": SP2, **_RUN, "x0": [math.nan]}),
+    ("value-convergence", {"problem": SP2, **_RUN, "horizons": [1.0],
+                           "x0": [math.inf]}),
+    ("turnpike", {"problem": dict(SP2, sigma=[1e200]), **_RUN}),
+    ("turnpike", {"problem": dict(SP2, C=[[50.0]]), **_RUN}),
+    ("turnpike", {"problem": dict(SP2, A=[[1.0]], B=[[0.0]]), **_RUN}),
+], ids=["are-Q-1e200", "static-B-1e200", "turnpike-T-0.11",
+        "seed-negative", "out-list", "ragged-block", "string-block",
+        "null-block", "scalar-block", "x0-nan", "x0-inf", "sigma-1e200",
+        "C-50", "unstabilizable"])
+def test_bad_input_ends_in_an_exit_code(tmp_path, capsys, monkeypatch,
+                                        command, doc):
+    # no traceback: every bad config ends in a documented failure code
+    monkeypatch.chdir(tmp_path)
+    doc = {"out": "out", **doc}
+    assert main([command, "--config", _write(tmp_path, doc)]) in (2, 3, 4, 5)
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_exit_code_3_on_unusable_out(tmp_path, capsys):

@@ -5,7 +5,6 @@ import pytest
 from mflq import (
     AssumptionViolation,
     check_mean_system_stabilizability,
-    check_ms_stability,
     make_problem,
     problem_from_dict,
     validate_assumption_a1,
@@ -138,13 +137,6 @@ def test_stabilizability_detects_uncontrollable_unstable_mode():
     violating = check_mean_system_stabilizability(bad)
     assert violating
     assert violating[0].real == pytest.approx(1.0)
-
-
-def test_ms_stability(sp1):
-    stable, absc = check_ms_stability(sp1, np.array([[0.0]]))
-    assert stable and absc == pytest.approx(-2.0)
-    unstable, _ = check_ms_stability(sp1, np.array([[2.0]]))
-    assert not unstable
 
 
 def test_normalize_cross_terms_zeroes_S():

@@ -185,6 +185,18 @@ def test_are_large_solution_scalar_matches_closed_form(A, B, R):
     assert abs(are.Pi[0, 0] - root) <= 1e-12 * root
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("B, Q", [(1.0, 1e200), (1e200, 1.0)])
+def test_are_nonfinite_residual_is_never_certified(B, Q):
+    # the first Newton step overshoots, S'R^{-1}S overflows, and the
+    # residual and its scale are both inf: an inf residual within
+    # RESIDUAL_TOL * inf must not pass as converged (Q = 1e200 returned
+    # P = 5e199, off the closed form -1 + sqrt(1 + 1e200) ~ 1e100)
+    p = make_problem(1, 1, A=[[-1.0]], B=[[B]], Q=[[Q]], R=[[1.0]])
+    with pytest.raises(NumericalFailure, match="residual not finite"):
+        solve_are(p)
+
+
 @pytest.mark.parametrize("a", [1.0, 0.0])
 def test_are_unstabilizable_state_equation_diverges_in_bounded_time(a):
     # (Ahat, Bhat) = (a, 1) is stabilizable, (A, B) = (a, 0) is not: the

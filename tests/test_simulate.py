@@ -403,6 +403,18 @@ def test_mesh_mismatch_rejected(sp2):
         run_coupled(fb, [1.5], cfg)
 
 
+def test_closed_loop_cuts_by_the_config_steps(sp2):
+    # T_long / 20 = dt (1 - 9e-13) is the march step; T / dt is 10 to
+    # within rounding, but T over the march step is 10 + 1e-11, off by
+    # more than the node tolerance: the cut counts steps of dt
+    fb = solve_feedback(sp2, 1.9999999999982, 20)
+    cfg = SimulationConfig(T=1.0000000000009, dt=0.1, n_paths=10)
+    with pytest.raises(ValueError, match="not a node of the Riccati march"):
+        fb.path(cfg.T)
+    res = run_coupled(fb, [1.5], cfg)
+    assert len(res.optimal.mesh) == 11 and res.optimal.mesh[-1] == cfg.T
+
+
 def test_nonfinite_state_is_located(sp2, monkeypatch):
     fb = solve_feedback(sp2, 1.0, 100)
     cfg = SimulationConfig(T=1.0, dt=0.01, n_paths=8, seed=0)
