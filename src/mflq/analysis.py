@@ -34,6 +34,7 @@ TOLERANCES = {
     "inversion": riccati.INVERSION_TOL,
     "are_residual": riccati.RESIDUAL_TOL,
     "are_stationarity": riccati.NEWTON_TOL,
+    "rk4_step_margin": riccati.RK4_STEP_MARGIN,
     "kkt_residual": static_opt.KKT_RESIDUAL_TOL,
     "kkt_rcond": static_opt.KKT_RCOND_TOL,
     "log_floor": LOG_FLOOR,
@@ -236,7 +237,7 @@ def turnpike_pipeline(problem: ProblemData, x0,
     (Riccati convergence, static solution, gap series with decay fits,
     adjoint gaps, value row) and the full-resolution ensemble statistics.
     """
-    x0 = np.asarray(x0, dtype=float).reshape(problem.n)
+    x0 = model.exact_shape("x0", x0, (problem.n,))
     T = float(config.T)
     feedback = riccati.solve_feedback(problem, T, config.n_steps)
     are, static = feedback.are, feedback.static
@@ -245,22 +246,14 @@ def turnpike_pipeline(problem: ProblemData, x0,
     stats = res.optimal
     gap = stats.gap_X + stats.gap_u
     adjoint_gap = stats.gap_Y + stats.gap_Z
-    trivial = max(
-        np.max(np.abs(problem.b), initial=0.0),
-        np.max(np.abs(problem.sigma), initial=0.0),
-        np.max(np.abs(problem.q), initial=0.0),
-        np.max(np.abs(problem.r), initial=0.0),
-        np.max(np.abs(x0), initial=0.0),
-    ) == 0.0
-    fits = {}
-    if not trivial:
-        left, right = fit_turnpike_decay(gap, T, stats.mesh)
-        fits = {
-            "left": {"K": left.K, "lambda": left.lam,
-                     "r_squared": left.r_squared, "window": left.window},
-            "right": {"K": right.K, "lambda": right.lam,
-                      "r_squared": right.r_squared, "window": right.window},
-        }
+    # no offset, noise or linear cost, from x0 = 0: every gap is zero
+    trivial = not any(np.any(v) for v in (problem.b, problem.sigma,
+                                          problem.q, problem.r, x0))
+    fits = {} if trivial else {
+        side: {"K": fit.K, "lambda": fit.lam, "r_squared": fit.r_squared,
+               "window": fit.window}
+        for side, fit in zip(("left", "right"),
+                             fit_turnpike_decay(gap, T, stats.mesh))}
     idx = simulate._snapshot_indices(len(stats.mesh) - 1)
     mid = len(stats.mesh) // 2
     value = record(_value_row(T, stats, static.V))

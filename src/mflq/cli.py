@@ -38,8 +38,8 @@ import numpy as np
 
 from . import analysis, riccati, simulate, static_opt
 from .errors import AssumptionViolation, MflqError, NumericalFailure
-from .model import (ProblemData, json_integer, json_number, problem_from_dict,
-                    require_a1)
+from .model import (ProblemData, exact_shape, json_integer, json_number,
+                    problem_from_dict, require_a1)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -140,10 +140,9 @@ def load_config(path, command: str = "turnpike",
     if spec.simulates:
         if x0 is None:
             raise ValueError(f"x0: required for the {command} command")
-        x0 = np.array([json_number("x0", v)
-                       for v in np.ravel(np.asarray(x0, dtype=object))])
-        if x0.shape != (problem.n,):
-            raise ValueError(f"x0: expected length {problem.n}, got {x0.shape}")
+        for v in np.asarray(x0, dtype=object).flat:
+            json_number("x0", v)
+        x0 = exact_shape("x0", x0, (problem.n,))
     if T is not None:
         json_number("T", T)
     for h in horizons if isinstance(horizons, list) else ():
@@ -279,8 +278,10 @@ def _cmd_static(config, outdir):
 
 def _cmd_riccati_profile(config, outdir):
     are = riccati.solve_are(config.problem)
-    path = riccati.integrate_finite_horizon(config.problem, config.sim.T,
-                                            steps=config.sim.n_steps)
+    sim = config.sim
+    riccati.check_rk4_step(config.problem, are, sim.T / sim.n_steps)
+    path = riccati.integrate_finite_horizon(config.problem, sim.T,
+                                            steps=sim.n_steps)
     profile = riccati.convergence_profile(path, are)
     _write_csv(config, outdir / "riccati_profile.csv",
                ["t", "err_P", "err_Pi"], profile)

@@ -22,13 +22,14 @@ from .errors import AssumptionViolation
 SYMMETRY_TOL = 1e-12
 PD_TOL = 1e-10    # the one definiteness tolerance, of every check
 
-_MATRIX_SHAPES = {
+# every block's shape, one letter per axis
+_SHAPES = {
     "A": "nn", "Abar": "nn", "C": "nn", "Cbar": "nn", "Q": "nn", "Qbar": "nn",
     "B": "nm", "Bbar": "nm", "D": "nm", "Dbar": "nm",
     "S": "mn", "Sbar": "mn",
     "R": "mm", "Rbar": "mm",
+    "b": "n", "sigma": "n", "q": "n", "r": "m",
 }
-_VECTOR_SHAPES = {"b": "n", "sigma": "n", "q": "n", "r": "m"}
 _SYMMETRIC_BLOCKS = ("Q", "Qbar", "R", "Rbar")
 
 
@@ -48,6 +49,18 @@ class HatCoefficients:
 def _check_dimensions(n, m):
     if n < 1 or m < 1:
         raise ValueError(f"dimensions must be >= 1, got n={n}, m={m}")
+
+
+def exact_shape(name, value, shape):
+    """value as a float array of exactly `shape`, a tuple, never flattened
+    or broadcast; ValueError naming the field `name` otherwise."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name}: expected numbers, got {value!r}") from exc
+    if arr.shape != shape:
+        raise ValueError(f"{name} must be of shape {shape}, got {arr.shape}")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -79,21 +92,12 @@ class ProblemData:
 
     def __post_init__(self):
         _check_dimensions(self.n, self.m)
-        sizes = {"n": self.n, "m": self.m}
-        for name, code in _MATRIX_SHAPES.items():
-            want = (sizes[code[0]], sizes[code[1]])
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != want:
-                raise ValueError(f"{name} must have shape {want}, got {arr.shape}")
-            object.__setattr__(self, name, arr)
-        for name, code in _VECTOR_SHAPES.items():
-            arr = np.asarray(getattr(self, name), dtype=float).reshape(-1)
-            if arr.shape != (sizes[code],):
-                raise ValueError(f"{name} must have length {sizes[code]}, got {arr.shape}")
-            object.__setattr__(self, name, arr)
-        for name in (*_MATRIX_SHAPES, *_VECTOR_SHAPES):
-            if not np.all(np.isfinite(getattr(self, name))):
+        for name, code in _SHAPES.items():
+            arr = exact_shape(name, getattr(self, name),
+                              tuple(getattr(self, axis) for axis in code))
+            if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite, got NaN or inf")
+            object.__setattr__(self, name, arr)
         for name in _SYMMETRIC_BLOCKS:
             arr = getattr(self, name)
             if np.max(np.abs(arr - arr.T), initial=0.0) > SYMMETRY_TOL:
@@ -105,15 +109,10 @@ class ProblemData:
 def make_problem(n: int, m: int, **blocks) -> ProblemData:
     """Build a ProblemData, defaulting every omitted block to zero."""
     _check_dimensions(n, m)
-    sizes = {"n": n, "m": m}
-    data = {}
-    for name, code in _MATRIX_SHAPES.items():
-        shape = (sizes[code[0]], sizes[code[1]])
+    data, dims = {}, {"n": n, "m": m}
+    for name, code in _SHAPES.items():
         val = blocks.pop(name, None)
-        data[name] = np.zeros(shape) if val is None else np.asarray(val, dtype=float)
-    for name, code in _VECTOR_SHAPES.items():
-        val = blocks.pop(name, None)
-        data[name] = np.zeros(sizes[code]) if val is None else np.asarray(val, dtype=float)
+        data[name] = np.zeros([dims[a] for a in code]) if val is None else val
     if blocks:
         raise ValueError(f"unknown problem blocks: {sorted(blocks)}")
     return ProblemData(n=n, m=m, **data)
@@ -152,15 +151,14 @@ def problem_from_dict(doc: dict) -> ProblemData:
         raise ValueError(f"expected a JSON object, got {doc!r}")
     if "n" not in doc or "m" not in doc:
         raise ValueError("problem document must contain 'n' and 'm'")
-    known = set(_MATRIX_SHAPES) | set(_VECTOR_SHAPES) | {"n", "m"}
-    unknown = set(doc) - known
+    unknown = set(doc) - {*_SHAPES, "n", "m"}
     if unknown:
         raise ValueError(f"unknown problem fields: {sorted(unknown)}")
     n, m = json_integer("n", doc["n"]), json_integer("m", doc["m"])
-    blocks = {k: v for k, v in doc.items() if k not in ("n", "m")}
+    blocks = {k: doc[k] for k in _SHAPES if k in doc}
     for name, value in blocks.items():
         # non-finite entries are left to ProblemData, which names them
-        for entry in np.ravel(np.asarray(value, dtype=object)):
+        for entry in np.asarray(value, dtype=object).flat:
             json_number(name, entry, finite=False)
     return make_problem(n, m, **blocks)
 

@@ -29,6 +29,7 @@ from .model import (
     PD_TOL,
     ProblemData,
     check_mean_system_stabilizability,
+    exact_shape,
     _maps,
     coefficient_maps,
     hat_coefficient_maps,
@@ -45,6 +46,7 @@ __all__ = [
     "solve_are",
     "integrate_offsets",
     "solve_feedback",
+    "check_rk4_step",
     "convergence_profile",
 ]
 
@@ -54,6 +56,7 @@ NEWTON_TOL = 1e-13
 NEWTON_MAX_ITER = 50
 SHIFT_MAX_STEPS = 100
 SHIFT_FLOOR = 1e-2
+RK4_STEP_MARGIN = 0.02
 
 
 @dataclass(frozen=True)
@@ -265,8 +268,9 @@ def integrate_finite_horizon(problem: ProblemData, T: float,
     stacked pair (P, Pi) jointly in s = T - t: the Pi equation consumes
     the P stage values.  Each stage reads the coefficient maps of both
     equations off one affine map of (P, Pi) (`_pair_maps`).  Raises
-    NumericalFailure if the march is not finite, as when a stage R(P) is
-    singular.
+    NumericalFailure naming h and T if the march is not finite, as when
+    a stage R(P) is singular or h is far outside RK4's stability region
+    (which `check_rk4_step` refuses before a march).
     """
     if T <= 0:
         raise ValueError(f"T must be positive, got {T}")
@@ -274,6 +278,7 @@ def integrate_finite_horizon(problem: ProblemData, T: float,
     steps = int(steps)
     if steps < 1:
         raise ValueError(f"steps must be positive, got {steps}")
+    h = T / steps
     maps = _pair_maps(problem)
 
     def rhs(j, c, y):
@@ -281,23 +286,36 @@ def integrate_finite_horizon(problem: ProblemData, T: float,
 
     # node j in s = T - t is node steps - j in t
     with np.errstate(all="ignore"):
-        pair = _rk4(rhs, np.zeros((2, problem.n, problem.n)), T / steps,
-                    steps)
+        pair = _rk4(rhs, np.zeros((2, problem.n, problem.n)), h, steps)
     if not np.all(np.isfinite(pair)):
-        raise NumericalFailure("Riccati inversion breakdown")
+        raise NumericalFailure(f"Riccati inversion breakdown: the march to "
+                               f"T={T} at step h={h:.6g} is not finite")
     return RiccatiPath(T=float(T), mesh=np.linspace(0.0, T, steps + 1),
                        P_of_t=pair[::-1, 0].copy(),
                        Pi_of_t=pair[::-1, 1].copy())
 
 
-def _continuation(maps, blocks, M):
+def _closed_loops(problem):
+    """The closed loops (A, B, C, D) of P and (Ahat, Bhat, 0, 0) of Pi."""
+    h = problem.hats
+    return ((problem.A, problem.B, problem.C, problem.D),
+            (h.Ahat, h.Bhat, np.zeros_like(h.Ahat), np.zeros_like(h.Bhat)))
+
+
+def _generator(loop, Theta):
+    """The generator of the closed loop (A, B, C, D) at the gain Theta."""
+    A, B, C, D = loop
+    return mean_square_generator(A + B @ Theta, C + D @ Theta)
+
+
+def _continuation(maps, loop, M):
     """Newton-Kleinman on the Riccati equation of `maps` from M, continued
     in a shift of A, and certified: returns (M, Theta, residual).
 
-    The closed-loop blocks (A, B, C, D) give the generator of M,
-    mean_square_generator(A + B Theta, C + D Theta) at its gain Theta =
-    _gain(maps(M)).  A shift of A by -alpha I subtracts 2 alpha M from
-    Q(M) and 2 alpha I from the generator.  While the generator has
+    The generator of M is `_generator` of `loop` at M's gain Theta =
+    _gain(maps(M)), formed once per iterate (`_newton` hands it on).  A
+    shift of A by -alpha I subtracts 2 alpha M from Q(M) and 2 alpha I
+    from the generator.  While the generator has
     abscissa a >= -PD_TOL, the shifted equation is solved from M, alpha
     first max(a, SHIFT_FLOOR), then the midpoint of a/2 and alpha (M is
     stabilizing for alpha > a/2).  Raises ARE divergence (check A2) when a
@@ -305,25 +323,23 @@ def _continuation(maps, blocks, M):
     residual is its exit test (`_newton`); its generator must have
     abscissa below -PD_TOL and M its minimum eigenvalue above PD_TOL.
     """
-    A, B, C, D = blocks
-
     def generator(M):
         Theta = _gain(maps(M))
-        return mean_square_generator(A + B @ Theta, C + D @ Theta), Theta
+        return _generator(loop, Theta), Theta
 
+    gen = generator(M)
     for k in range(SHIFT_MAX_STEPS):
-        a = np.max(np.linalg.eigvals(generator(M)[0]).real)
+        a = np.max(np.linalg.eigvals(gen[0]).real)
         if a < -PD_TOL:
             break
         alpha = 0.5 * (0.5 * a + alpha) if k else max(a, SHIFT_FLOOR)
         try:
-            M, _ = _newton(maps, generator, M, alpha)
+            M, _, gen = _newton(maps, generator, M, gen, alpha)
         except NumericalFailure as exc:
             raise NumericalFailure(f"ARE divergence (check A2): {exc}") from exc
     else:
         raise NumericalFailure("ARE divergence (check A2)")
-    M, residual = _newton(maps, generator, M)
-    L, Theta = generator(M)
+    M, residual, (L, Theta) = _newton(maps, generator, M, gen)
     a = np.max(np.linalg.eigvals(L).real)
     if a >= -PD_TOL:
         raise NumericalFailure(f"ARE gain not stabilizing (abscissa {a:.3e})")
@@ -332,12 +348,12 @@ def _continuation(maps, blocks, M):
     return M, Theta, residual
 
 
-def _newton(maps, generator, M, alpha=0.0):
+def _newton(maps, generator, M, gen, alpha=0.0):
     """Newton-Kleinman iteration on the Riccati equation of `maps` (M to
     its (Q, S, R) triple) with A shifted by -alpha I, whose derivative at
     M is the transpose of L - 2 alpha I acting on the row-major vec(M),
-    (L, Theta) = generator(M).  Returns (M, r), r the max-abs residual at
-    M.
+    (L, Theta) = generator(M): `gen` at the starting M, formed once per
+    accepted iterate.  Returns (M, r, gen), r the max-abs residual at M.
 
     Stops when r is below NEWTON_TOL or, once within RESIDUAL_TOL, a step
     stops reducing it (the rounding floor), both in units of its scale at
@@ -358,8 +374,8 @@ def _newton(maps, generator, M, alpha=0.0):
         if not np.isfinite(r + scale):
             raise NumericalFailure(f"ARE Newton residual not finite ({r:.3e})")
         if r < NEWTON_TOL * scale:
-            return M, r
-        J = generator(M)[0] - 2 * alpha * np.eye(M.size)
+            return M, r, gen
+        J = gen[0] - 2 * alpha * np.eye(M.size)
         try:
             step = np.linalg.solve(J.T, -F.reshape(-1))
         except np.linalg.LinAlgError as exc:
@@ -367,8 +383,9 @@ def _newton(maps, generator, M, alpha=0.0):
         M_next = _sym(M + step.reshape(M.shape))
         F_next, r_next, scale_next = residual(M_next)
         if r <= RESIDUAL_TOL * scale and not r_next < r:
-            return M, r
+            return M, r, gen
         M, F, r, scale = M_next, F_next, r_next, scale_next
+        gen = generator(M)
     raise NumericalFailure(
         f"ARE Newton iteration not converged after {NEWTON_MAX_ITER} steps "
         f"(residual {r:.3e})")
@@ -396,12 +413,11 @@ def solve_are(problem: ProblemData) -> ArePair:
             f"ARE divergence (check A2): mean system not stabilizable, "
             f"eigenvalues {violating}")
     zero = np.zeros((problem.n, problem.n))
+    loop_P, loop_Pi = _closed_loops(problem)
     P, Theta, residual_P = _continuation(
-        partial(coefficient_maps, problem),
-        (problem.A, problem.B, problem.C, problem.D), zero)
+        partial(coefficient_maps, problem), loop_P, zero)
     Pi, ThetaHat, residual_Pi = _continuation(
-        partial(hat_coefficient_maps, hats, P),
-        (hats.Ahat, hats.Bhat, zero, np.zeros_like(hats.Bhat)), zero)
+        partial(hat_coefficient_maps, hats, P), loop_Pi, zero)
     return ArePair(P=P, Pi=Pi, Theta=Theta, ThetaHat=ThetaHat,
                    residual_P=residual_P, residual_Pi=residual_Pi)
 
@@ -421,8 +437,8 @@ def integrate_offsets(problem: ProblemData, are: ArePair, path: RiccatiPath,
     them, evaluated on every half step; Theta, algebraic in P, at the
     nodes.
     """
-    lam = np.asarray(lambda_star, dtype=float).reshape(problem.n)
-    sig = np.asarray(sigma_star, dtype=float).reshape(problem.n)
+    lam = exact_shape("lambda_star", lambda_star, (problem.n,))
+    sig = exact_shape("sigma_star", sigma_star, (problem.n,))
     hats = problem.hats
     K = len(path.mesh) - 1
     h = path.T / K
@@ -453,13 +469,45 @@ def integrate_offsets(problem: ProblemData, are: ArePair, path: RiccatiPath,
 def solve_feedback(problem: ProblemData, T: float, steps: int) -> Feedback:
     """Solve everything the closed-loop feedback needs up to horizon T:
     solve_are, static_opt.solve_static at its P, integrate_finite_horizon
-    over `steps` intervals and integrate_offsets on that path."""
+    over `steps` intervals and integrate_offsets on that path.  Raises
+    ValueError before the march when its step fails `check_rk4_step`."""
     are = solve_are(problem)
+    if T > 0 and steps >= 1:    # integrate_finite_horizon refuses the rest
+        check_rk4_step(problem, are, T / steps)
     static = static_opt.solve_static(problem, are.P)
     path = integrate_finite_horizon(problem, T, steps=steps)
     march = integrate_offsets(problem, are, path, static.lambda_star,
                               static.sigma_star)
     return Feedback(problem=problem, are=are, static=static, march=march)
+
+
+def check_rk4_step(problem: ProblemData, are: ArePair, h: float) -> None:
+    """Raise ValueError, naming h and the largest stable step, unless
+    |R((1 + RK4_STEP_MARGIN) h lam)| < 1 for each eigenvalue lam of both
+    certificate generators (`_closed_loops` at Theta, ThetaHat), R(z) =
+    1 + z + z^2/2 + z^3/6 + z^4/24 RK4's stability polynomial.  Near
+    saturation the march is linear in them: a larger step blows up or
+    settles on a wrong fixed point.
+    """
+    lams = np.concatenate([np.linalg.eigvals(_generator(loop, gain))
+                           for loop, gain in zip(_closed_loops(problem),
+                                                 (are.Theta, are.ThetaHat))])
+    R = np.array([1 / 24, 1 / 6, 1 / 2, 1.0, 1.0])    # descending powers
+    scale = 1.0 + RK4_STEP_MARGIN
+    if np.all(np.abs(np.polyval(R, scale * h * lams)) < 1.0):
+        return
+    limits = []
+    for w in lams / np.abs(lams):
+        # the first t > 0 with |R(t w)|^2 = 1 bounds |h lam|: a root of
+        # |R(t w)|^2 - 1 with its root t = 0 divided out
+        c = R * w ** np.arange(4, -1, -1)
+        roots = np.roots(np.polymul(c, c.conj()).real[:-1])
+        limits.append(min(t.real for t in roots
+                          if t.imag == 0.0 and t.real > 0.0))
+    raise ValueError(
+        f"Riccati march step h={h:.6g} is outside RK4's stability region "
+        f"(margin {RK4_STEP_MARGIN}); the largest stable step is "
+        f"{np.min(limits / np.abs(lams)) / scale:.6g}")
 
 
 def convergence_profile(path: RiccatiPath, are: ArePair) -> np.ndarray:

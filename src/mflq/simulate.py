@@ -78,7 +78,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure
-from .model import ProblemData
+from .model import ProblemData, exact_shape
 from .riccati import Feedback, FeedbackPath, _rk4_linear, _whole_steps
 
 __all__ = [
@@ -202,8 +202,8 @@ def propagate_mean(problem: ProblemData, path: FeedbackPath,
     gains read from the feedback path's half-step stacks.
     """
     hats = problem.hats
-    x0 = np.asarray(x0, dtype=float).reshape(problem.n)
-    x_star = np.asarray(x_star, dtype=float).reshape(problem.n)
+    x0 = exact_shape("x0", x0, (problem.n,))
+    x_star = exact_shape("x_star", x_star, (problem.n,))
     K = len(path.mesh) - 1
     Acl = hats.Ahat + np.einsum("im,kmn->kin", hats.Bhat, path.ThetaHat_half)
     return _rk4_linear(Acl, path.thetaHat_half @ hats.Bhat.T,
@@ -265,7 +265,6 @@ def closed_loop(feedback: Feedback, x0, T: float, dt: float) -> ClosedLoop:
                          f"the Riccati march step {h}")
     K = _whole_steps(T, dt)
     path = march._tail(T, K)
-    x0 = np.asarray(x0, dtype=float).reshape(problem.n)
     m_t = propagate_mean(problem, path, x0, static.x_star)
     n, m = problem.n, problem.m
     K1 = K + 1

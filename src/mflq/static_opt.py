@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure
-from .model import ProblemData
+from .model import ProblemData, exact_shape
 
 __all__ = ["StaticSolution", "evaluate_F", "solve_static"]
 
@@ -39,9 +39,9 @@ def evaluate_F(problem: ProblemData, P: np.ndarray,
                x: np.ndarray, u: np.ndarray) -> float:
     """Static cost at a point (x, u), including the diffusion term."""
     h = problem.hats
-    x = np.asarray(x, dtype=float).reshape(problem.n)
-    u = np.asarray(u, dtype=float).reshape(problem.m)
-    P = np.asarray(P, dtype=float)
+    n, m = problem.n, problem.m
+    x, u = exact_shape("x", x, (n,)), exact_shape("u", u, (m,))
+    P = exact_shape("P", P, (n, n))
     w = h.Chat @ x + h.Dhat @ u + problem.sigma
     return float(
         x @ h.Qhat @ x + u @ h.Rhat @ u + 2.0 * (u @ h.Shat @ x)
@@ -82,9 +82,7 @@ def solve_static(problem: ProblemData, P: np.ndarray) -> StaticSolution:
     solve fails its certificate: max|M sol - rhs| above KKT_RESIDUAL_TOL
     times max(1, max|M| max|sol| + max|rhs|).
     """
-    P = np.asarray(P, dtype=float)
-    if P.shape != (problem.n, problem.n):
-        raise ValueError(f"P must be {problem.n}x{problem.n}, got {P.shape}")
+    P = exact_shape("P", P, (problem.n, problem.n))
     M, rhs = _kkt_system(problem, P)
     sv = np.linalg.svd(M, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] / sv[0] < KKT_RCOND_TOL:
@@ -96,10 +94,7 @@ def solve_static(problem: ProblemData, P: np.ndarray) -> StaticSolution:
     if not residual <= KKT_RESIDUAL_TOL * scale:
         raise NumericalFailure(f"static problem: KKT residual {residual:.3g} "
                                f"above KKT_RESIDUAL_TOL * {scale:.3g}")
-    n, m = problem.n, problem.m
-    x = sol[:n]
-    u = sol[n:n + m]
-    lam = sol[n + m:]
+    x, u, lam = np.split(sol, [problem.n, problem.n + problem.m])
     h = problem.hats
     return StaticSolution(
         x_star=x, u_star=u, lambda_star=lam,

@@ -1,6 +1,7 @@
 """Paper property checks used by the tests only: Riccati monotonicity in
 the horizon, the cross-term normalization, the KKT residuals of the
-static problem and the predicted turnpike rate."""
+static problem, the predicted turnpike rate and the exact moments of the
+Monte Carlo chain."""
 
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ import numpy as np
 from mflq import AssumptionViolation, integrate_finite_horizon
 from mflq.model import mean_square_generator
 from mflq.riccati import _sym
+from mflq.simulate import _mean_cost_series, _node_series, closed_loop
 
 PSD_ORDER_TOL = 1e-9
 
@@ -94,3 +96,32 @@ def predicted_left_rate(feedback):
         p.A + p.B @ are.Theta, p.C + p.D @ are.Theta))
     mean = -2.0 * _abscissa(h.Ahat + h.Bhat @ are.ThetaHat)
     return min(fluctuation, mean)
+
+
+def exact_moments(feedback, x0, config):
+    """The exact expectations of what run_coupled estimates on the same
+    Euler chain: its optimal cost and its four gap series.
+
+    The chain v <- F_k v + (G_k v) dW_k of v = (Xt - Xs, Xs, 1), with one
+    scalar dW_k of variance dt, has second moment S_k = E[v_k v_k'] with
+    S_{k+1} = F_k S_k F_k' + dt G_k S_k G_k' from S_0 = v_0 v_0'.  F, G,
+    cost_W and the maps are simulate.closed_loop's, and every series
+    comes from S through run_coupled's own _node_series and
+    _mean_cost_series.  Returns (cost, {gap name: node series}).
+    """
+    cl = closed_loop(feedback, x0, config.T, config.dt)
+    K, r = config.n_steps, cl.F.shape[-1]
+    v0 = np.zeros(r)
+    v0[:r // 2], v0[-1] = cl.m_t[0], 1.0
+    S = np.empty((K + 1, r, r))
+    S[0] = np.outer(v0, v0)
+    for k in range(K):
+        S[k + 1] = (cl.F[k] @ S[k] @ cl.F[k].T
+                    + config.dt * cl.G[k] @ S[k] @ cl.G[k].T)
+    mean_X, mean_u = (_node_series(cl.maps[name], S)[0]
+                      for name in ("X_opt", "u_opt"))
+    mean_cost = _mean_cost_series(feedback.problem, mean_X, mean_u)
+    cost = (np.einsum("kij,kij->", cl.cost_W, S)
+            + np.trapezoid(mean_cost, np.linspace(0.0, config.T, K + 1)))
+    return float(cost), {name: _node_series(cl.maps[name], S)[1]
+                         for name in ("gap_X", "gap_u", "gap_Y", "gap_Z")}

@@ -35,6 +35,7 @@ def test_tolerances_are_the_module_constants():
         "inversion": riccati.INVERSION_TOL,
         "are_residual": riccati.RESIDUAL_TOL,
         "are_stationarity": riccati.NEWTON_TOL,
+        "rk4_step_margin": riccati.RK4_STEP_MARGIN,
         "kkt_residual": static_opt.KKT_RESIDUAL_TOL,
         "kkt_rcond": static_opt.KKT_RCOND_TOL,
         "log_floor": LOG_FLOOR,

@@ -264,6 +264,15 @@ def test_every_accepted_horizon_runs(tmp_path, capsys):
 
 
 _RUN = {"T": 1.0, "x0": [1.5], "dt": 0.01, "n_paths": 10}
+# a nested or bare value where a vector is due, and the field it names
+_SHAPE_CASES = [
+    ("b", {"problem": dict(SP2, b=[[1.0]]), **_RUN}),
+    ("b", {"problem": dict(SP2, b=1.0), **_RUN}),
+    ("sigma", {"problem": dict(SP2, sigma=[[0.5]]), **_RUN}),
+    ("x0", {"problem": SP2, **_RUN, "x0": [[1.5]]}),
+    ("x0", {"problem": SP2, **_RUN, "x0": 1.5}),
+]
+_SHAPE_IDS = ["b-nested", "b-bare", "sigma-nested", "x0-nested", "x0-bare"]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -284,10 +293,11 @@ _RUN = {"T": 1.0, "x0": [1.5], "dt": 0.01, "n_paths": 10}
     ("turnpike", {"problem": dict(SP2, sigma=[1e200]), **_RUN}),
     ("turnpike", {"problem": dict(SP2, C=[[50.0]]), **_RUN}),
     ("turnpike", {"problem": dict(SP2, A=[[1.0]], B=[[0.0]]), **_RUN}),
+    *(("turnpike", doc) for _, doc in _SHAPE_CASES),
 ], ids=["are-Q-1e200", "static-B-1e200", "turnpike-T-0.11",
         "seed-negative", "out-list", "ragged-block", "string-block",
         "null-block", "scalar-block", "x0-nan", "x0-inf", "sigma-1e200",
-        "C-50", "unstabilizable"])
+        "C-50", "unstabilizable", *_SHAPE_IDS])
 def test_bad_input_ends_in_an_exit_code(tmp_path, capsys, monkeypatch,
                                         command, doc):
     # no traceback: every bad config ends in a documented failure code
@@ -295,6 +305,37 @@ def test_bad_input_ends_in_an_exit_code(tmp_path, capsys, monkeypatch,
     doc = {"out": "out", **doc}
     assert main([command, "--config", _write(tmp_path, doc)]) in (2, 3, 4, 5)
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("field, doc", _SHAPE_CASES, ids=_SHAPE_IDS)
+def test_exit_code_3_on_inexact_shape(tmp_path, capsys, field, doc):
+    # every block and x0 has its exact shape: nothing is flattened
+    out = tmp_path / "out"
+    assert main(["turnpike", "--config", _write(tmp_path, doc),
+                 "--out", str(out)]) == 3
+    assert f"{field} must be of shape (1,), got " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("turnpike", {"problem": dict(SP2, Q=[[1e6]]), "T": 1.6, "dt": 1.6e-3,
+                  "x0": [1.5], "n_paths": 200}),
+    ("riccati-profile", {"problem": dict(SP1, C=[[50.0]]), "T": 1.0,
+                         "dt": 1 / 800}),
+    ("riccati-profile", {"problem": dict(SP1, C=[[50.0]], Qbar=[[0.5]]),
+                         "T": 1.0, "dt": 1 / 1500}),
+], ids=["turnpike-Q-1e6", "profile-C-50", "profile-C-50-Qbar-0.5"])
+def test_exit_code_3_on_an_unstable_march_step(tmp_path, capsys, command,
+                                               doc):
+    # each exited 0 with a wrong Riccati path: now refused before the
+    # march, and nothing is written
+    out = tmp_path / "out"
+    assert main([command, "--config", _write(tmp_path, doc),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "outside RK4's stability region" in err
+    assert "the largest stable step is" in err
+    assert list(out.iterdir()) == []
 
 
 def test_exit_code_3_on_unusable_out(tmp_path, capsys):

@@ -39,10 +39,23 @@ def test_make_problem_rejects_unknown_block():
 
 
 def test_shape_validation_names_block():
-    with pytest.raises(ValueError, match="S must have shape"):
+    with pytest.raises(ValueError, match=r"S must be of shape \(1, 2\)"):
         make_problem(2, 1, S=[[1.0, 2.0], [3.0, 4.0]])
-    with pytest.raises(ValueError, match="b must have length"):
+    with pytest.raises(ValueError,
+                       match=r"b must be of shape \(2,\), got \(3,\)"):
         make_problem(2, 1, b=[1.0, 2.0, 3.0])
+
+
+def test_vectors_are_not_flattened():
+    # a (2, 1) column is not a vector of length 2, nor a number one of
+    # length 1; a ragged block is no array at all
+    with pytest.raises(ValueError,
+                       match=r"b must be of shape \(2,\), got \(2, 1\)"):
+        make_problem(2, 1, b=[[1.0], [0.5]])
+    with pytest.raises(ValueError, match=r"r must be of shape \(1,\)"):
+        make_problem(2, 1, r=0.5)
+    with pytest.raises(ValueError, match="A: expected numbers"):
+        make_problem(2, 1, A=[[1.0, 0.0], [0.0]])
 
 
 def test_nonfinite_data_rejected_naming_block():

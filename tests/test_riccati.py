@@ -240,17 +240,34 @@ def test_are_newton_iteration_cap(monkeypatch):
     (-1.0, -0.1, "not positive definite"),  # closed loop A - P = -0.9
 ], ids=["unstable-loop", "indefinite"])
 def test_are_certificates_fire(monkeypatch, A, P, message):
-    # forge what the unshifted Newton solve returns: the continuation
-    # must refuse it, not return it
+    # forge what the unshifted Newton solve returns, with the generator
+    # at the forged M: the continuation must refuse it, not return it
     newton = riccati._newton
 
-    def forged(maps, generator, M, alpha=0.0):
-        M, r = newton(maps, generator, M, alpha)
-        return (np.array([[P]]), r) if alpha == 0.0 else (M, r)
+    def forged(maps, generator, M, gen, alpha=0.0):
+        M, r, gen = newton(maps, generator, M, gen, alpha)
+        if alpha == 0.0:
+            M = np.array([[P]])
+            gen = generator(M)
+        return M, r, gen
     monkeypatch.setattr(riccati, "_newton", forged)
     p = make_problem(1, 1, A=[[A]], B=[[1.0]], Q=[[1.0]], R=[[1.0]])
     with pytest.raises(NumericalFailure, match=message):
         solve_are(p)
+
+
+def test_are_forms_each_generator_once(monkeypatch):
+    # the generator of each Newton iterate is formed once and handed on:
+    # the shift test, the next Newton step and the certificate read it
+    generator = riccati.mean_square_generator
+    seen = []
+
+    def recording(A_cl, C_cl):
+        seen.append(A_cl.tobytes() + C_cl.tobytes())
+        return generator(A_cl, C_cl)
+    monkeypatch.setattr(riccati, "mean_square_generator", recording)
+    solve_are(_are_slow_style())
+    assert len(seen) == len(set(seen)) > 10
 
 
 def test_finite_horizon_terminal_and_symmetry(sp1):
@@ -314,6 +331,67 @@ def test_finite_horizon_singular_stage_R_raises(sp1, monkeypatch):
         with pytest.raises(NumericalFailure,
                            match="Riccati inversion breakdown"):
             integrate_finite_horizon(sp1, 1.0, steps=10)
+
+
+def test_march_breakdown_names_its_step():
+    # C = 50 at 100 steps: RK4 far outside its stability region blows up
+    p = make_problem(1, 1, A=[[-1.0]], B=[[1.0]], C=[[50.0]], Q=[[1.0]],
+                     R=[[1.0]])
+    with pytest.raises(NumericalFailure, match=(
+            r"Riccati inversion breakdown: the march to T=1\.0 at step "
+            r"h=0\.01 is not finite")):
+        integrate_finite_horizon(p, 1.0, steps=100)
+
+
+# RK4 is stable on the negative real axis down to -x, R(-x) = 1 at the
+# real root x = 2.7853 of x^3 - 4x^2 + 12x - 24
+_RK4_REAL_LIMIT = max(r.real for r in np.roots([1.0, -4.0, 12.0, -24.0])
+                      if r.imag == 0.0)
+
+
+def test_rk4_step_check_is_the_real_axis_bound():
+    # Q = 1e6: both generators have the one eigenvalue lam = 2(A + B Theta)
+    # near -2000, so the largest stable step is x / ((1 + margin)|lam|).
+    # At h = 1.6e-3 the march settles on a wrong fixed point: refused
+    p = make_problem(1, 1, A=[[-1.0]], B=[[1.0]], Q=[[1e6]], R=[[1.0]],
+                     b=[1.0], sigma=[0.5])
+    are = solve_are(p)
+    lam = 2.0 * (p.A + p.B @ are.Theta)[0, 0]
+    limit = _RK4_REAL_LIMIT / ((1.0 + riccati.RK4_STEP_MARGIN) * -lam)
+    riccati.check_rk4_step(p, are, 0.999 * limit)
+    with pytest.raises(ValueError, match="largest stable step is"):
+        riccati.check_rk4_step(p, are, 1.001 * limit)
+    with pytest.raises(ValueError, match=(
+            r"step h=0\.0016 is outside RK4's stability region .* "
+            rf"largest stable step is {limit:.4g}")):
+        solve_feedback(p, 1.6, 1000)
+
+
+@pytest.mark.parametrize("Qbar, steps, wrong", [
+    (0.0, 800, "P"), (0.5, 1500, "Pi")])
+def test_rk4_step_check_reads_both_generators(Qbar, steps, wrong):
+    # C = 50: P's generator has eigenvalue -2498, Pi's 2(Ahat + Bhat
+    # ThetaHat) = -4998, and Pi's binds.  At the refused step the march is
+    # finite and wrong (in P at Qbar = 0, where Pi = P along the march and
+    # hides Pi's mode; in Pi alone at Qbar = 0.5); at the first step count
+    # the check accepts, the march is right
+    p = make_problem(1, 1, A=[[-1.0]], B=[[1.0]], C=[[50.0]], Q=[[1.0]],
+                     Qbar=[[Qbar]], R=[[1.0]])
+    are = solve_are(p)
+    lam = 2.0 * (p.hats.Ahat + p.hats.Bhat @ are.ThetaHat)[0, 0]
+    bound = _RK4_REAL_LIMIT / ((1.0 + riccati.RK4_STEP_MARGIN) * -lam)
+    with pytest.raises(ValueError, match=r"largest stable step is 0\.00054"):
+        solve_feedback(p, 1.0, steps)
+    errors = convergence_profile(integrate_finite_horizon(p, 1.0, steps),
+                                 are)[0, 1:]
+    assert errors[("P", "Pi").index(wrong)] > 100.0
+    fine = math.ceil(1.0 / bound)
+    riccati.check_rk4_step(p, are, 1.0 / fine)
+    with pytest.raises(ValueError):
+        riccati.check_rk4_step(p, are, 1.0 / (fine - 1))
+    errors = convergence_profile(solve_feedback(p, 1.0, fine).march,
+                                 are)[0, 1:]
+    assert np.all(errors < 1e-9)
 
 
 def _pair_blocks(problem):

@@ -14,7 +14,9 @@ from mflq import (
     NumericalFailure,
     SimulationConfig,
     brownian_increments,
+    evaluate_F,
     integrate_finite_horizon,
+    integrate_offsets,
     make_problem,
     propagate_mean,
     run_coupled,
@@ -24,6 +26,7 @@ from mflq import (
     validate_assumption_a1,
 )
 from mflq import simulate
+from mflq.analysis import turnpike_pipeline
 from mflq.simulate import (
     BLAS_SERIAL_MNK,
     PATH_CHUNK,
@@ -33,6 +36,7 @@ from mflq.simulate import (
 )
 
 from conftest import random_problem, small_problems
+from paper_checks import exact_moments
 
 SQRT2 = math.sqrt(2.0)
 
@@ -624,3 +628,68 @@ def test_worker_count_never_changes_results(drawn):
     for name in ("cost_estimate", "cost_stderr"):
         assert getattr(one.optimal, name) == getattr(two.optimal, name)
     assert np.array_equal(one.raw_turnpike.X, two.raw_turnpike.X)
+
+
+_MOMENTS_CONFIG = SimulationConfig(T=2.0, dt=1e-2, n_paths=4096, seed=42)
+
+
+@pytest.mark.parametrize("name", ["sp2", "all_blocks_4x2"])
+def test_monte_carlo_cost_matches_exact_moments(request, name):
+    # the exact expected cost of the same Euler chain is an oracle for
+    # the estimate: it must lie within 4 standard errors
+    p = request.getfixturevalue(name)
+    config = _MOMENTS_CONFIG
+    fb = solve_feedback(p, config.T, config.n_steps)
+    x0 = [1.5] if name == "sp2" else fb.static.x_star + 1.0
+    stats = run_coupled(fb, x0, config).optimal
+    cost, _ = exact_moments(fb, x0, config)
+    assert abs(stats.cost_estimate - cost) <= 4.0 * stats.cost_stderr
+
+
+def test_noise_free_cost_is_the_exact_moment(spmf_b):
+    # without noise every path is the mean path: the standard error is
+    # rounding (about 1e-17), so the two costs agree to rounding
+    config = _MOMENTS_CONFIG
+    fb = solve_feedback(spmf_b, config.T, config.n_steps)
+    stats = run_coupled(fb, [1.5], config).optimal
+    cost, _ = exact_moments(fb, [1.5], config)
+    assert abs(stats.cost_estimate - cost) <= 1e-12 * abs(cost)
+
+
+def test_deterministic_adjoint_gap_is_the_exact_moment(sp2):
+    # with C = D = 0 the adjoint Z is deterministic, so its Monte Carlo
+    # gap series is exact
+    config = _MOMENTS_CONFIG
+    fb = solve_feedback(sp2, config.T, config.n_steps)
+    stats = run_coupled(fb, [1.5], config).optimal
+    _, gaps = exact_moments(fb, [1.5], config)
+    assert np.all(gaps["gap_Z"] > 0.0)
+    assert np.allclose(stats.gap_Z, gaps["gap_Z"], rtol=1e-12, atol=0.0)
+
+
+def test_entry_points_take_exact_shapes(random_2x2):
+    # a (2, 1) column where a vector of length 2 is due is refused,
+    # naming the field, by every entry point that takes one
+    p = random_2x2
+    fb = solve_feedback(p, 1.0, 100)
+    config = SimulationConfig(T=1.0, dt=0.01, n_paths=10)
+    col, vec, P = [[1.0], [2.0]], [1.0, 2.0], fb.are.P
+    calls = [
+        ("x0", lambda: run_coupled(fb, col, config)),
+        ("x0", lambda: simulate.closed_loop(fb, col, 1.0, 0.01)),
+        ("x0", lambda: turnpike_pipeline(p, col, config)),
+        ("x0", lambda: propagate_mean(p, fb.march, col, vec)),
+        ("x_star", lambda: propagate_mean(p, fb.march, vec, col)),
+        ("x", lambda: evaluate_F(p, P, col, vec)),
+        ("u", lambda: evaluate_F(p, P, vec, col)),
+        ("lambda_star", lambda: integrate_offsets(p, fb.are, fb.march,
+                                                  col, vec)),
+        ("sigma_star", lambda: integrate_offsets(p, fb.are, fb.march,
+                                                 vec, col)),
+    ]
+    for field, call in calls:
+        with pytest.raises(ValueError, match=(
+                rf"^{field} must be of shape \(2,\), got \(2, 1\)$")):
+            call()
+    with pytest.raises(ValueError, match=r"^P must be of shape \(2, 2\)"):
+        solve_static(p, P[:, :1])
