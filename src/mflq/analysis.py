@@ -35,6 +35,8 @@ TOLERANCES = {
     "are_residual": riccati.RESIDUAL_TOL,
     "are_stationarity": riccati.NEWTON_TOL,
     "rk4_step_margin": riccati.RK4_STEP_MARGIN,
+    "march_step_rho": riccati.MARCH_STEP_RHO,
+    "march_tol": riccati.MARCH_TOL,
     "kkt_residual": static_opt.KKT_RESIDUAL_TOL,
     "kkt_rcond": static_opt.KKT_RCOND_TOL,
     "log_floor": LOG_FLOOR,
@@ -156,8 +158,8 @@ def matrix_contraction_check(M: np.ndarray, K: np.ndarray):
 
     Returns (holds, max eigenvalue of the product).
     """
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    K = np.atleast_2d(np.asarray(K, dtype=float))
+    M = model.exact_shape("M", M, (None, None))
+    K = model.exact_shape("K", K, (M.shape[1],) * 2)
     if np.min(np.linalg.eigvalsh(0.5 * (K + K.T))) <= 0:
         raise ValueError("K must be positive definite")
     G = M @ np.linalg.solve(K + M.T @ M, M.T)
@@ -174,7 +176,7 @@ def block_psd_check(hats: HatCoefficients, Delta: np.ndarray):
     for a PSD Delta, together with its Schur-complement form.  Returns
     (holds, min eigenvalue of the block matrix).
     """
-    Delta = np.atleast_2d(np.asarray(Delta, dtype=float))
+    Delta = model.exact_shape("Delta", Delta, (len(hats.Chat),) * 2)
     Delta = 0.5 * (Delta + Delta.T)
     if np.min(np.linalg.eigvalsh(Delta)) < -model.PD_TOL:
         raise ValueError("Delta must be positive semidefinite")
@@ -260,7 +262,7 @@ def turnpike_pipeline(problem: ProblemData, x0,
     del value["T"]
     avg_gap = value.pop("avg_gap")
     report = {
-        "schema": 3,
+        "schema": 4,
         "horizon": T,
         "trivial_problem": bool(trivial),
         "tolerances": dict(TOLERANCES),
@@ -268,6 +270,9 @@ def turnpike_pipeline(problem: ProblemData, x0,
                    "seed": config.seed},
         "riccati": {
             **record(are),
+            "march_step": feedback.march_step,
+            "march_steps": round(T / feedback.march_step),
+            "march_error_estimate": feedback.march_error_estimate,
             "profile_t": _thin(profile[:, 0], idx),
             "profile_err_P": _thin(profile[:, 1], idx),
             "profile_err_Pi": _thin(profile[:, 2], idx),

@@ -17,8 +17,9 @@ value-convergence; are, static and lemma-suite march nothing and check
 it against no horizon.  Artifacts are written only under the `out`
 directory: without one, `are`, `static`, `value-convergence` and
 `lemma-suite` print their JSON to stdout only, and `riccati-profile` and
-`turnpike` exit 3.  A run whose estimated work passes one of the MAX_*
-caps exits 3 before anything is allocated.
+`turnpike` exit 3.  The directory is made with the first artifact, so a
+run that fails before it leaves none.  A run whose estimated work passes
+one of the MAX_* caps exits 3 before anything is allocated.
 Exit codes: 0 success, 2 malformed JSON, 3 shape/field errors (any
 ValueError, loading or running), work above a cap or an unusable `out`,
 4 assumption failures, 5 numerical/acceptance failures (LinAlgError
@@ -218,6 +219,13 @@ def _check_work(spec, problem, sim, horizons):
                              f"decay fits ({exc})") from exc
 
 
+def _create(path):
+    """Open the artifact `path` (a Path) for writing, making its
+    directory first: `out` exists once a command writes into it."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w")
+
+
 def _dump_json(obj, path=None):
     """Write obj as JSON to the file `path` (a Path), or to stdout.
     The text is made first: a non-finite number raises NumericalFailure
@@ -229,7 +237,8 @@ def _dump_json(obj, path=None):
     if path is None:
         sys.stdout.write(text + "\n")
     else:
-        path.write_text(text + "\n")
+        with _create(path) as fh:
+            fh.write(text + "\n")
 
 
 def _artifact_header(config):
@@ -240,7 +249,7 @@ def _artifact_header(config):
 def _write_csv(config, path, header, rows):
     """Write a CSV artifact: the two `# ` header comments, the column
     names, then one line of plain floats per row."""
-    with open(path, "w") as fh:
+    with _create(path) as fh:
         for line in _artifact_header(config):
             fh.write(f"# {line}\n")
         fh.write(",".join(header) + "\n")
@@ -292,7 +301,7 @@ def _cmd_turnpike(config, outdir):
     report, res = analysis.turnpike_pipeline(config.problem, config.x0,
                                              config.sim)
     _write_json_artifact(config, "turnpike_report.json", report, outdir)
-    with open(outdir / "ensemble.csv", "w") as fh:
+    with _create(outdir / "ensemble.csv") as fh:
         simulate.write_ensemble_csv(res.optimal, fh,
                                     header_comments=_artifact_header(config))
     print(f"wrote {outdir / 'turnpike_report.json'} and {outdir / 'ensemble.csv'}")
@@ -340,16 +349,14 @@ COMMANDS = {
 def run(config: ExperimentConfig) -> int:
     """Dispatch a validated config; returns the process exit code.
     Raises ValueError when the command needs an `out` and has none, and
-    an OSError's message gains the prefix `out:`."""
+    an OSError's message gains the prefix `out:`.  The `out` directory
+    is made with the first artifact (`_create`)."""
     from pathlib import Path
     spec = COMMANDS[config.command]
     if config.out is None and spec.needs_out:
         raise ValueError(f"out: required for the {config.command} command")
     try:
-        outdir = None if config.out is None else Path(config.out)
-        if outdir is not None:
-            outdir.mkdir(parents=True, exist_ok=True)
-        spec.handler(config, outdir)
+        spec.handler(config, None if config.out is None else Path(config.out))
     except OSError as exc:
         raise OSError(f"out: {exc}") from exc
     return EXIT_OK

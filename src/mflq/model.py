@@ -52,13 +52,15 @@ def _check_dimensions(n, m):
 
 
 def exact_shape(name, value, shape):
-    """value as a float array of exactly `shape`, a tuple, never flattened
-    or broadcast; ValueError naming the field `name` otherwise."""
+    """value as a float array of exactly `shape`, a tuple whose None
+    entries take any length, never flattened or broadcast; ValueError
+    naming the field `name` otherwise."""
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name}: expected numbers, got {value!r}") from exc
-    if arr.shape != shape:
+    if len(arr.shape) != len(shape) or any(
+            want not in (None, got) for want, got in zip(shape, arr.shape)):
         raise ValueError(f"{name} must be of shape {shape}, got {arr.shape}")
     return arr
 

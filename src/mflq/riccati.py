@@ -12,7 +12,10 @@ bare pair (a RiccatiPath); `integrate_offsets` adds the gains and the
 mean offsets (phiHat, thetaHat) of the closed-loop feedback (a
 FeedbackPath).  The finite-horizon data depend on T - t alone, so
 `solve_feedback` solves them once per problem, up to the longest
-horizon, and each shorter horizon reads the tail.
+horizon, and each shorter horizon reads the tail.  It marches the pair
+on a mesh of its own, k times coarser than the feedback's, and reads it
+back on the feedback's mesh by cubic Hermite interpolation with the
+Riccati right-hand side as slope (`_march`, `integrate_offsets`).
 """
 
 from __future__ import annotations
@@ -57,6 +60,11 @@ NEWTON_MAX_ITER = 50
 SHIFT_MAX_STEPS = 100
 SHIFT_FLOOR = 1e-2
 RK4_STEP_MARGIN = 0.02
+# the march step H = k dt of solve_feedback: k dt rho <= MARCH_STEP_RHO
+# for the largest |eigenvalue| rho of the certificate generators, and a
+# step-doubling error estimate at most MARCH_TOL
+MARCH_STEP_RHO = 0.08
+MARCH_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -85,8 +93,10 @@ class RiccatiPath:
         """The path of horizon T, of this type: the last K + 1 nodes
         (2K + 1 half steps), K = T / h for the step h, on the mesh of
         [0, T].  The data depend on T - t alone, so this equals a fresh
-        solve to T with step h.  Raises ValueError unless T is a node
-        (`_whole_steps`) up to self.T.
+        march to T with step h, and a fresh feedback path read at step h
+        off a march with the same step H = k h (`solve_feedback`).
+        Raises ValueError unless T is a node (`_whole_steps`) up to
+        self.T.
         """
         return self._tail(T, _whole_steps(T, self.T / (len(self.mesh) - 1)))
 
@@ -123,12 +133,17 @@ class Feedback:
     """The optimal closed loop of a problem at every horizon up to
     march.T: the stationary pair, the static solution and the feedback
     path, marched once to the longest horizon.  The path of a shorter
-    horizon is the march's tail."""
+    horizon is the march's tail.  march_step is the step H of the
+    Riccati march, a whole multiple of march's step, and
+    march_error_estimate its step-doubling estimate (None where H is
+    march's step)."""
 
     problem: ProblemData
     are: ArePair
     static: static_opt.StaticSolution
     march: FeedbackPath
+    march_step: float
+    march_error_estimate: float | None
 
     def path(self, T: float) -> FeedbackPath:
         """The path of horizon T, the march's tail (RiccatiPath.tail)."""
@@ -171,13 +186,21 @@ def _gain(maps):
     return -np.linalg.solve(Rm, Sm)
 
 
-def _hermite_half(y, f, h):
-    """The half-step stack of node values y with slopes f (both K + 1
-    long) on a mesh of step h: entry 2j is node j, entry 2j + 1 the cubic
-    Hermite value at the midpoint of interval j."""
-    out = np.empty((2 * len(y) - 1,) + y.shape[1:])
-    out[0::2] = y
-    out[1::2] = 0.5 * (y[:-1] + y[1:]) + 0.125 * h * (f[:-1] - f[1:])
+def _hermite(y, f, h, k):
+    """Cubic Hermite dense output of node values y with slopes f (both
+    K + 1 long) on a mesh of step h, on the mesh of step h / (2k): entry
+    2kj + i is at the fraction i / (2k) of interval j, so entry 2kj is
+    node j.  At k = 1 the stack holds the nodes and the midpoints."""
+    theta = np.arange(2 * k) / (2 * k)
+    weights = np.stack([(1 + 2 * theta) * (1 - theta) ** 2,
+                        h * theta * (1 - theta) ** 2,
+                        theta ** 2 * (3 - 2 * theta),
+                        -h * theta ** 2 * (1 - theta)])
+    ends = np.stack([y[:-1], f[:-1], y[1:], f[1:]])
+    out = np.empty((2 * k * (len(y) - 1) + 1,) + y.shape[1:])
+    out[:-1] = np.tensordot(weights, ends, axes=(0, 0)).swapaxes(0, 1) \
+        .reshape(out[:-1].shape)
+    out[::2 * k] = y
     return out
 
 
@@ -423,30 +446,35 @@ def solve_are(problem: ProblemData) -> ArePair:
 
 
 def integrate_offsets(problem: ProblemData, are: ArePair, path: RiccatiPath,
-                      lambda_star: np.ndarray,
-                      sigma_star: np.ndarray) -> FeedbackPath:
-    """The feedback path of a Riccati march: its gains and mean offsets.
+                      lambda_star: np.ndarray, sigma_star: np.ndarray,
+                      k: int = 1) -> FeedbackPath:
+    """The feedback path of a Riccati march, on its mesh refined k times:
+    its gains and mean offsets.
 
-    phiHat solves, backward from phiHat(T) = -lambda*,
+    P and Pi are read at the nodes and half steps of the refined mesh by
+    cubic Hermite interpolation of the march's nodes, with the Riccati
+    right-hand side as slope (`_hermite`).  phiHat solves, backward from
+    phiHat(T) = -lambda*,
 
         dphiHat/dt + [Ahat + Bhat ThetaHat_T(t)]' phiHat
                    + [Chat + Dhat ThetaHat_T(t)]' [P_T(t) - P] sigma* = 0,
 
-    with half-step P, Pi and phiHat from cubic Hermite interpolation of
-    the nodes.  ThetaHat and the control offset thetaHat are algebraic in
-    them, evaluated on every half step; Theta, algebraic in P, at the
-    nodes.
+    on the refined mesh, with half-step phiHat from cubic Hermite
+    interpolation of its nodes.  ThetaHat and the control offset thetaHat
+    are algebraic in them, evaluated on every half step; Theta, algebraic
+    in P, at the nodes.
     """
     lam = exact_shape("lambda_star", lambda_star, (problem.n,))
     sig = exact_shape("sigma_star", sigma_star, (problem.n,))
     hats = problem.hats
-    K = len(path.mesh) - 1
+    K = k * (len(path.mesh) - 1)
     h = path.T / K
-    P_t, Pi_t = path.P_of_t, path.Pi_of_t
-    P_maps = coefficient_maps(problem, P_t)
-    P_half = _hermite_half(P_t, _riccati_rhs(P_maps), -h)
-    Pi_half = _hermite_half(
-        Pi_t, _riccati_rhs(hat_coefficient_maps(hats, P_t, Pi_t)), -h)
+    P_c, Pi_c = path.P_of_t, path.Pi_of_t
+    P_half = _hermite(
+        P_c, _riccati_rhs(coefficient_maps(problem, P_c)), -k * h, k)
+    Pi_half = _hermite(
+        Pi_c, _riccati_rhs(hat_coefficient_maps(hats, P_c, Pi_c)), -k * h, k)
+    P_t, Pi_t = P_half[::2], Pi_half[::2]
 
     # dphiHat/ds = Mhat phiHat + ghat with s = T - t: reverse the stacks
     maps = hat_coefficient_maps(hats, P_half, Pi_half)
@@ -455,39 +483,77 @@ def integrate_offsets(problem: ProblemData, are: ArePair, path: RiccatiPath,
     dP = (P_half - are.P) @ sig
     ghat = np.einsum('kji,kj->ki', hats.Chat + hats.Dhat @ ThetaHat, dP)
     phiHat = _rk4_linear(Mhat[::-1], ghat[::-1], -lam, h, K)[::-1].copy()
-    phi_half = _hermite_half(
-        phiHat, (Mhat[::2] @ phiHat[..., None])[..., 0] + ghat[::2], -h)
+    phi_half = _hermite(
+        phiHat, (Mhat[::2] @ phiHat[..., None])[..., 0] + ghat[::2], -h, 1)
 
     thetaHat = -np.linalg.solve(
         maps[2], (phi_half @ hats.Bhat + dP @ hats.Dhat)[..., None])[..., 0]
     return FeedbackPath(
-        T=path.T, mesh=path.mesh, P_of_t=P_t, Pi_of_t=Pi_t,
-        Theta_of_t=_gain(P_maps), phiHat_of_t=phiHat,
-        ThetaHat_half=ThetaHat, thetaHat_half=thetaHat)
+        T=path.T, mesh=np.linspace(0.0, path.T, K + 1), P_of_t=P_t,
+        Pi_of_t=Pi_t, Theta_of_t=_gain(coefficient_maps(problem, P_t)),
+        phiHat_of_t=phiHat, ThetaHat_half=ThetaHat, thetaHat_half=thetaHat)
+
+
+def _march_factor(steps: int, step_rho: float) -> int:
+    """The coarsening k of a march of `steps` steps h, h rho = step_rho:
+    the largest divisor of steps with k h rho <= MARCH_STEP_RHO that
+    leaves at least two coarse steps, or 1."""
+    top = min(steps // 2, int(MARCH_STEP_RHO / step_rho))
+    return max((d for d in range(1, top + 1) if steps % d == 0), default=1)
+
+
+def _march(problem: ProblemData, T: float, steps: int, k: int):
+    """The Riccati march of `solve_feedback` to T: returns (path, k,
+    estimate).  For k > 1 it marches at H = k T / steps and at 2H from
+    the same s = T - t = 0, and keeps H when the step-doubling estimate
+    max|y_H - y_2H| / 15 of RK4's error at H, over P and Pi at the nodes
+    the two share, is at most MARCH_TOL.  Otherwise it marches at
+    T / steps (k = 1, estimate None)."""
+    if k > 1:
+        coarse = steps // k
+        path = integrate_finite_horizon(problem, T, coarse)
+        half = coarse // 2
+        twin = integrate_finite_horizon(problem, 2 * half * T / coarse, half)
+        # in s, node j of the twin is node 2j of the march
+        estimate = max(
+            np.max(np.abs(getattr(path, name)[::-1][:2 * half + 1:2]
+                          - getattr(twin, name)[::-1]))
+            for name in ("P_of_t", "Pi_of_t")) / 15.0
+        if estimate <= MARCH_TOL:
+            return path, k, float(estimate)
+    return integrate_finite_horizon(problem, T, steps), 1, None
 
 
 def solve_feedback(problem: ProblemData, T: float, steps: int) -> Feedback:
-    """Solve everything the closed-loop feedback needs up to horizon T:
-    solve_are, static_opt.solve_static at its P, integrate_finite_horizon
-    over `steps` intervals and integrate_offsets on that path.  Raises
-    ValueError before the march when its step fails `check_rk4_step`."""
+    """Solve everything the closed-loop feedback needs up to horizon T,
+    on the mesh of `steps` intervals h: solve_are, static_opt.solve_static
+    at its P, the Riccati march (`_march`) at H = k h, k from
+    `_march_factor` at the eigenvalues `check_rk4_step` checks, and
+    integrate_offsets on that march, read back at step h.  Raises
+    ValueError before the march when h fails `check_rk4_step`."""
     are = solve_are(problem)
+    k = 1
     if T > 0 and steps >= 1:    # integrate_finite_horizon refuses the rest
-        check_rk4_step(problem, are, T / steps)
+        rho = np.max(np.abs(check_rk4_step(problem, are, T / steps)))
+        k = _march_factor(int(steps), T / steps * rho)
     static = static_opt.solve_static(problem, are.P)
-    path = integrate_finite_horizon(problem, T, steps=steps)
+    path, k, estimate = _march(problem, T, steps, k)
     march = integrate_offsets(problem, are, path, static.lambda_star,
-                              static.sigma_star)
-    return Feedback(problem=problem, are=are, static=static, march=march)
+                              static.sigma_star, k)
+    return Feedback(problem=problem, are=are, static=static, march=march,
+                    march_step=path.T / (len(path.mesh) - 1),
+                    march_error_estimate=estimate)
 
 
-def check_rk4_step(problem: ProblemData, are: ArePair, h: float) -> None:
+def check_rk4_step(problem: ProblemData, are: ArePair,
+                   h: float) -> np.ndarray:
     """Raise ValueError, naming h and the largest stable step, unless
     |R((1 + RK4_STEP_MARGIN) h lam)| < 1 for each eigenvalue lam of both
     certificate generators (`_closed_loops` at Theta, ThetaHat), R(z) =
     1 + z + z^2/2 + z^3/6 + z^4/24 RK4's stability polynomial.  Near
     saturation the march is linear in them: a larger step blows up or
-    settles on a wrong fixed point.
+    settles on a wrong fixed point.  Returns the eigenvalues, whose
+    largest modulus also sizes the march step (`_march_factor`).
     """
     lams = np.concatenate([np.linalg.eigvals(_generator(loop, gain))
                            for loop, gain in zip(_closed_loops(problem),
@@ -495,7 +561,7 @@ def check_rk4_step(problem: ProblemData, are: ArePair, h: float) -> None:
     R = np.array([1 / 24, 1 / 6, 1 / 2, 1.0, 1.0])    # descending powers
     scale = 1.0 + RK4_STEP_MARGIN
     if np.all(np.abs(np.polyval(R, scale * h * lams)) < 1.0):
-        return
+        return lams
     limits = []
     for w in lams / np.abs(lams):
         # the first t > 0 with |R(t w)|^2 = 1 bounds |h lam|: a root of

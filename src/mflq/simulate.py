@@ -22,12 +22,14 @@ Euler-Maruyama step of both ensembles is
 
     v <- F_k v + (G_k v) dW_k,
 
-where F_k = I + dt T2 A2_k T2^-1 (plus the drift offsets in its last
-column) and G_k = T2 C2_k T2^-1 (plus the noise offsets) are the
+one matrix product with the stack [F_k; G_k] per step, where
+F_k = I + dt T2 A2_k T2^-1 (plus the drift offsets in its last column)
+and G_k = T2 C2_k T2^-1 (plus the noise offsets) are the
 block-diagonal coefficients A2_k = diag(Acl_k, A + B Theta) and
 C2_k = diag(Ccl_k, C + D Theta) of the stacked state Z = (Xt, Xs),
 moved to v = T2 Z by T2 = [[I, -I], [0, I]].  The last row of F_k is
-(0, ..., 0, 1) and that of G_k is zero, so the constant row stays 1.
+(0, ..., 0, 1) and that of G_k is zero, so the constant row stays 1
+(and the product leaves G_k's last row out).
 The gap block Xt - Xs is stepped itself, its coefficients read off
 Theta_T - Theta; it is never formed by subtracting Xs from Xt.
 
@@ -45,15 +47,16 @@ block directly, never E|Xt|^2 - 2 E[Xt.Xs] + E|Xs|^2, so they stay
 accurate where they fall to 1e-17.  What stays per path is the optimal
 running cost, one quadratic form v' W_k v per node with the linear and
 constant terms in the last row and column of W_k (its standard error
-needs the per-path totals), and the snapshot sub-mesh, one product
-with the stacked maps per snapshot node.
+needs the per-path totals, summed over the rows of v once after the
+loop), and the snapshot sub-mesh, one product with the stacked maps per
+snapshot node.
 
 Memory is allocated once.  The run holds one snapshot buffer of shape
 (nodes, 2(n + m), n_paths); each chunk writes its columns in place, and
 `RawPaths.X` and `.u` are views of it.  Each chunk allocates its (., L)
-work buffers (v, the cost form, the noise term) before the step loop,
-and every step writes into them, so the Brownian draw is the only
-per-step allocation of paths' size.
+work buffers (v, the stacked product, the cost terms) before the
+step loop, and every step writes into them, so the Brownian draw is
+the only per-step allocation of paths' size.
 
 Brownian increments come from a counter-based generator: every
 increment has the fixed address (seed, path-chunk, step), independent
@@ -79,7 +82,8 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .model import ProblemData, exact_shape
-from .riccati import Feedback, FeedbackPath, _rk4_linear, _whole_steps
+from .riccati import (ArePair, Feedback, FeedbackPath, _rk4_linear,
+                      _whole_steps)
 
 __all__ = [
     "SimulationConfig",
@@ -223,21 +227,64 @@ def _affine(K1, Gd, Gs, h):
 @dataclass(frozen=True)
 class ClosedLoop:
     """Per-node coefficients of the coupled pair on one horizon, built
-    by `closed_loop`; every matrix acts on v = (Xt - Xs, Xs, 1)."""
+    by `closed_loop`; every matrix acts on v = (Xt - Xs, Xs, 1).  FG is
+    the per-node stack [F_k; G_k] of shape (K+1, 2r, r), and F and G are
+    views of its halves."""
 
     m_t: np.ndarray
-    F: np.ndarray
-    G: np.ndarray
+    FG: np.ndarray
     maps: dict
     snap: np.ndarray
     cost_W: np.ndarray
+
+    @property
+    def F(self) -> np.ndarray:
+        return self.FG[:, :self.FG.shape[-1]]
+
+    @property
+    def G(self) -> np.ndarray:
+        return self.FG[:, self.FG.shape[-1]:]
+
+
+def _check_euler_step(problem: ProblemData, are: ArePair,
+                      dt: float) -> None:
+    """Raise ValueError, naming dt and the largest stable step, unless
+    the stationary Euler chain is mean-square stable at step dt: both
+    the second-moment map F⊗F + dt G⊗G, F = I + dt (A + B Theta) and
+    G = C + D Theta, and the mean map I + dt (Ahat + Bhat ThetaHat) have
+    spectral radius below 1.  The largest stable step is found by
+    bisection from dt."""
+    A = problem.A + problem.B @ are.Theta
+    C = problem.C + problem.D @ are.Theta
+    hats = problem.hats
+    Ahat = hats.Ahat + hats.Bhat @ are.ThetaHat
+    eye = np.eye(problem.n)
+
+    def radius(h):
+        F = eye + h * A
+        return max(np.max(np.abs(np.linalg.eigvals(
+                       np.kron(F, F) + h * np.kron(C, C)))),
+                   np.max(np.abs(np.linalg.eigvals(eye + h * Ahat))))
+
+    rho = radius(dt)
+    if rho < 1.0:
+        return
+    lo, hi = 0.0, dt
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if radius(mid) < 1.0 else (lo, mid)
+    raise ValueError(
+        f"Euler step dt={dt:.6g} is outside the mean-square stability "
+        f"region of the stationary closed loop (spectral radius "
+        f"{rho:.6g}); the largest stable step is {lo:.6g}")
 
 
 def closed_loop(feedback: Feedback, x0, T: float, dt: float) -> ClosedLoop:
     """The coupled pair's coefficients on the horizon T cut from the
     feedback's march, from X(0) = x0: the mean m_t of `propagate_mean`
     and the per-node matrices below.  Raises ValueError unless dt is the
-    march's step and T a whole number of them in it (`_whole_steps`).
+    march's step and T a whole number of them in it (`_whole_steps`),
+    and unless the Euler chain is stable at dt (`_check_euler_step`).
 
     The Euler step of v = (Xt - Xs, Xs, 1) is v <- F_k v + (G_k v) dW with
 
@@ -263,6 +310,7 @@ def closed_loop(feedback: Feedback, x0, T: float, dt: float) -> ClosedLoop:
     if _whole_steps(dt, h) != 1:
         raise ValueError(f"simulation step dt={dt} does not match "
                          f"the Riccati march step {h}")
+    _check_euler_step(problem, are, dt)
     K = _whole_steps(T, dt)
     path = march._tail(T, K)
     m_t = propagate_mean(problem, path, x0, static.x_star)
@@ -286,11 +334,12 @@ def closed_loop(feedback: Feedback, x0, T: float, dt: float) -> ClosedLoop:
     Atp, Ctp = A + B @ are.Theta, C + D @ are.Theta
     I, O = np.eye(n), np.zeros((n, n))
 
-    F = np.zeros((K1, 2 * n + 1, 2 * n + 1))
+    r = 2 * n + 1
+    FG = np.zeros((K1, 2 * r, r))
+    F, G = FG[:, :r], FG[:, r:]
     F[:, :n] = _affine(K1, I + dt * Acl, dt * (B @ dTh), dt * dconst)
     F[:, n:-1] = _affine(K1, O, I + dt * Atp, np.zeros(n))
     F[:, -1, -1] = 1.0
-    G = np.zeros_like(F)
     G[:, :n] = _affine(K1, Ccl, D @ dTh, c0)
     G[:, n:-1] = _affine(K1, O, Ctp, sig)
 
@@ -325,7 +374,7 @@ def closed_loop(feedback: Feedback, x0, T: float, dt: float) -> ClosedLoop:
     lin = lq @ Gc
     W[:, -1, :] += lin
     W[:, :, -1] += lin
-    return ClosedLoop(m_t=m_t, F=F, G=G, maps=maps, snap=snap,
+    return ClosedLoop(m_t=m_t, FG=FG, maps=maps, snap=snap,
                       cost_W=w[:, None, None] * W)
 
 
@@ -358,53 +407,61 @@ def _run_chunk(cl, config, chunk_idx, lo, hi, snaps, snap_idx):
     """Simulate paths [lo, hi) of both ensembles through all steps,
     writing their snapshots into the columns lo:hi of `snaps`.
 
-    Per node: the path sums S of v v', one quadratic form for the
-    optimal cost and, on the snapshot nodes, the snapshot rows; then one
-    Euler step v <- F v + (G v) dW.  Every (., L) buffer is allocated
-    once, before the loop, and written in place.  Returns the per-node
-    path sums S, of shape (K+1, r, r) for the r = 2n + 1 rows of v, and
-    the per-path optimal costs, of shape (L,).
+    Per node: the path sums S of v v', the terms of one quadratic form
+    for the optimal cost and, on the snapshot nodes, the snapshot rows;
+    then one Euler step v <- F v + (G v) dW from one product with the
+    stack [F; G] (G's zero last row left out).  Every (., L) buffer is
+    allocated once, before the loop, and written in place.  Returns the
+    per-node path sums S, of shape (K+1, r, r) for the r = 2n + 1 rows
+    of v, and the per-path optimal costs, of shape (L,).
     """
     K = config.n_steps
     dt = config.dt
     L = hi - lo
-    r = cl.F.shape[-1]
+    r = cl.FG.shape[-1]
+    rows = 2 * r - 1
+    FG = cl.FG[:, :rows]
+    # the stacked product runs in its F and G halves where it would pass
+    # BLAS's threading threshold, as at n = 4 in full chunks
+    blocks = ((slice(0, rows),) if rows * r * L <= BLAS_SERIAL_MNK
+              else (slice(0, r), slice(r, rows)))
     S = np.empty((K + 1, r, r))
-    cost = np.zeros(L)
     own_snaps = snaps[:, :, lo:hi]
     v = np.zeros((r, L))
     v[:r // 2] = cl.m_t[0][:, None]    # Xt - Xs starts at x0 - x*, Xs at 0
     v[-1] = 1.0
-    v_next = np.empty((r, L))
-    # numpy sends v @ v.T to BLAS syrk, which OpenBLAS runs three to six
-    # times slower than gemm when r is small against L; between steps the
-    # noise buffer holds a copy of v, and v times that copy is a gemm
-    noise = v.copy()
-    q = np.empty((r, L))
-    q_sum = np.empty(L)
+    # fg holds the stacked product of a step, whose first r rows are the
+    # next v.  At the top of a step they hold a copy of v, since numpy
+    # sends v @ v.T to BLAS syrk, which OpenBLAS runs three to six times
+    # slower than gemm when r is small against L (v times a copy of v is
+    # a gemm), and then the cost terms
+    fg = np.empty((rows, L))
+    head = fg[:r]
+    head[:] = v
+    cost = np.zeros((r, L))
     finite = np.empty((r, L), dtype=bool)
     snap_pos = {k: i for i, k in enumerate(snap_idx)}
 
     for k in range(K + 1):
-        np.matmul(v, noise.T, out=S[k])
-        np.matmul(cl.cost_W[k], v, out=q)
-        q *= v
-        cost += np.sum(q, axis=0, out=q_sum)
+        np.matmul(v, head.T, out=S[k])
+        np.matmul(cl.cost_W[k], v, out=head)
+        head *= v
+        cost += head
         snap = snap_pos.get(k)
         if snap is not None:
             np.matmul(cl.snap[k], v, out=own_snaps[snap])
         if k == K:
             break
         dW = brownian_increments(config.seed, chunk_idx, k, L, dt)
-        np.matmul(cl.G[k], v, out=noise)
-        noise *= dW
-        np.matmul(cl.F[k], v, out=v_next)
-        v_next += noise
-        v, v_next = v_next, v
-        np.copyto(noise, v)
+        for b in blocks:
+            np.matmul(FG[k, b], v, out=fg[b])
+        # the head's last row is 1: F's last row is (0, ..., 0, 1)
+        fg[r:] *= dW
+        fg[:r - 1] += fg[r:]
+        np.copyto(v, head)
         if (k + 1) % FINITE_CHECK_EVERY == 0 or k + 1 == K:
             _check_finite(v, finite, lo, k + 1)
-    return S, cost
+    return S, cost.sum(axis=0)
 
 
 def _snapshot_indices(K):
@@ -418,7 +475,8 @@ def _snapshot_indices(K):
 def _chunk_length(n, m):
     """Paths per chunk: PATH_CHUNK, or fewer where a per-step product of
     `_run_chunk` would pass BLAS_SERIAL_MNK.  With r = 2n + 1 rows of the
-    state, the largest products are (r x r) @ (r x L) and the
+    state, the largest products are (r x r) @ (r x L), the F half of
+    the step product where the whole stack would pass it, and the
     (2(n + m) x r) @ (r x L) snapshot rows."""
     r = 2 * n + 1
     return max(1, min(PATH_CHUNK,

@@ -36,6 +36,8 @@ def test_tolerances_are_the_module_constants():
         "are_residual": riccati.RESIDUAL_TOL,
         "are_stationarity": riccati.NEWTON_TOL,
         "rk4_step_margin": riccati.RK4_STEP_MARGIN,
+        "march_step_rho": riccati.MARCH_STEP_RHO,
+        "march_tol": riccati.MARCH_TOL,
         "kkt_residual": static_opt.KKT_RESIDUAL_TOL,
         "kkt_rcond": static_opt.KKT_RCOND_TOL,
         "log_floor": LOG_FLOOR,
@@ -114,6 +116,19 @@ def test_block_psd_check(sp1):
             block_psd_check(hats, np.array([[low]]))
 
 
+def test_lemma_checks_read_exact_shapes():
+    # nothing is broadcast: a row for an n = 2 Delta, a vector M and a
+    # scalar K are refused by name, not symmetrized or solved
+    hats = make_problem(2, 1, A=-np.eye(2), B=[[1.0], [0.0]],
+                        Q=np.eye(2), R=[[1.0]]).hats
+    with pytest.raises(ValueError, match=r"Delta must be of shape \(2, 2\)"):
+        block_psd_check(hats, [1.0, 2.0])
+    with pytest.raises(ValueError, match="M must be of shape"):
+        matrix_contraction_check([1.0, 2.0, 3.0], 2.0)
+    with pytest.raises(ValueError, match=r"K must be of shape \(3, 3\)"):
+        matrix_contraction_check([[1.0, 2.0, 3.0]], 2.0)
+
+
 def test_lemma_suite_small():
     counts = lemma_suite(trials=50, seed=42)
     assert counts == {"trials": 50, "contraction_pass": 50,
@@ -127,7 +142,7 @@ def test_lemma_suite_deterministic():
 def test_trivial_problem_report(sp1):
     cfg = SimulationConfig(T=2.0, dt=0.01, n_paths=200, seed=4)
     report = turnpike_pipeline(sp1, [0.0], cfg)[0]
-    assert report["schema"] == 3
+    assert report["schema"] == 4
     assert report["trivial_problem"] is True
     assert report["gaps"]["decay_fits"] == {}
     assert max(abs(v) for v in report["gaps"]["gap_X"]) < 1e-20
@@ -157,7 +172,8 @@ def test_pipeline_report_blocks_are_the_records(sp2):
     cfg = SimulationConfig(T=2.0, dt=0.01, n_paths=100, seed=4)
     report, res = turnpike_pipeline(sp2, [1.5], cfg)
     assert set(report["riccati"]) == {f.name for f in fields(ArePair)} | {
-        "profile_t", "profile_err_P", "profile_err_Pi"}
+        "profile_t", "profile_err_P", "profile_err_Pi", "march_step",
+        "march_steps", "march_error_estimate"}
     assert set(report["static"]) == {f.name for f in fields(StaticSolution)}
     # one ValueRow: T is the report's horizon, avg_gap sits with the gaps
     assert set(report["value"]) | {"T", "avg_gap"} == {
@@ -175,7 +191,8 @@ def test_pipeline_mean_field_static_section(spmf_b):
 
 
 def test_value_convergence_marches_once(sp2, monkeypatch):
-    # one Feedback, marched to the longest horizon, serves every horizon
+    # one Feedback, marched to the longest horizon, serves every horizon;
+    # its Riccati march at k dt (k = 2 here) comes with one twin at 2k dt
     calls = collections.Counter()
     for module, name in ((riccati, "solve_are"),
                          (static_opt, "solve_static"),
@@ -189,7 +206,7 @@ def test_value_convergence_marches_once(sp2, monkeypatch):
     rows = value_convergence(sp2, [1.5], (0.5, 1.0, 2.0), cfg)
     assert [row.T for row in rows] == [0.5, 1.0, 2.0]
     assert calls == {"solve_are": 1, "solve_static": 1,
-                     "integrate_finite_horizon": 1, "integrate_offsets": 1}
+                     "integrate_finite_horizon": 2, "integrate_offsets": 1}
 
 
 def test_value_convergence_row_ignores_longer_horizons(sp2):

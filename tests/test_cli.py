@@ -335,7 +335,23 @@ def test_exit_code_3_on_an_unstable_march_step(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert "outside RK4's stability region" in err
     assert "the largest stable step is" in err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+def test_exit_code_3_on_an_unstable_euler_step(tmp_path, capsys):
+    # C = 50, dt = 5e-4: the march is stable (largest step 5.46e-4), the
+    # Euler chain is not (4.0e-4).  It exited 0 with a cost of 3.4e5
+    # per unit time against V = 1.02: now refused before any path is
+    # drawn, and no `out` is made
+    doc = {"problem": dict(SP2, C=[[50.0]]), "T": 1.0, "dt": 5e-4,
+           "x0": [1.5], "n_paths": 200}
+    out = tmp_path / "out"
+    assert main(["turnpike", "--config", _write(tmp_path, doc),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "outside the mean-square stability region" in err
+    assert "the largest stable step is 0.0004" in err
+    assert not out.exists()
 
 
 def test_exit_code_3_on_unusable_out(tmp_path, capsys):
@@ -359,7 +375,7 @@ def test_exit_code_5_on_nonfinite_result(tmp_path, capsys):
     assert main(["turnpike", "--config", _write(tmp_path, doc),
                  "--out", str(out)]) == 5
     assert "non-finite result" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("fields, message", [
@@ -490,7 +506,7 @@ def test_turnpike_command_artifacts(tmp_path):
     assert main(["turnpike", "--config", _write(tmp_path, doc),
                  "--out", str(out)]) == 0
     report = json.loads((out / "turnpike_report.json").read_text())
-    assert report["schema"] == 3
+    assert report["schema"] == 4
     assert "assumption_a1" not in report
     assert report["static"]["x_star"] == pytest.approx([0.5])
     lines = (out / "ensemble.csv").read_text().splitlines()

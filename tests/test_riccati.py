@@ -484,7 +484,9 @@ def test_rk4_linear_scalar_amplification(a, g):
 
 def test_hermite_half_is_exact_on_cubics():
     # a vector-valued cubic on a t mesh, slopes in s = T - t and the step
-    # -h, as integrate_offsets passes them: the midpoints are exact
+    # -h, as integrate_offsets passes them: every sub-point of the dense
+    # output is exact, the midpoints (k = 1) and the refined mesh's nodes
+    # and half steps (k = 2, 5)
     T, K = 2.0, 8
     t = np.linspace(0.0, T, K + 1)
     c = np.array([[0.5, -1.0, 2.0], [1.0, 0.25, -0.5],
@@ -497,13 +499,63 @@ def test_hermite_half_is_exact_on_cubics():
         return -np.polynomial.polynomial.polyval(
             t, np.polynomial.polynomial.polyder(c)).T
     h = T / K
-    half = riccati._hermite_half(cubic(t), slope_s(t), -h)
-    want = cubic(np.linspace(0.0, T, 2 * K + 1))
-    assert half.shape == want.shape == (2 * K + 1, 3)
-    assert np.max(np.abs(half - want)) <= 1e-14 * np.max(np.abs(want))
-    # the step's sign matters: +h misreads the slopes
-    wrong = riccati._hermite_half(cubic(t), slope_s(t), h)
-    assert np.max(np.abs(wrong - want)) > 1e-3
+    for k in (1, 2, 5):
+        dense = riccati._hermite(cubic(t), slope_s(t), -h, k)
+        want = cubic(np.linspace(0.0, T, 2 * k * K + 1))
+        assert dense.shape == want.shape == (2 * k * K + 1, 3)
+        assert np.max(np.abs(dense - want)) <= 1e-14 * np.max(np.abs(want))
+        # the step's sign matters: +h misreads the slopes
+        wrong = riccati._hermite(cubic(t), slope_s(t), h, k)
+        assert np.max(np.abs(wrong - want)) > 1e-3
+
+
+@pytest.mark.parametrize("name", ["sp2", "sp2_C08", "all_blocks_4x2"])
+def test_coarse_march_reads_back_within_march_tol(request, name):
+    # T = 10 at dt = 5e-3: the pair is marched k > 1 times coarser and
+    # read back on the dt mesh; every node lies within MARCH_TOL of a
+    # march 16 times finer, and the error estimate is within it too
+    p = (request.getfixturevalue(name) if name != "sp2_C08" else
+         dataclasses.replace(request.getfixturevalue("sp2"),
+                             C=np.array([[0.8]])))
+    T, steps = 10.0, 2000
+    fb = solve_feedback(p, T, steps)
+    assert fb.march_step >= 2 * T / steps
+    assert 0.0 < fb.march_error_estimate <= riccati.MARCH_TOL
+    assert np.array_equal(fb.march.mesh, np.linspace(0.0, T, steps + 1))
+    fine = integrate_finite_horizon(p, T, 16 * steps)
+    for name in ("P_of_t", "Pi_of_t"):
+        err = np.max(np.abs(getattr(fb.march, name)
+                            - getattr(fine, name)[::16]))
+        assert err <= riccati.MARCH_TOL, name
+
+
+def test_march_factor_is_the_largest_divisor_within_the_bound():
+    # k dt rho <= MARCH_STEP_RHO, k divides the step count and leaves at
+    # least two coarse steps
+    assert riccati._march_factor(2000, 0.005 * 2 * SQRT2) == 5
+    assert riccati._march_factor(10000, 0.001 * 2 * SQRT2) == 25
+    assert riccati._march_factor(200, 0.40) == 1
+    assert riccati._march_factor(7, 0.01) == 1
+    assert riccati._march_factor(4, 1e-6) == 2
+    assert riccati._march_factor(1, 1e-6) == 1
+
+
+def test_coarse_march_falls_back_above_march_tol(sp2, monkeypatch):
+    # an estimate above the tolerance keeps the march at dt (k = 1):
+    # the feedback is the one marched at dt, bit for bit
+    T, steps = 10.0, 2000
+    coarse = solve_feedback(sp2, T, steps)
+    assert coarse.march_step == pytest.approx(5 * T / steps)
+    monkeypatch.setattr(riccati, "MARCH_TOL",
+                        0.5 * coarse.march_error_estimate)
+    fb = solve_feedback(sp2, T, steps)
+    monkeypatch.setattr(riccati, "MARCH_STEP_RHO", 0.0)
+    at_dt = solve_feedback(sp2, T, steps)
+    assert fb.march_step == at_dt.march_step == T / steps
+    assert fb.march_error_estimate is None
+    for field in dataclasses.fields(at_dt.march):
+        assert np.array_equal(getattr(fb.march, field.name),
+                              getattr(at_dt.march, field.name)), field.name
 
 
 def test_offsets_terminal_values(sp2):
@@ -643,13 +695,17 @@ def test_horizon_monotonicity(sp1):
 
 
 def test_feedback_path_is_a_fresh_solve(all_blocks_4x2):
-    # every array depends on s = T - t alone: the tail of one march to
-    # T = 4 equals, bit for bit, the march to T with the same step
+    # every array depends on s = T - t alone: the tail of one feedback
+    # path to T = 4 equals, bit for bit, the solve to T with the same
+    # step, whose Riccati march has the same coarse step (k = 2 here)
     p = all_blocks_4x2
     assert np.all(p.b != 0) and np.all(p.sigma != 0)
     feedback = solve_feedback(p, 4.0, 400)
+    assert feedback.march_step == pytest.approx(2 * 4.0 / 400)
     for T, steps in ((1.0, 100), (2.0, 200)):
-        got, want = feedback.path(T), solve_feedback(p, T, steps).march
+        fresh = solve_feedback(p, T, steps)
+        assert fresh.march_step == feedback.march_step
+        got, want = feedback.path(T), fresh.march
         for field in dataclasses.fields(want):
             assert np.array_equal(getattr(got, field.name),
                                   getattr(want, field.name)), field.name
