@@ -104,7 +104,7 @@ class RiccatiPath:
         """`tail` of the last K steps, given as the path of horizon T."""
         if K is None or not K < len(self.mesh):
             raise ValueError(
-                f"horizon T={T} is not a node of the Riccati march "
+                f"horizon T={T} is not a node of the path "
                 f"(step {self.T / (len(self.mesh) - 1)} up to T={self.T})")
         arrays = {f.name: getattr(self, f.name)[
                       -(K if f.name.endswith("_of_t") else 2 * K) - 1:]
@@ -325,17 +325,23 @@ def _closed_loops(problem):
             (h.Ahat, h.Bhat, np.zeros_like(h.Ahat), np.zeros_like(h.Bhat)))
 
 
-def _generator(loop, Theta):
-    """The generator of the closed loop (A, B, C, D) at the gain Theta."""
+def _closed(loop, Theta):
+    """(A + B Theta, C + D Theta): the loop (A, B, C, D) closed at Theta."""
     A, B, C, D = loop
-    return mean_square_generator(A + B @ Theta, C + D @ Theta)
+    return A + B @ Theta, C + D @ Theta
+
+
+def _stationary_loops(problem, are):
+    """Both `_closed_loops`, closed at the gains Theta and ThetaHat."""
+    return [_closed(loop, gain) for loop, gain in
+            zip(_closed_loops(problem), (are.Theta, are.ThetaHat))]
 
 
 def _continuation(maps, loop, M):
     """Newton-Kleinman on the Riccati equation of `maps` from M, continued
     in a shift of A, and certified: returns (M, Theta, residual).
 
-    The generator of M is `_generator` of `loop` at M's gain Theta =
+    The generator of M is that of `loop` closed at M's gain Theta =
     _gain(maps(M)), formed once per iterate (`_newton` hands it on).  A
     shift of A by -alpha I subtracts 2 alpha M from Q(M) and 2 alpha I
     from the generator.  While the generator has
@@ -348,7 +354,7 @@ def _continuation(maps, loop, M):
     """
     def generator(M):
         Theta = _gain(maps(M))
-        return _generator(loop, Theta), Theta
+        return mean_square_generator(*_closed(loop, Theta)), Theta
 
     gen = generator(M)
     for k in range(SHIFT_MAX_STEPS):
@@ -545,35 +551,61 @@ def solve_feedback(problem: ProblemData, T: float, steps: int) -> Feedback:
                     march_error_estimate=estimate)
 
 
+def _largest_stable_step(radius, h):
+    """The largest step below h with radius(step) < 1, by bisection: the
+    steps where a scheme's one-step map contracts form an interval."""
+    lo, hi = 0.0, h
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if radius(mid) < 1.0 else (lo, mid)
+    return lo
+
+
 def check_rk4_step(problem: ProblemData, are: ArePair,
                    h: float) -> np.ndarray:
     """Raise ValueError, naming h and the largest stable step, unless
-    |R((1 + RK4_STEP_MARGIN) h lam)| < 1 for each eigenvalue lam of both
-    certificate generators (`_closed_loops` at Theta, ThetaHat), R(z) =
-    1 + z + z^2/2 + z^3/6 + z^4/24 RK4's stability polynomial.  Near
-    saturation the march is linear in them: a larger step blows up or
-    settles on a wrong fixed point.  Returns the eigenvalues, whose
-    largest modulus also sizes the march step (`_march_factor`).
+    |R((1 + RK4_STEP_MARGIN) h lam)| < 1 for each eigenvalue lam of the
+    generators of both `_stationary_loops`, R(z) = 1 + z + z^2/2 + z^3/6
+    + z^4/24 RK4's stability polynomial.  Near saturation the march is
+    linear in them: a larger step blows up or settles on a wrong fixed
+    point.  Returns the eigenvalues, whose largest modulus also sizes the
+    march step (`_march_factor`).
     """
-    lams = np.concatenate([np.linalg.eigvals(_generator(loop, gain))
-                           for loop, gain in zip(_closed_loops(problem),
-                                                 (are.Theta, are.ThetaHat))])
+    lams = np.concatenate([np.linalg.eigvals(mean_square_generator(*loop))
+                           for loop in _stationary_loops(problem, are)])
     R = np.array([1 / 24, 1 / 6, 1 / 2, 1.0, 1.0])    # descending powers
-    scale = 1.0 + RK4_STEP_MARGIN
-    if np.all(np.abs(np.polyval(R, scale * h * lams)) < 1.0):
+
+    def radius(t):
+        return np.max(np.abs(np.polyval(R, (1 + RK4_STEP_MARGIN) * t * lams)))
+
+    if radius(h) < 1.0:
         return lams
-    limits = []
-    for w in lams / np.abs(lams):
-        # the first t > 0 with |R(t w)|^2 = 1 bounds |h lam|: a root of
-        # |R(t w)|^2 - 1 with its root t = 0 divided out
-        c = R * w ** np.arange(4, -1, -1)
-        roots = np.roots(np.polymul(c, c.conj()).real[:-1])
-        limits.append(min(t.real for t in roots
-                          if t.imag == 0.0 and t.real > 0.0))
     raise ValueError(
         f"Riccati march step h={h:.6g} is outside RK4's stability region "
         f"(margin {RK4_STEP_MARGIN}); the largest stable step is "
-        f"{np.min(limits / np.abs(lams)) / scale:.6g}")
+        f"{_largest_stable_step(radius, h):.6g}")
+
+
+def _check_euler_step(problem: ProblemData, are: ArePair,
+                      dt: float) -> None:
+    """Raise ValueError, naming dt and the largest stable step, unless
+    the Euler chain is mean-square stable at dt: on both
+    `_stationary_loops` (A, C), rho((I + dt A)⊗(I + dt A) + dt C⊗C) < 1.
+    That map is I + dt L + dt^2 A⊗A, L the generator `check_rk4_step`
+    reads; on the noise-free mean loop its radius is rho(I + dt A)^2."""
+    eye = np.eye(problem.n)
+    loops = _stationary_loops(problem, are)
+
+    def radius(t):
+        return max(np.max(np.abs(np.linalg.eigvals(np.kron(
+            eye + t * A, eye + t * A) + t * np.kron(C, C)))) for A, C in loops)
+
+    if (rho := radius(dt)) >= 1.0:
+        raise ValueError(
+            f"Euler step dt={dt:.6g} is outside the mean-square stability "
+            f"region of the stationary closed loop (spectral radius "
+            f"{rho:.6g}); the largest stable step is "
+            f"{_largest_stable_step(radius, dt):.6g}")
 
 
 def convergence_profile(path: RiccatiPath, are: ArePair) -> np.ndarray:

@@ -82,8 +82,8 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .model import ProblemData, exact_shape
-from .riccati import (ArePair, Feedback, FeedbackPath, _rk4_linear,
-                      _whole_steps)
+from .riccati import (Feedback, FeedbackPath, _check_euler_step,
+                      _rk4_linear, _whole_steps)
 
 __all__ = [
     "SimulationConfig",
@@ -246,39 +246,6 @@ class ClosedLoop:
         return self.FG[:, self.FG.shape[-1]:]
 
 
-def _check_euler_step(problem: ProblemData, are: ArePair,
-                      dt: float) -> None:
-    """Raise ValueError, naming dt and the largest stable step, unless
-    the stationary Euler chain is mean-square stable at step dt: both
-    the second-moment map F⊗F + dt G⊗G, F = I + dt (A + B Theta) and
-    G = C + D Theta, and the mean map I + dt (Ahat + Bhat ThetaHat) have
-    spectral radius below 1.  The largest stable step is found by
-    bisection from dt."""
-    A = problem.A + problem.B @ are.Theta
-    C = problem.C + problem.D @ are.Theta
-    hats = problem.hats
-    Ahat = hats.Ahat + hats.Bhat @ are.ThetaHat
-    eye = np.eye(problem.n)
-
-    def radius(h):
-        F = eye + h * A
-        return max(np.max(np.abs(np.linalg.eigvals(
-                       np.kron(F, F) + h * np.kron(C, C)))),
-                   np.max(np.abs(np.linalg.eigvals(eye + h * Ahat))))
-
-    rho = radius(dt)
-    if rho < 1.0:
-        return
-    lo, hi = 0.0, dt
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if radius(mid) < 1.0 else (lo, mid)
-    raise ValueError(
-        f"Euler step dt={dt:.6g} is outside the mean-square stability "
-        f"region of the stationary closed loop (spectral radius "
-        f"{rho:.6g}); the largest stable step is {lo:.6g}")
-
-
 def closed_loop(feedback: Feedback, x0, T: float, dt: float) -> ClosedLoop:
     """The coupled pair's coefficients on the horizon T cut from the
     feedback's march, from X(0) = x0: the mean m_t of `propagate_mean`
@@ -309,7 +276,7 @@ def closed_loop(feedback: Feedback, x0, T: float, dt: float) -> ClosedLoop:
     h = march.T / (len(march.mesh) - 1)
     if _whole_steps(dt, h) != 1:
         raise ValueError(f"simulation step dt={dt} does not match "
-                         f"the Riccati march step {h}")
+                         f"the feedback path's step {h}")
     _check_euler_step(problem, are, dt)
     K = _whole_steps(T, dt)
     path = march._tail(T, K)

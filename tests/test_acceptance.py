@@ -32,6 +32,7 @@ from mflq.analysis import value_convergence
 from mflq.cli import main as cli_main
 
 from paper_checks import (
+    exact_moments,
     horizon_monotonicity_check,
     kkt_residual,
     normalize_cross_terms,
@@ -231,6 +232,29 @@ def test_value_identity(sp2, spmf_b):
         se = math.hypot(runs[1.0].cost_stderr, runs[-1.0].cost_stderr)
         want = path.phiHat_of_t[0, 0] + static.lambda_star[0]
         assert abs(lin - want) <= dt + 3.0 * se / 4.0
+
+
+def test_value_identity_on_exact_moments(sp2, spmf_b):
+    # the same identity on the exact expectations of the Euler chain
+    # (paper_checks.exact_moments), free of path noise: quad and lin
+    # carry an O(dt) Euler bias (-5.9e-4 and -7.1e-4 on sp2 at dt = 2e-3),
+    # which Richardson extrapolation from dt = 2e-3 and 1e-3 removes to
+    # below 5e-7.  lambda* scaled by 1.01 misses by 5.0e-3 on sp2
+    T = 6.0
+    for problem in (sp2, spmf_b):
+        est = []
+        for dt in (2e-3, 1e-3):
+            cfg = SimulationConfig(T=T, dt=dt)
+            feedback = solve_feedback(problem, T, cfg.n_steps)
+            static, path = feedback.static, feedback.march
+            J = {d: exact_moments(feedback, static.x_star + d, cfg)[0]
+                 for d in (-1.0, 0.0, 1.0)}
+            est.append(np.array([(J[1.0] - 2.0 * J[0.0] + J[-1.0]) / 2.0,
+                                 (J[1.0] - J[-1.0]) / 4.0]))
+        quad, lin = 2.0 * est[1] - est[0]
+        assert abs(quad - path.Pi_of_t[0, 0, 0]) <= 1e-5
+        want = path.phiHat_of_t[0, 0] + static.lambda_star[0]
+        assert abs(lin - want) <= 1e-5
 
 
 def test_artifact_determinism_across_workers(tmp_path):

@@ -338,19 +338,31 @@ def test_exit_code_3_on_an_unstable_march_step(tmp_path, capsys, command,
     assert not out.exists()
 
 
-def test_exit_code_3_on_an_unstable_euler_step(tmp_path, capsys):
+_I2 = [[1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("doc, step", [
+    ({"problem": dict(SP2, C=[[50.0]]), "T": 1.0, "dt": 5e-4,
+      "x0": [1.5], "n_paths": 200}, "0.0004"),
+    ({"problem": {"n": 2, "m": 2, "A": [[-1.0, 0.0], [0.0, -1.0]],
+                  "Abar": [[0.0, 20.0], [-20.0, 0.0]], "B": _I2, "Q": _I2,
+                  "R": _I2, "b": [1.0, 0.0], "sigma": [0.5, 0.5]},
+      "T": 1.0, "dt": 0.01, "x0": [1.5, 0.0], "n_paths": 200}, "0.00703589"),
+], ids=["C-50", "mean-loop"])
+def test_exit_code_3_on_an_unstable_euler_step(tmp_path, capsys, doc, step):
     # C = 50, dt = 5e-4: the march is stable (largest step 5.46e-4), the
     # Euler chain is not (4.0e-4).  It exited 0 with a cost of 3.4e5
     # per unit time against V = 1.02: now refused before any path is
-    # drawn, and no `out` is made
-    doc = {"problem": dict(SP2, C=[[50.0]]), "T": 1.0, "dt": 5e-4,
-           "x0": [1.5], "n_paths": 200}
+    # drawn, and no `out` is made.  In the mean-loop case only the
+    # noise-free mean loop is unstable: Ahat + Bhat ThetaHat has the
+    # eigenvalues -sqrt(2) +- 20i, RK4 accepts dt = 0.01, and Euler's
+    # largest stable step is -2 Re lam / |lam|^2 = 2 sqrt(2) / 402
     out = tmp_path / "out"
     assert main(["turnpike", "--config", _write(tmp_path, doc),
                  "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "outside the mean-square stability region" in err
-    assert "the largest stable step is 0.0004" in err
+    assert f"the largest stable step is {step}" in err
     assert not out.exists()
 
 

@@ -23,7 +23,8 @@ from mflq import (
     validate_assumption_a1,
 )
 from mflq import riccati
-from mflq.model import _maps, coefficient_maps, hat_coefficient_maps
+from mflq.model import (_maps, coefficient_maps, hat_coefficient_maps,
+                        mean_square_generator)
 
 from conftest import small_problems
 from paper_checks import horizon_monotonicity_check, normalize_cross_terms
@@ -365,6 +366,51 @@ def test_rk4_step_check_is_the_real_axis_bound():
             r"step h=0\.0016 is outside RK4's stability region .* "
             rf"largest stable step is {limit:.4g}")):
         solve_feedback(p, 1.6, 1000)
+
+
+def _rk4_ray_limit(w):
+    # the first t > 0 with |R(t w)|^2 = 1 for a unit w: a root of
+    # |R(t w)|^2 - 1 with its root t = 0 divided out
+    c = np.array([1 / 24, 1 / 6, 1 / 2, 1.0, 1.0]) * w ** np.arange(4, -1, -1)
+    roots = np.roots(np.polymul(c, c.conj()).real[:-1])
+    return min(t.real for t in roots if t.imag == 0.0 and t.real > 0.0)
+
+
+def test_rk4_step_check_names_the_first_root_on_each_ray(monkeypatch):
+    # random left-half-plane spectra, zero gains: the generators are those
+    # of A and Ahat = A + Abar.  The named step is the least over their
+    # eigenvalues lam of t*(lam/|lam|) / ((1 + margin)|lam|), t*(w) the
+    # first positive root of |R(t w)|^2 = 1, for every refused step from
+    # just above that limit to 50 times it
+    named, search = [], riccati._largest_stable_step
+
+    def spy(radius, h):
+        named.append(search(radius, h))
+        return named[-1]
+
+    monkeypatch.setattr(riccati, "_largest_stable_step", spy)
+    rng = np.random.default_rng(0)
+    scale = 1.0 + riccati.RK4_STEP_MARGIN
+    for _ in range(200):
+        size = 10.0 ** rng.uniform(-1.0, 3.0)
+        A, Ahat = size * rng.standard_normal((2, 3, 3))
+        for M in (A, Ahat):     # into the left half-plane, some near its axis
+            M -= (np.max(np.linalg.eigvals(M).real)
+                  + size * 10.0 ** rng.uniform(-3.0, 0.0)) * np.eye(3)
+        p = make_problem(3, 3, A=A, Abar=Ahat - A, B=np.eye(3), Q=np.eye(3),
+                         R=np.eye(3))
+        zero = np.zeros((3, 3))
+        are = riccati.ArePair(P=zero, Pi=zero, Theta=zero, ThetaHat=zero,
+                              residual_P=0.0, residual_Pi=0.0)
+        lams = np.concatenate([
+            np.linalg.eigvals(mean_square_generator(M, zero))
+            for M in (p.A, p.hats.Ahat)])
+        limit = min(_rk4_ray_limit(lam / abs(lam)) / (scale * abs(lam))
+                    for lam in lams)
+        for factor in (1.0 + 1e-6, rng.uniform(1.0, 50.0), 50.0):
+            with pytest.raises(ValueError, match="largest stable step is"):
+                riccati.check_rk4_step(p, are, factor * limit)
+            assert named.pop() == pytest.approx(limit, rel=1e-12)
 
 
 @pytest.mark.parametrize("Qbar, steps, wrong", [
@@ -729,7 +775,7 @@ def test_bare_march_tail_is_a_fresh_march(all_blocks_4x2):
 @pytest.mark.parametrize("T", [0.25, 2.1, 3.0, 0.0, -1.0])
 def test_feedback_path_rejects_off_node_or_longer_horizons(sp2, T):
     feedback = solve_feedback(sp2, 2.0, 20)
-    with pytest.raises(ValueError, match="not a node of the Riccati march"):
+    with pytest.raises(ValueError, match="not a node of the path"):
         feedback.path(T)
 
 

@@ -403,7 +403,7 @@ def test_mesh_mismatch_rejected(sp2):
     fb = solve_feedback(sp2, 1.0, 50)
     cfg = SimulationConfig(T=1.0, dt=0.01, n_paths=10)
     with pytest.raises(ValueError, match="dt=0.01 does not match the "
-                                         "Riccati march step 0.02"):
+                                         "feedback path's step 0.02"):
         run_coupled(fb, [1.5], cfg)
 
 
@@ -413,7 +413,7 @@ def test_closed_loop_cuts_by_the_config_steps(sp2):
     # more than the node tolerance: the cut counts steps of dt
     fb = solve_feedback(sp2, 1.9999999999982, 20)
     cfg = SimulationConfig(T=1.0000000000009, dt=0.1, n_paths=10)
-    with pytest.raises(ValueError, match="not a node of the Riccati march"):
+    with pytest.raises(ValueError, match="not a node of the path"):
         fb.path(cfg.T)
     res = run_coupled(fb, [1.5], cfg)
     assert len(res.optimal.mesh) == 11 and res.optimal.mesh[-1] == cfg.T
