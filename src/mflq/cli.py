@@ -8,18 +8,19 @@ Invocation:
 Commands (the COMMANDS table): are, static, riccati-profile, turnpike,
 value-convergence, lemma-suite.  The config file is a JSON document with
 a `problem` block (see model.problem_from_dict for the field names) and
-optional fields `T`, `horizons`, `x0`, `dt`, `n_paths`, `seed` (>= 0),
-`workers`, `out` (a string), `trials`.  Command-line flags override
-config fields.  `dt` is the mesh of every command that marches: it must
-divide `T` for riccati-profile and turnpike (leaving turnpike's decay
-fits MIN_WINDOW_NODES nodes a window) and each of the `horizons` for
-value-convergence; are, static and lemma-suite march nothing and check
-it against no horizon.  Artifacts are written only under the `out`
-directory: without one, `are`, `static`, `value-convergence` and
-`lemma-suite` print their JSON to stdout only, and `riccati-profile` and
-`turnpike` exit 3.  The directory is made with the first artifact, so a
-run that fails before it leaves none.  A run whose estimated work passes
-one of the MAX_* caps exits 3 before anything is allocated.
+optional fields `T`, `horizons`, `x0`, `dt`, `n_paths`, `seed` (in
+[0, 2^64), the Philox key's range), `workers`, `out` (a string),
+`trials`.  Command-line flags override config fields.  `dt` is the mesh
+of every command that marches: it must divide `T` for riccati-profile
+and turnpike (leaving turnpike's decay fits MIN_WINDOW_NODES nodes a
+window) and each of the `horizons` for value-convergence; are, static
+and lemma-suite march nothing and check it against no horizon.
+Artifacts are written only under the `out` directory: without one,
+`are`, `static`, `value-convergence` and `lemma-suite` print their JSON
+to stdout only, and `riccati-profile` and `turnpike` exit 3.  The
+directory is made with the first artifact, so a run that fails before
+it leaves none.  A run whose estimated work passes one of the MAX_*
+caps exits 3 before anything is allocated.
 Exit codes: 0 success, 2 malformed JSON, 3 shape/field errors (any
 ValueError, loading or running), work above a cap or an unusable `out`,
 4 assumption failures, 5 numerical/acceptance failures (LinAlgError
@@ -153,8 +154,9 @@ def load_config(path, command: str = "turnpike",
             for name in ("n_paths", "seed", "workers")}
     sim_args["dt"] = json_number("dt", resolved["dt"])
     trials = json_integer("trials", doc.get("trials", 1000))
-    if sim_args["seed"] < 0:
-        raise ValueError(f"seed: must be >= 0, got {sim_args['seed']}")
+    if not 0 <= (seed := sim_args["seed"]) < 2**64:
+        bound = "< 2**64" if seed > 0 else ">= 0"
+        raise ValueError(f"seed: must be {bound}, got {seed}")
     out = doc.get("out")
     if out is not None and not isinstance(out, str):
         raise ValueError(f"out: expected a string, got {out!r}")
@@ -179,7 +181,7 @@ def load_config(path, command: str = "turnpike",
     return ExperimentConfig(
         command=command, problem=problem, sim=sim,
         horizons=tuple(horizons) if horizons else None, x0=x0,
-        seed=sim_args["seed"], out=out, trials=trials,
+        seed=seed, out=out, trials=trials,
         digest=_digest(resolved))
 
 
@@ -286,12 +288,9 @@ def _cmd_static(config, outdir):
 
 
 def _cmd_riccati_profile(config, outdir):
-    are = riccati.solve_are(config.problem)
     sim = config.sim
-    riccati.check_rk4_step(config.problem, are, sim.T / sim.n_steps)
-    path = riccati.integrate_finite_horizon(config.problem, sim.T,
-                                            steps=sim.n_steps)
-    profile = riccati.convergence_profile(path, are)
+    feedback = riccati.solve_feedback(config.problem, sim.T, sim.n_steps)
+    profile = riccati.convergence_profile(feedback.march, feedback.are)
     _write_csv(config, outdir / "riccati_profile.csv",
                ["t", "err_P", "err_Pi"], profile)
     print(f"wrote {outdir / 'riccati_profile.csv'}")

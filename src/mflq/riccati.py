@@ -49,7 +49,6 @@ __all__ = [
     "solve_are",
     "integrate_offsets",
     "solve_feedback",
-    "check_rk4_step",
     "convergence_profile",
 ]
 
@@ -293,7 +292,7 @@ def integrate_finite_horizon(problem: ProblemData, T: float,
     equations off one affine map of (P, Pi) (`_pair_maps`).  Raises
     NumericalFailure naming h and T if the march is not finite, as when
     a stage R(P) is singular or h is far outside RK4's stability region
-    (which `check_rk4_step` refuses before a march).
+    (which `solve_feedback` refuses before a march).
     """
     if T <= 0:
         raise ValueError(f"T must be positive, got {T}")
@@ -329,12 +328,6 @@ def _closed(loop, Theta):
     """(A + B Theta, C + D Theta): the loop (A, B, C, D) closed at Theta."""
     A, B, C, D = loop
     return A + B @ Theta, C + D @ Theta
-
-
-def _stationary_loops(problem, are):
-    """Both `_closed_loops`, closed at the gains Theta and ThetaHat."""
-    return [_closed(loop, gain) for loop, gain in
-            zip(_closed_loops(problem), (are.Theta, are.ThetaHat))]
 
 
 def _continuation(maps, loop, M):
@@ -534,13 +527,13 @@ def solve_feedback(problem: ProblemData, T: float, steps: int) -> Feedback:
     """Solve everything the closed-loop feedback needs up to horizon T,
     on the mesh of `steps` intervals h: solve_are, static_opt.solve_static
     at its P, the Riccati march (`_march`) at H = k h, k from
-    `_march_factor` at the eigenvalues `check_rk4_step` checks, and
+    `_march_factor` at the eigenvalues `_check_rk4_step` checks, and
     integrate_offsets on that march, read back at step h.  Raises
-    ValueError before the march when h fails `check_rk4_step`."""
+    ValueError before the march when h fails `_check_rk4_step`."""
     are = solve_are(problem)
     k = 1
     if T > 0 and steps >= 1:    # integrate_finite_horizon refuses the rest
-        rho = np.max(np.abs(check_rk4_step(problem, are, T / steps)))
+        rho = np.max(np.abs(_check_rk4_step(problem, are, T / steps)))
         k = _march_factor(int(steps), T / steps * rho)
     static = static_opt.solve_static(problem, are.P)
     path, k, estimate = _march(problem, T, steps, k)
@@ -561,18 +554,20 @@ def _largest_stable_step(radius, h):
     return lo
 
 
-def check_rk4_step(problem: ProblemData, are: ArePair,
-                   h: float) -> np.ndarray:
+def _check_rk4_step(problem: ProblemData, are: ArePair,
+                    h: float) -> np.ndarray:
     """Raise ValueError, naming h and the largest stable step, unless
     |R((1 + RK4_STEP_MARGIN) h lam)| < 1 for each eigenvalue lam of the
-    generators of both `_stationary_loops`, R(z) = 1 + z + z^2/2 + z^3/6
-    + z^4/24 RK4's stability polynomial.  Near saturation the march is
-    linear in them: a larger step blows up or settles on a wrong fixed
-    point.  Returns the eigenvalues, whose largest modulus also sizes the
-    march step (`_march_factor`).
+    generators of both `_closed_loops`, closed at Theta and ThetaHat,
+    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 RK4's stability polynomial.
+    Near saturation the march is linear in them: a larger step blows up
+    or settles on a wrong fixed point.  Returns the eigenvalues, whose
+    largest modulus also sizes the march step (`_march_factor`).
     """
-    lams = np.concatenate([np.linalg.eigvals(mean_square_generator(*loop))
-                           for loop in _stationary_loops(problem, are)])
+    lams = np.concatenate([
+        np.linalg.eigvals(mean_square_generator(*_closed(loop, gain)))
+        for loop, gain in zip(_closed_loops(problem),
+                              (are.Theta, are.ThetaHat))])
     R = np.array([1 / 24, 1 / 6, 1 / 2, 1.0, 1.0])    # descending powers
 
     def radius(t):
@@ -587,18 +582,20 @@ def check_rk4_step(problem: ProblemData, are: ArePair,
 
 
 def _check_euler_step(problem: ProblemData, are: ArePair,
-                      dt: float) -> None:
+                      dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Raise ValueError, naming dt and the largest stable step, unless
-    the Euler chain is mean-square stable at dt: on both
-    `_stationary_loops` (A, C), rho((I + dt A)⊗(I + dt A) + dt C⊗C) < 1.
-    That map is I + dt L + dt^2 A⊗A, L the generator `check_rk4_step`
-    reads; on the noise-free mean loop its radius is rho(I + dt A)^2."""
+    rho((I + dt A)⊗(I + dt A) + dt C⊗C) < 1 at the P loop closed at Theta,
+    (A, C) = (A + B Theta, C + D Theta), which it returns: the Euler
+    chain's one-step map, I + dt L + dt^2 A⊗A for the generator L that
+    `_check_rk4_step` reads.  The mean loop Ahat + Bhat ThetaHat is
+    exempt: the chain sees it only in forcing terms built from the mean,
+    which `propagate_mean` marches by RK4."""
+    A, C = _closed(_closed_loops(problem)[0], are.Theta)
     eye = np.eye(problem.n)
-    loops = _stationary_loops(problem, are)
 
     def radius(t):
-        return max(np.max(np.abs(np.linalg.eigvals(np.kron(
-            eye + t * A, eye + t * A) + t * np.kron(C, C)))) for A, C in loops)
+        return np.max(np.abs(np.linalg.eigvals(
+            np.kron(eye + t * A, eye + t * A) + t * np.kron(C, C))))
 
     if (rho := radius(dt)) >= 1.0:
         raise ValueError(
@@ -606,6 +603,7 @@ def _check_euler_step(problem: ProblemData, are: ArePair,
             f"region of the stationary closed loop (spectral radius "
             f"{rho:.6g}); the largest stable step is "
             f"{_largest_stable_step(radius, dt):.6g}")
+    return A, C
 
 
 def convergence_profile(path: RiccatiPath, are: ArePair) -> np.ndarray:

@@ -277,7 +277,7 @@ def closed_loop(feedback: Feedback, x0, T: float, dt: float) -> ClosedLoop:
     if _whole_steps(dt, h) != 1:
         raise ValueError(f"simulation step dt={dt} does not match "
                          f"the feedback path's step {h}")
-    _check_euler_step(problem, are, dt)
+    Atp, Ctp = _check_euler_step(problem, are, dt)
     K = _whole_steps(T, dt)
     path = march._tail(T, K)
     m_t = propagate_mean(problem, path, x0, static.x_star)
@@ -298,7 +298,6 @@ def closed_loop(feedback: Feedback, x0, T: float, dt: float) -> ClosedLoop:
     c0 = np.einsum("kij,kj->ki", CclHat - Ccl, m_t) + off @ hats.Dhat.T
     uconst = np.einsum("kij,kj->ki", ThH - Th, m_t) + off
     dTh = Th - are.Theta
-    Atp, Ctp = A + B @ are.Theta, C + D @ are.Theta
     I, O = np.eye(n), np.zeros((n, n))
 
     r = 2 * n + 1

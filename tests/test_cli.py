@@ -149,6 +149,9 @@ def test_exit_code_3_on_bad_horizons(tmp_path, capsys, horizons, message):
     ("turnpike", "dt", 1e-320, "T/dt must be finite"),
     ("lemma-suite", "seed", -1, "seed: must be >= 0, got -1"),
     ("turnpike", "seed", -1, "seed: must be >= 0, got -1"),
+    # the Philox key is 64 bits: 2^64 + 42 would draw seed 42's paths
+    ("turnpike", "seed", 2**64 + 42,
+     "seed: must be < 2**64, got 18446744073709551658"),
 ])
 def test_exit_code_3_on_nonfinite_or_fractional_field(
         tmp_path, capsys, command, field, value, message):
@@ -293,11 +296,12 @@ _SHAPE_IDS = ["b-nested", "b-bare", "sigma-nested", "x0-nested", "x0-bare"]
     ("turnpike", {"problem": dict(SP2, sigma=[1e200]), **_RUN}),
     ("turnpike", {"problem": dict(SP2, C=[[50.0]]), **_RUN}),
     ("turnpike", {"problem": dict(SP2, A=[[1.0]], B=[[0.0]]), **_RUN}),
+    ("turnpike", {"problem": SP2, **_RUN, "seed": 2**64 + 42}),
     *(("turnpike", doc) for _, doc in _SHAPE_CASES),
 ], ids=["are-Q-1e200", "static-B-1e200", "turnpike-T-0.11",
         "seed-negative", "out-list", "ragged-block", "string-block",
         "null-block", "scalar-block", "x0-nan", "x0-inf", "sigma-1e200",
-        "C-50", "unstabilizable", *_SHAPE_IDS])
+        "C-50", "unstabilizable", "seed-2^64+42", *_SHAPE_IDS])
 def test_bad_input_ends_in_an_exit_code(tmp_path, capsys, monkeypatch,
                                         command, doc):
     # no traceback: every bad config ends in a documented failure code
@@ -339,24 +343,24 @@ def test_exit_code_3_on_an_unstable_march_step(tmp_path, capsys, command,
 
 
 _I2 = [[1.0, 0.0], [0.0, 1.0]]
+# Ahat + Bhat ThetaHat has the eigenvalues -sqrt(2) +- 20i, so
+# rho(I + dt (Ahat + Bhat ThetaHat)) > 1 for dt > 2 sqrt(2) / 402
+_FAST_MEAN_LOOP = {
+    "problem": {"n": 2, "m": 2, "A": [[-1.0, 0.0], [0.0, -1.0]],
+                "Abar": [[0.0, 20.0], [-20.0, 0.0]], "B": _I2, "Q": _I2,
+                "R": _I2, "b": [1.0, 0.0], "sigma": [0.5, 0.5]},
+    "T": 1.0, "dt": 0.01, "x0": [1.5, 0.0], "n_paths": 200}
 
 
 @pytest.mark.parametrize("doc, step", [
     ({"problem": dict(SP2, C=[[50.0]]), "T": 1.0, "dt": 5e-4,
       "x0": [1.5], "n_paths": 200}, "0.0004"),
-    ({"problem": {"n": 2, "m": 2, "A": [[-1.0, 0.0], [0.0, -1.0]],
-                  "Abar": [[0.0, 20.0], [-20.0, 0.0]], "B": _I2, "Q": _I2,
-                  "R": _I2, "b": [1.0, 0.0], "sigma": [0.5, 0.5]},
-      "T": 1.0, "dt": 0.01, "x0": [1.5, 0.0], "n_paths": 200}, "0.00703589"),
-], ids=["C-50", "mean-loop"])
+], ids=["C-50"])
 def test_exit_code_3_on_an_unstable_euler_step(tmp_path, capsys, doc, step):
     # C = 50, dt = 5e-4: the march is stable (largest step 5.46e-4), the
     # Euler chain is not (4.0e-4).  It exited 0 with a cost of 3.4e5
     # per unit time against V = 1.02: now refused before any path is
-    # drawn, and no `out` is made.  In the mean-loop case only the
-    # noise-free mean loop is unstable: Ahat + Bhat ThetaHat has the
-    # eigenvalues -sqrt(2) +- 20i, RK4 accepts dt = 0.01, and Euler's
-    # largest stable step is -2 Re lam / |lam|^2 = 2 sqrt(2) / 402
+    # drawn, and no `out` is made
     out = tmp_path / "out"
     assert main(["turnpike", "--config", _write(tmp_path, doc),
                  "--out", str(out)]) == 3
@@ -364,6 +368,15 @@ def test_exit_code_3_on_an_unstable_euler_step(tmp_path, capsys, doc, step):
     assert "outside the mean-square stability region" in err
     assert f"the largest stable step is {step}" in err
     assert not out.exists()
+
+
+def test_a_fast_mean_loop_is_no_euler_step_fault(tmp_path):
+    # Euler would not contract on the mean loop at dt = 0.01, but the
+    # chain never iterates it: the mean is marched by RK4 and enters
+    # the chain only as forcing, so the run is stable and its results
+    # finite (a non-finite one exits 5)
+    assert main(["turnpike", "--config", _write(tmp_path, _FAST_MEAN_LOOP),
+                 "--out", str(tmp_path / "out")]) == 0
 
 
 def test_exit_code_3_on_unusable_out(tmp_path, capsys):
@@ -489,6 +502,23 @@ def test_riccati_profile_command(tmp_path):
     assert main(["riccati-profile", "--config", cfgfile, "--dt", "0.5",
                  "--out", str(out)]) == 0
     assert len((out / "riccati_profile.csv").read_text().splitlines()) == 3 + 5
+
+
+def test_riccati_profile_is_the_turnpike_profile(tmp_path):
+    # both commands read one march: the rows the turnpike report keeps
+    # are the riccati-profile rows at the same t, bit for bit
+    out = tmp_path / "out"
+    cfgfile = _write(tmp_path, {"problem": SP2, "T": 2.0, "x0": [1.5],
+                                "dt": 0.01, "n_paths": 300})
+    for command in ("turnpike", "riccati-profile"):
+        assert main([command, "--config", cfgfile, "--out", str(out)]) == 0
+    report = json.loads((out / "turnpike_report.json").read_text())
+    rows = np.loadtxt(out / "riccati_profile.csv", delimiter=",",
+                      skiprows=3)
+    assert len(rows) == 201
+    kept = rows[np.isin(rows[:, 0], report["riccati"]["profile_t"])]
+    assert kept.T.tolist() == [report["riccati"][f"profile_{name}"]
+                               for name in ("t", "err_P", "err_Pi")]
 
 
 def test_lemma_suite_command(tmp_path, capsys, monkeypatch):

@@ -359,9 +359,9 @@ def test_rk4_step_check_is_the_real_axis_bound():
     are = solve_are(p)
     lam = 2.0 * (p.A + p.B @ are.Theta)[0, 0]
     limit = _RK4_REAL_LIMIT / ((1.0 + riccati.RK4_STEP_MARGIN) * -lam)
-    riccati.check_rk4_step(p, are, 0.999 * limit)
+    riccati._check_rk4_step(p, are, 0.999 * limit)
     with pytest.raises(ValueError, match="largest stable step is"):
-        riccati.check_rk4_step(p, are, 1.001 * limit)
+        riccati._check_rk4_step(p, are, 1.001 * limit)
     with pytest.raises(ValueError, match=(
             r"step h=0\.0016 is outside RK4's stability region .* "
             rf"largest stable step is {limit:.4g}")):
@@ -409,7 +409,7 @@ def test_rk4_step_check_names_the_first_root_on_each_ray(monkeypatch):
                     for lam in lams)
         for factor in (1.0 + 1e-6, rng.uniform(1.0, 50.0), 50.0):
             with pytest.raises(ValueError, match="largest stable step is"):
-                riccati.check_rk4_step(p, are, factor * limit)
+                riccati._check_rk4_step(p, are, factor * limit)
             assert named.pop() == pytest.approx(limit, rel=1e-12)
 
 
@@ -432,9 +432,9 @@ def test_rk4_step_check_reads_both_generators(Qbar, steps, wrong):
                                  are)[0, 1:]
     assert errors[("P", "Pi").index(wrong)] > 100.0
     fine = math.ceil(1.0 / bound)
-    riccati.check_rk4_step(p, are, 1.0 / fine)
+    riccati._check_rk4_step(p, are, 1.0 / fine)
     with pytest.raises(ValueError):
-        riccati.check_rk4_step(p, are, 1.0 / (fine - 1))
+        riccati._check_rk4_step(p, are, 1.0 / (fine - 1))
     errors = convergence_profile(solve_feedback(p, 1.0, fine).march,
                                  are)[0, 1:]
     assert np.all(errors < 1e-9)

@@ -667,6 +667,24 @@ def test_deterministic_adjoint_gap_is_the_exact_moment(sp2):
     assert np.allclose(stats.gap_Z, gaps["gap_Z"], rtol=1e-12, atol=0.0)
 
 
+def test_fast_mean_loop_costs_converge_at_first_order():
+    # Ahat + Bhat ThetaHat has the eigenvalues -sqrt(2) +- 20i, so Euler
+    # would not contract on it at dt = 0.01; the chain never iterates
+    # it (the mean is marched by RK4), and the exact cost converges at
+    # Euler's first order: each halving of dt halves the difference
+    I2 = np.eye(2)
+    p = make_problem(2, 2, A=-I2, Abar=[[0.0, 20.0], [-20.0, 0.0]], B=I2,
+                     Q=I2, R=I2, b=[1.0, 0.0], sigma=[0.5, 0.5])
+    costs = []
+    for dt in (0.01, 0.005, 0.0025):
+        config = SimulationConfig(T=1.0, dt=dt, n_paths=1)
+        fb = solve_feedback(p, config.T, config.n_steps)
+        costs.append(exact_moments(fb, [1.5, 0.0], config)[0])
+    assert np.all(np.isfinite(costs))
+    d = np.diff(costs)
+    assert 1.8 <= d[0] / d[1] <= 2.6
+
+
 def test_entry_points_take_exact_shapes(random_2x2):
     # a (2, 1) column where a vector of length 2 is due is refused,
     # naming the field, by every entry point that takes one
