@@ -1,7 +1,7 @@
 """Strong turnpike behavior of a scalar problem with drift and noise.
 
 Simulates the finite-horizon closed loop and its stationary comparison
-process with shared Brownian increments, then prints the pathwise gap
+process with shared noise increments, then prints the pathwise gap
 E|X - X*|^2 + E|u - u*|^2 near the boundaries and at the midpoint,
 together with two-sided exponential fits.
 """

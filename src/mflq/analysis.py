@@ -262,12 +262,12 @@ def turnpike_pipeline(problem: ProblemData, x0,
     del value["T"]
     avg_gap = value.pop("avg_gap")
     report = {
-        "schema": 4,
+        "schema": 5,
         "horizon": T,
         "trivial_problem": bool(trivial),
         "tolerances": dict(TOLERANCES),
         "config": {"T": T, "dt": config.dt, "n_paths": config.n_paths,
-                   "seed": config.seed},
+                   "seed": config.seed, "increments": simulate.INCREMENTS},
         "riccati": {
             **record(are),
             "march_step": feedback.march_step,

@@ -469,8 +469,8 @@ def integrate_offsets(problem: ProblemData, are: ArePair, path: RiccatiPath,
     K = k * (len(path.mesh) - 1)
     h = path.T / K
     P_c, Pi_c = path.P_of_t, path.Pi_of_t
-    P_half = _hermite(
-        P_c, _riccati_rhs(coefficient_maps(problem, P_c)), -k * h, k)
+    node_maps = coefficient_maps(problem, P_c)
+    P_half = _hermite(P_c, _riccati_rhs(node_maps), -k * h, k)
     Pi_half = _hermite(
         Pi_c, _riccati_rhs(hat_coefficient_maps(hats, P_c, Pi_c)), -k * h, k)
     P_t, Pi_t = P_half[::2], Pi_half[::2]
@@ -487,9 +487,11 @@ def integrate_offsets(problem: ProblemData, are: ArePair, path: RiccatiPath,
 
     thetaHat = -np.linalg.solve(
         maps[2], (phi_half @ hats.Bhat + dP @ hats.Dhat)[..., None])[..., 0]
+    # at k = 1 the refined nodes are the march's, and so are their maps
+    Theta = _gain(node_maps if k == 1 else coefficient_maps(problem, P_t))
     return FeedbackPath(
         T=path.T, mesh=np.linspace(0.0, path.T, K + 1), P_of_t=P_t,
-        Pi_of_t=Pi_t, Theta_of_t=_gain(coefficient_maps(problem, P_t)),
+        Pi_of_t=Pi_t, Theta_of_t=Theta,
         phiHat_of_t=phiHat, ThetaHat_half=ThetaHat, thetaHat_half=thetaHat)
 
 

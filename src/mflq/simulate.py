@@ -7,10 +7,10 @@ deterministic ODE,
 
     u = Theta_T (Xt - m) + ThetaHat_T m + thetaHat_T + u*,
 
-and the state follows the corresponding Euler-Maruyama recursion.  The
+and the state follows the corresponding weak Euler recursion.  The
 turnpike comparison process solves dX* = (A + B Theta) X* dt +
 [(C + D Theta) X* + sigma*] dW from zero.  It is only the gaps'
-reference: sharing Brownian increments with it makes them directly
+reference: sharing the noise increments with it makes them directly
 estimable, and none of its own statistics is reported.
 
 `closed_loop` builds the per-node coefficients of the coupled pair once
@@ -18,7 +18,7 @@ per run, and `run_coupled` steps both ensembles in lockstep with them.
 A chunk of L paths is one homogeneous state v = (Xt - Xs, Xs, 1) of
 shape (2n + 1, L).  Every affine map of (Xt - Xs, Xs) is then one matrix
 [G | h] acting on v, so each map of the run is one matrix per node.  One
-Euler-Maruyama step of both ensembles is
+Euler step of both ensembles is
 
     v <- F_k v + (G_k v) dW_k,
 
@@ -55,15 +55,26 @@ Memory is allocated once.  The run holds one snapshot buffer of shape
 (nodes, 2(n + m), n_paths); each chunk writes its columns in place, and
 `RawPaths.X` and `.u` are views of it.  Each chunk allocates its (., L)
 work buffers (v, the stacked product, the cost terms) before the
-step loop, and every step writes into them, so the Brownian draw is
-the only per-step allocation of paths' size.
+step loop, and every step writes into them, so the increments' draw
+is the only per-step allocation of paths' size.
 
-Brownian increments come from a counter-based generator: every
-increment has the fixed address (seed, path-chunk, step), independent
-of scheduling or worker count.  The chunk length depends on the
-problem's (n, m) alone: PATH_CHUNK = 8192 paths, fewer where a
-per-step product would pass BLAS's threading threshold
-(`_chunk_length`; every problem with n <= 4 and m <= 2 keeps 8192).
+The increments dW_k are two-point, +-sqrt(dt) with equal odds: the
+simplified weak Euler scheme of Kloeden and Platen (Numerical Solution
+of SDEs, 1992, 14.1).  Every estimated series and the cost are
+expectations linear in the chain's second moment, and for any increment
+independent of v_k with E dW = 0 and E dW^2 = dt that moment follows
+
+    S_{k+1} = F_k S_k F_k' + dt G_k S_k G_k',
+
+so the expectations, and the weak order 1, are those of Gaussian
+increments.  The per-path snapshots (`RawPaths`) are samples of this
+weak scheme, not Brownian paths.  Each sign is one bit of a
+counter-based generator: every increment has the fixed address (seed,
+path-chunk, step), independent of scheduling or worker count.  The
+chunk length depends on the problem's (n, m) alone: PATH_CHUNK = 8192
+paths, fewer where a per-step product would pass BLAS's threading
+threshold (`_chunk_length`; every problem with n <= 4 and m <= 2 keeps
+8192).
 So the addresses, and the increments a path receives, depend on
 (seed, n, m), never on the worker count.  Every run maps its chunks
 through one pool of min(workers, chunks) threads, and all reductions
@@ -104,6 +115,9 @@ PATH_CHUNK = 8192
 # per-step product of `_run_chunk` at or under it
 BLAS_SERIAL_MNK = 1_000_000
 SNAPSHOT_TARGET = 200
+# the law and address of `brownian_increments`, as the reports name it
+INCREMENTS = ("two-point +-sqrt(dt), Philox key [seed, 0], "
+              "counter [0, 0, chunk, step]")
 FINITE_CHECK_EVERY = 50
 
 
@@ -175,26 +189,33 @@ _philox = threading.local()
 
 def brownian_increments(seed: int, chunk: int, step: int,
                         count: int, dt: float) -> np.ndarray:
-    """Normal increments of variance dt at a fixed (seed, chunk, step)
-    address, independent of scheduling: Philox key [seed, 0], counter
-    [0, 0, chunk, step].
+    """Two-point increments +-sqrt(dt), each sign one random bit, at a
+    fixed (seed, chunk, step) address independent of scheduling: Philox
+    key [seed, 0], counter [0, 0, chunk, step].  Bit i of the draw
+    (little-endian through the 64-bit words of `random_raw`) gives
+    increment i: +sqrt(dt) where it is set, -sqrt(dt) where it is not.
 
-    Each thread keeps one generator and resets its whole state to the
-    address on every call, so the draws equal those of a generator
-    freshly built there."""
+    The increments have mean 0 and variance dt, so every expectation of
+    the Euler chain, which is linear in its second moment, is that of
+    Gaussian increments: this is the simplified weak Euler scheme
+    (Kloeden and Platen, Numerical Solution of SDEs, 1992, 14.1), of weak
+    order 1.  Each thread keeps one generator and resets its whole state
+    to the address on every call, so the draws equal those of a
+    generator freshly built there."""
     try:
-        bitgen, gen = _philox.pair
+        bitgen = _philox.bitgen
     except AttributeError:
-        bitgen = np.random.Philox(0)
-        gen = np.random.Generator(bitgen)
-        _philox.pair = bitgen, gen
+        bitgen = _philox.bitgen = np.random.Philox(0)
     bitgen.state = {
         "bit_generator": "Philox",
         "state": {"counter": [0, 0, chunk, step],
                   "key": [seed & 0xFFFFFFFFFFFFFFFF, 0]},
         "buffer": [0, 0, 0, 0], "buffer_pos": 4,
         "has_uint32": 0, "uinteger": 0}
-    return gen.standard_normal(count) * math.sqrt(dt)
+    words = bitgen.random_raw(-(-count // 64)).astype("<u8", copy=False)
+    bits = np.unpackbits(words.view(np.uint8), count=count, bitorder="little")
+    s = math.sqrt(dt)
+    return np.array([-s, s]).take(bits)
 
 
 def propagate_mean(problem: ProblemData, path: FeedbackPath,

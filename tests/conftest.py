@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -52,6 +54,12 @@ def sp2():
     """sp1 plus constant drift b=1 and diffusion sigma=0.5."""
     return make_problem(1, 1, A=[[-1.0]], B=[[1.0]], Q=[[1.0]], R=[[1.0]],
                         b=[1.0], sigma=[0.5])
+
+
+@pytest.fixture(scope="session")
+def sp2_C08(sp2):
+    """sp2 plus multiplicative state noise C=0.8."""
+    return dataclasses.replace(sp2, C=np.array([[0.8]]))
 
 
 @pytest.fixture(scope="session")

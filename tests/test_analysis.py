@@ -142,7 +142,7 @@ def test_lemma_suite_deterministic():
 def test_trivial_problem_report(sp1):
     cfg = SimulationConfig(T=2.0, dt=0.01, n_paths=200, seed=4)
     report = turnpike_pipeline(sp1, [0.0], cfg)[0]
-    assert report["schema"] == 4
+    assert report["schema"] == 5
     assert report["trivial_problem"] is True
     assert report["gaps"]["decay_fits"] == {}
     assert max(abs(v) for v in report["gaps"]["gap_X"]) < 1e-20

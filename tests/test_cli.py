@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from mflq import ArePair, StaticSolution, cli, riccati
+from mflq import ArePair, StaticSolution, cli, riccati, simulate
 from mflq.cli import load_config, main
 
 SP1 = {"n": 1, "m": 1, "A": [[-1.0]], "B": [[1.0]], "Q": [[1.0]],
@@ -548,7 +548,9 @@ def test_turnpike_command_artifacts(tmp_path):
     assert main(["turnpike", "--config", _write(tmp_path, doc),
                  "--out", str(out)]) == 0
     report = json.loads((out / "turnpike_report.json").read_text())
-    assert report["schema"] == 4
+    assert report["schema"] == 5
+    assert report["config"]["increments"] == simulate.INCREMENTS
+    assert simulate.INCREMENTS.startswith("two-point +-sqrt(dt), Philox")
     assert "assumption_a1" not in report
     assert report["static"]["x_star"] == pytest.approx([0.5])
     lines = (out / "ensemble.csv").read_text().splitlines()

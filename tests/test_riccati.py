@@ -20,6 +20,7 @@ from mflq import (
     propagate_mean,
     solve_are,
     solve_feedback,
+    solve_static,
     validate_assumption_a1,
 )
 from mflq import riccati
@@ -555,14 +556,30 @@ def test_hermite_half_is_exact_on_cubics():
         assert np.max(np.abs(wrong - want)) > 1e-3
 
 
+@pytest.mark.parametrize("name", ["sp2_C08", "all_blocks_4x2"])
+def test_node_gains_are_the_gains_at_the_refined_nodes(request, name):
+    # Theta at the refined mesh's nodes is the gain of its P, bit for
+    # bit: at k = 1 from the march's own node maps, at k > 1 from maps
+    # of the dense output
+    p = request.getfixturevalue(name)
+    are = solve_are(p)
+    static = solve_static(p, are.P)
+    path = integrate_finite_horizon(p, 2.0, 40)
+    for k in (1, 2, 5):
+        fp = riccati.integrate_offsets(p, are, path, static.lambda_star,
+                                       static.sigma_star, k)
+        assert np.array_equal(
+            fp.Theta_of_t, riccati._gain(coefficient_maps(p, fp.P_of_t)))
+        if k == 1:
+            assert np.array_equal(fp.P_of_t, path.P_of_t)
+
+
 @pytest.mark.parametrize("name", ["sp2", "sp2_C08", "all_blocks_4x2"])
 def test_coarse_march_reads_back_within_march_tol(request, name):
     # T = 10 at dt = 5e-3: the pair is marched k > 1 times coarser and
     # read back on the dt mesh; every node lies within MARCH_TOL of a
     # march 16 times finer, and the error estimate is within it too
-    p = (request.getfixturevalue(name) if name != "sp2_C08" else
-         dataclasses.replace(request.getfixturevalue("sp2"),
-                             C=np.array([[0.8]])))
+    p = request.getfixturevalue(name)
     T, steps = 10.0, 2000
     fb = solve_feedback(p, T, steps)
     assert fb.march_step >= 2 * T / steps
