@@ -27,6 +27,8 @@ __all__ = [
 LOG_FLOOR = 1e-14
 MIN_WINDOW_NODES = 5
 LEMMA_MAX_SIZE = 6
+# the turnpike report's series are thinned to about this many nodes
+REPORT_NODES = 200
 
 TOLERANCES = {
     "symmetry": model.SYMMETRY_TOL,
@@ -227,6 +229,16 @@ def lemma_suite(trials: int = 1000, seed: int = 42):
             "block_psd_pass": int(block_pass)}
 
 
+def _report_indices(K):
+    """The nodes of a K-step mesh that the turnpike report keeps: every
+    (K // REPORT_NODES)-th node, and the last."""
+    stride = max(1, K // REPORT_NODES)
+    idx = list(range(0, K + 1, stride))
+    if idx[-1] != K:
+        idx.append(K)
+    return np.array(idx, dtype=int)
+
+
 def _thin(series, indices):
     return np.asarray(series)[indices].tolist()
 
@@ -256,7 +268,7 @@ def turnpike_pipeline(problem: ProblemData, x0,
                "window": fit.window}
         for side, fit in zip(("left", "right"),
                              fit_turnpike_decay(gap, T, stats.mesh))}
-    idx = simulate._snapshot_indices(len(stats.mesh) - 1)
+    idx = _report_indices(len(stats.mesh) - 1)
     mid = len(stats.mesh) // 2
     value = record(_value_row(T, stats, static.V))
     del value["T"]

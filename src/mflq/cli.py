@@ -54,8 +54,8 @@ _KNOWN_FIELDS = {"problem", "T", "horizons", "x0", "dt", "n_paths", "seed",
 # Work caps, checked by load_config before anything is allocated.  The
 # march and the closed loop hold several (2n+1) x (2n+1) matrices per
 # node, so the march's size is nodes * (2n+1)^2; the snapshot buffer is
-# run_coupled's per-path record of one horizon; path-steps are Euler
-# steps times paths, summed over the horizons run.
+# run_coupled's per-path record of one horizon (`_snapshot_bytes`);
+# path-steps are Euler steps times paths, summed over the horizons run.
 MAX_MARCH_SIZE = 10**7
 MAX_SNAPSHOT_BYTES = 2**31
 MAX_PATH_STEPS = 10**10
@@ -185,6 +185,12 @@ def load_config(path, command: str = "turnpike",
         digest=_digest(resolved))
 
 
+def _snapshot_bytes(problem, n_paths):
+    """Bytes of run_coupled's per-path record: the states and controls
+    of both ensembles at t = T, 2(n + m) doubles per path."""
+    return 2 * (problem.n + problem.m) * n_paths * 8
+
+
 def _check_work(spec, problem, sim, horizons):
     """Raise ValueError, naming the field, when the run's estimated work
     passes a cap: the march to sim.T, and for the commands that simulate
@@ -200,8 +206,7 @@ def _check_work(spec, problem, sim, horizons):
             f"{MAX_MARCH_SIZE:.0e}")
     if not spec.simulates:
         return
-    snap_bytes = (len(simulate._snapshot_indices(sim.n_steps))
-                  * 2 * (problem.n + problem.m) * sim.n_paths * 8)
+    snap_bytes = _snapshot_bytes(problem, sim.n_paths)
     if snap_bytes > MAX_SNAPSHOT_BYTES:
         raise ValueError(
             f"n_paths: the snapshot buffer of {sim.n_paths} paths needs "

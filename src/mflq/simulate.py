@@ -48,15 +48,16 @@ accurate where they fall to 1e-17.  What stays per path is the optimal
 running cost, one quadratic form v' W_k v per node with the linear and
 constant terms in the last row and column of W_k (its standard error
 needs the per-path totals, summed over the rows of v once after the
-loop), and the snapshot sub-mesh, one product with the stacked maps per
-snapshot node.
+loop), and the terminal record, one product with the stacked maps at
+t = T after the loop.
 
-Memory is allocated once.  The run holds one snapshot buffer of shape
-(nodes, 2(n + m), n_paths); each chunk writes its columns in place, and
-`RawPaths.X` and `.u` are views of it.  Each chunk allocates its (., L)
-work buffers (v, the stacked product, the cost terms) before the
-step loop, and every step writes into them, so the increments' draw
-is the only per-step allocation of paths' size.
+Memory is allocated once.  The run holds one terminal record of shape
+(1, 2(n + m), n_paths), the states and controls of both ensembles at
+t = T; each chunk writes its columns in place, and `RawPaths.X` and
+`.u` are views of it.  Each chunk allocates its (., L) work buffers
+(v, the stacked product, the cost terms) before the step loop, and
+every step writes into them, so the increments' draw is the only
+per-step allocation of paths' size.
 
 The increments dW_k are two-point, +-sqrt(dt) with equal odds: the
 simplified weak Euler scheme of Kloeden and Platen (Numerical Solution
@@ -67,8 +68,8 @@ independent of v_k with E dW = 0 and E dW^2 = dt that moment follows
     S_{k+1} = F_k S_k F_k' + dt G_k S_k G_k',
 
 so the expectations, and the weak order 1, are those of Gaussian
-increments.  The per-path snapshots (`RawPaths`) are samples of this
-weak scheme, not Brownian paths.  Each sign is one bit of a
+increments.  The per-path terminal states (`RawPaths`) are samples of
+this weak scheme, not Brownian paths.  Each sign is one bit of a
 counter-based generator: every increment has the fixed address (seed,
 path-chunk, step), independent of scheduling or worker count.  The
 chunk length depends on the problem's (n, m) alone: PATH_CHUNK = 8192
@@ -114,7 +115,6 @@ PATH_CHUNK = 8192
 # exceeds 10^6 (timed with OpenBLAS 0.3.31); `_chunk_length` keeps every
 # per-step product of `_run_chunk` at or under it
 BLAS_SERIAL_MNK = 1_000_000
-SNAPSHOT_TARGET = 200
 # the law and address of `brownian_increments`, as the reports name it
 INCREMENTS = ("two-point +-sqrt(dt), Philox key [seed, 0], "
               "counter [0, 0, chunk, step]")
@@ -167,9 +167,9 @@ class EnsembleStats:
 
 @dataclass(frozen=True)
 class RawPaths:
-    """Per-path states/controls thinned to a snapshot sub-mesh: X is
-    (nodes, n, n_paths), u is (nodes, m, n_paths), and indices are the
-    nodes' positions on the full mesh."""
+    """Per-path states and controls at the horizon's end: X is
+    (1, n, n_paths) and u is (1, m, n_paths) at the one node
+    mesh = [T], whose position on the full mesh is indices = [K]."""
 
     mesh: np.ndarray
     indices: np.ndarray
@@ -184,7 +184,10 @@ class CoupledResult:
     raw_turnpike: RawPaths
 
 
-_philox = threading.local()
+_per_thread = threading.local()
+# bit j of byte b, for every byte b: row b of the sign table
+_BYTE_BITS = (np.arange(256, dtype=np.uint8)[:, None]
+              >> np.arange(8, dtype=np.uint8)) & 1
 
 
 def brownian_increments(seed: int, chunk: int, step: int,
@@ -201,11 +204,13 @@ def brownian_increments(seed: int, chunk: int, step: int,
     (Kloeden and Platen, Numerical Solution of SDEs, 1992, 14.1), of weak
     order 1.  Each thread keeps one generator and resets its whole state
     to the address on every call, so the draws equal those of a
-    generator freshly built there."""
+    generator freshly built there.  It also keeps the 256 x 8 table of
+    the signs each byte holds at its last dt, so each byte of the draw
+    is read as 8 increments by one lookup."""
     try:
-        bitgen = _philox.bitgen
+        bitgen = _per_thread.bitgen
     except AttributeError:
-        bitgen = _philox.bitgen = np.random.Philox(0)
+        bitgen = _per_thread.bitgen = np.random.Philox(0)
     bitgen.state = {
         "bit_generator": "Philox",
         "state": {"counter": [0, 0, chunk, step],
@@ -213,9 +218,13 @@ def brownian_increments(seed: int, chunk: int, step: int,
         "buffer": [0, 0, 0, 0], "buffer_pos": 4,
         "has_uint32": 0, "uinteger": 0}
     words = bitgen.random_raw(-(-count // 64)).astype("<u8", copy=False)
-    bits = np.unpackbits(words.view(np.uint8), count=count, bitorder="little")
-    s = math.sqrt(dt)
-    return np.array([-s, s]).take(bits)
+    if getattr(_per_thread, "dt", None) != dt:
+        s = math.sqrt(dt)
+        _per_thread.signs = np.array([-s, s]).take(_BYTE_BITS)
+        _per_thread.dt = dt
+    signs = _per_thread.signs.take(words.view(np.uint8)[:-(-count // 8)],
+                                   axis=0)
+    return signs.reshape(-1)[:count]
 
 
 def propagate_mean(problem: ProblemData, path: FeedbackPath,
@@ -238,11 +247,14 @@ def propagate_mean(problem: ProblemData, path: FeedbackPath,
 def _affine(K1, Gd, Gs, h):
     """The map (Xt - Xs, Xs) -> Gd (Xt - Xs) + Gs Xs + h at every node,
     as one stack [Gd | Gs | h] of shape (K+1, r, 2n + 1) acting on
-    (Xt - Xs, Xs, 1).  Blocks may be per-node stacks or constant."""
+    (Xt - Xs, Xs, 1).  Blocks may be per-node stacks or constant; a map
+    whose blocks are all constant is one matrix, broadcast to the nodes
+    as a read-only view."""
     n = np.shape(Gd)[-1]
-    G = np.empty((K1, np.shape(h)[-1], 2 * n + 1))
+    per_node = np.ndim(Gd) == 3 or np.ndim(Gs) == 3 or np.ndim(h) == 2
+    G = np.empty((K1 if per_node else 1, np.shape(h)[-1], 2 * n + 1))
     G[..., :n], G[..., n:-1], G[..., -1] = Gd, Gs, h
-    return G
+    return np.broadcast_to(G, (K1, *G.shape[1:]))
 
 
 @dataclass(frozen=True)
@@ -287,7 +299,8 @@ def closed_loop(feedback: Feedback, x0, T: float, dt: float) -> ClosedLoop:
     carry no cancellation error where the gain has converged.  `maps`
     holds each observable as one [G | h] of `_affine`: the states and
     controls of both ensembles (original variables) and the four gaps;
-    `snap` stacks the four state and control maps.  The optimal
+    `snap` stacks the four state and control maps at the terminal node,
+    shape (2(n + m), r).  The optimal
     trapezoid-weighted running cost at node k is v' W_k v (`cost_W`),
     with W_k = G'M G plus G'l on the last row and column for the optimal
     (X, u) rows G, M = [[Q, S'], [S, R]] and l = (q, r).
@@ -350,13 +363,13 @@ def closed_loop(feedback: Feedback, x0, T: float, dt: float) -> ClosedLoop:
                          np.einsum("kij,kj->ki", P_t, c0) + dP @ sig),
     }
     snap = np.concatenate(
-        [maps[name] for name in ("X_opt", "u_opt", "X_tp", "u_tp")], axis=1)
+        [maps[name][K] for name in ("X_opt", "u_opt", "X_tp", "u_tp")])
 
     w = np.full(K1, dt)
     w[0] = w[-1] = 0.5 * dt
     Mq = np.block([[problem.Q, problem.S.T], [problem.S, problem.R]])
     lq = np.concatenate([problem.q, problem.r])
-    Gc = snap[:, :n + m]                                 # optimal (X, u) rows
+    Gc = np.concatenate([maps["X_opt"], maps["u_opt"]], axis=1)
     W = Gc.mT @ Mq @ Gc
     lin = lq @ Gc
     W[:, -1, :] += lin
@@ -390,17 +403,19 @@ def _check_finite(X, finite, chunk_lo, step):
             f"non-finite state at path {path_idx}, step {step}")
 
 
-def _run_chunk(cl, config, chunk_idx, lo, hi, snaps, snap_idx):
+def _run_chunk(cl, config, chunk_idx, lo, hi, record):
     """Simulate paths [lo, hi) of both ensembles through all steps,
-    writing their snapshots into the columns lo:hi of `snaps`.
+    writing their states and controls at t = T into the columns lo:hi
+    of `record`, shape (2(n + m), n_paths).
 
-    Per node: the path sums S of v v', the terms of one quadratic form
-    for the optimal cost and, on the snapshot nodes, the snapshot rows;
-    then one Euler step v <- F v + (G v) dW from one product with the
-    stack [F; G] (G's zero last row left out).  Every (., L) buffer is
-    allocated once, before the loop, and written in place.  Returns the
-    per-node path sums S, of shape (K+1, r, r) for the r = 2n + 1 rows
-    of v, and the per-path optimal costs, of shape (L,).
+    Per node: the path sums S of v v' and the terms of one quadratic
+    form for the optimal cost; then one Euler step v <- F v + (G v) dW
+    from one product with the stack [F; G] (G's zero last row left
+    out).  After the loop, one product with `cl.snap` writes the
+    terminal record.  Every (., L) buffer is allocated once, before the
+    loop, and written in place.  Returns the per-node path sums S, of
+    shape (K+1, r, r) for the r = 2n + 1 rows of v, and the per-path
+    optimal costs, of shape (L,).
     """
     K = config.n_steps
     dt = config.dt
@@ -413,7 +428,6 @@ def _run_chunk(cl, config, chunk_idx, lo, hi, snaps, snap_idx):
     blocks = ((slice(0, rows),) if rows * r * L <= BLAS_SERIAL_MNK
               else (slice(0, r), slice(r, rows)))
     S = np.empty((K + 1, r, r))
-    own_snaps = snaps[:, :, lo:hi]
     v = np.zeros((r, L))
     v[:r // 2] = cl.m_t[0][:, None]    # Xt - Xs starts at x0 - x*, Xs at 0
     v[-1] = 1.0
@@ -427,16 +441,12 @@ def _run_chunk(cl, config, chunk_idx, lo, hi, snaps, snap_idx):
     head[:] = v
     cost = np.zeros((r, L))
     finite = np.empty((r, L), dtype=bool)
-    snap_pos = {k: i for i, k in enumerate(snap_idx)}
 
     for k in range(K + 1):
         np.matmul(v, head.T, out=S[k])
         np.matmul(cl.cost_W[k], v, out=head)
         head *= v
         cost += head
-        snap = snap_pos.get(k)
-        if snap is not None:
-            np.matmul(cl.snap[k], v, out=own_snaps[snap])
         if k == K:
             break
         dW = brownian_increments(config.seed, chunk_idx, k, L, dt)
@@ -448,23 +458,17 @@ def _run_chunk(cl, config, chunk_idx, lo, hi, snaps, snap_idx):
         np.copyto(v, head)
         if (k + 1) % FINITE_CHECK_EVERY == 0 or k + 1 == K:
             _check_finite(v, finite, lo, k + 1)
+    np.matmul(cl.snap, v, out=record[:, lo:hi])
     return S, cost.sum(axis=0)
 
 
-def _snapshot_indices(K):
-    stride = max(1, K // SNAPSHOT_TARGET)
-    idx = list(range(0, K + 1, stride))
-    if idx[-1] != K:
-        idx.append(K)
-    return np.array(idx, dtype=int)
-
-
 def _chunk_length(n, m):
-    """Paths per chunk: PATH_CHUNK, or fewer where a per-step product of
+    """Paths per chunk: PATH_CHUNK, or fewer where a product of
     `_run_chunk` would pass BLAS_SERIAL_MNK.  With r = 2n + 1 rows of the
     state, the largest products are (r x r) @ (r x L), the F half of
     the step product where the whole stack would pass it, and the
-    (2(n + m) x r) @ (r x L) snapshot rows."""
+    (2(n + m) x r) @ (r x L) terminal record.  The length is part of
+    every increment's address, so it stays a function of (n, m)."""
     r = 2 * n + 1
     return max(1, min(PATH_CHUNK,
                       BLAS_SERIAL_MNK // max(r * r, 2 * (n + m) * r)))
@@ -485,16 +489,15 @@ def run_coupled(feedback: Feedback, x0,
     cl = closed_loop(feedback, x0, config.T, config.dt)
     K = config.n_steps
     N = config.n_paths
-    snap_idx = _snapshot_indices(K)
     chunk = _chunk_length(problem.n, problem.m)
     ranges = [(c, lo, min(lo + chunk, N))
               for c, lo in enumerate(range(0, N, chunk))]
-    # one buffer for the whole run; each chunk fills its own columns
-    snaps = np.empty((len(snap_idx), cl.snap.shape[1], N))
+    # one terminal record for the whole run; each chunk fills its columns
+    record = np.empty((1, cl.snap.shape[0], N))
 
     with ThreadPoolExecutor(min(config.workers, len(ranges))) as pool:
         sums, costs = zip(*pool.map(
-            lambda r: _run_chunk(cl, config, *r, snaps, snap_idx), ranges))
+            lambda r: _run_chunk(cl, config, *r, record[0]), ranges))
 
     mesh = np.linspace(0.0, config.T, K + 1)
     S = sum(sums)
@@ -512,8 +515,8 @@ def run_coupled(feedback: Feedback, x0,
            for name in ("gap_X", "gap_u", "gap_Y", "gap_Z")})
     n, m = problem.n, problem.m
     raw_opt, raw_tp = (
-        RawPaths(mesh=mesh[snap_idx], indices=snap_idx,
-                 X=snaps[:, lo:lo + n], u=snaps[:, lo + n:lo + n + m])
+        RawPaths(mesh=mesh[K:], indices=np.array([K]),
+                 X=record[:, lo:lo + n], u=record[:, lo + n:lo + n + m])
         for lo in (0, n + m))
     return CoupledResult(optimal=optimal, raw_optimal=raw_opt,
                          raw_turnpike=raw_tp)

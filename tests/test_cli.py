@@ -204,6 +204,23 @@ def test_exit_code_3_above_work_caps(tmp_path, capsys, command, fields,
     assert not (tmp_path / "out").exists()
 
 
+def test_snapshot_cap_estimates_the_record_run_coupled_holds(tmp_path):
+    # the estimate load_config checks is the size of the per-path record
+    # that run_coupled returns, so the cap cannot drift from the buffer
+    problem = {"n": 2, "m": 1, "A": [[-1.0, 0.2], [0.0, -0.5]],
+               "B": [[0.0], [1.0]], "C": [[0.1, 0.0], [0.0, 0.2]],
+               "Q": [[1.0, 0.0], [0.0, 1.0]], "R": [[1.0]],
+               "b": [1.0, 0.0], "sigma": [0.3, 0.1]}
+    doc = {"problem": problem, "T": 0.5, "dt": 0.01, "n_paths": 37,
+           "x0": [1.0, -1.0]}
+    cfg = load_config(_write(tmp_path, doc))
+    fb = riccati.solve_feedback(cfg.problem, cfg.sim.T, cfg.sim.n_steps)
+    res = simulate.run_coupled(fb, cfg.x0, cfg.sim)
+    held = sum(a.nbytes for raw in (res.raw_optimal, res.raw_turnpike)
+               for a in (raw.X, raw.u))
+    assert cli._snapshot_bytes(cfg.problem, cfg.sim.n_paths) == held
+
+
 def test_exit_code_5_on_memory_error(tmp_path, capsys, monkeypatch):
     def exhausted(problem):
         raise MemoryError("no room")

@@ -31,7 +31,6 @@ from mflq.simulate import (
     BLAS_SERIAL_MNK,
     PATH_CHUNK,
     _chunk_length,
-    _snapshot_indices,
     write_ensemble_csv,
 )
 
@@ -250,11 +249,20 @@ def test_deterministic_paths_without_noise(sp1):
     cfg = SimulationConfig(T=2.0, dt=0.002, n_paths=50, seed=1)
     res = run_coupled(fb, [1.0], cfg)
     raw, stats = res.raw_optimal, res.optimal
-    # zero diffusion: every path equals the mean, exactly
+    # zero diffusion: every path equals the mean, exactly, at t = T
     assert np.max(np.abs(raw.X - raw.X[:, :, :1])) == 0.0
-    assert np.max(np.abs(stats.second_moment_X
-                         - np.einsum("ki,ki->k", stats.mean_X,
-                                     stats.mean_X))) < 1e-12
+    assert np.max(np.abs(raw.u - raw.u[:, :, :1])) == 0.0
+    # and at every node: no spread about the mean, and the series of
+    # the per-path loop, whatever increments it is fed
+    for sq, mean in ((stats.second_moment_X, stats.mean_X),
+                     (stats.second_moment_u, stats.mean_u)):
+        assert np.max(np.abs(sq - np.einsum("ki,ki->k", mean, mean))) < 1e-12
+    inc = np.stack([brownian_increments(3, 0, k, cfg.n_paths, cfg.dt)
+                    for k in range(cfg.n_steps)])
+    series, _, _ = _reference_coupled(fb, np.array([1.0]), cfg, inc)
+    for name in ("mean_X", "mean_u", "second_moment_X", "second_moment_u"):
+        assert np.allclose(getattr(stats, name), series[name],
+                           rtol=1e-12, atol=1e-12), name
     # deterministic LQ value identity
     P0 = fb.march.P_of_t[0, 0, 0]
     assert stats.cost_estimate == pytest.approx(P0, abs=1e-3)
@@ -282,9 +290,20 @@ def test_turnpike_without_noise_sits_at_steady_state(spmf_b):
     fb = solve_feedback(spmf_b, 2.0, 200)
     cfg = SimulationConfig(T=2.0, dt=0.01, n_paths=20, seed=2)
     raw = run_coupled(fb, [1.5], cfg).raw_turnpike
-    # every turnpike path, not only their mean, stays at (x*, u*)
-    assert np.max(np.abs(raw.X - fb.static.x_star[0])) < 1e-12
-    assert np.max(np.abs(raw.u - fb.static.u_star[0])) < 1e-12
+    x_star, u_star = fb.static.x_star[0], fb.static.u_star[0]
+    # every turnpike path, not only their mean, ends at (x*, u*)
+    assert np.max(np.abs(raw.X - x_star)) < 1e-12
+    assert np.max(np.abs(raw.u - u_star)) < 1e-12
+    # and stays there: at every node the engine's path sums give the
+    # turnpike ensemble mean x* (u*) and second moment x*^2 (u*^2), so
+    # no path leaves the steady state
+    cl = simulate.closed_loop(fb, [1.5], cfg.T, cfg.dt)
+    record = np.empty((cl.snap.shape[0], cfg.n_paths))
+    S, _ = simulate._run_chunk(cl, cfg, 0, 0, cfg.n_paths, record)
+    for name, star in (("X_tp", x_star), ("u_tp", u_star)):
+        total, sq = simulate._node_series(cl.maps[name], S)
+        assert np.max(np.abs(total[:, 0] / cfg.n_paths - star)) < 1e-12
+        assert np.max(np.abs(sq / cfg.n_paths - star ** 2)) < 1e-12
 
 
 def test_turnpike_stationary_variance(sp2):
@@ -312,21 +331,28 @@ def test_coupled_matches_separate_runs_exactly(sp2):
     Atp = A + B * fb.are.Theta[0, 0]
     Xt = np.full(cfg.n_paths, 1.5 - static.x_star[0])
     Xs = np.zeros(cfg.n_paths)
-    opt, tp = [Xt], [Xs]
+    opt = [Xt]
     for k in range(cfg.n_steps):
         dW = brownian_increments(5, 0, k, cfg.n_paths, cfg.dt)
         Xt = Xt + cfg.dt * (A * Xt + B * (Th[k] * Xt + off[k])) + sig * dW
         Xs = Xs + cfg.dt * (Atp * Xs) + sig * dW
         opt.append(Xt)
-        tp.append(Xs)
-    assert np.max(np.abs(res.raw_turnpike.X[:, 0]
-                         - (np.array(tp) + static.x_star[0]))) <= 1e-13
-    assert np.max(np.abs(res.raw_optimal.X[:, 0]
-                         - (np.array(opt) + static.x_star[0]))) < 1e-12
+    # per path at t = T
+    assert np.max(np.abs(res.raw_turnpike.X[0, 0]
+                         - (Xs + static.x_star[0]))) <= 1e-13
+    assert np.max(np.abs(res.raw_optimal.X[0, 0]
+                         - (Xt + static.x_star[0]))) < 1e-12
+    # the optimal ensemble's mean and second moment at every node
+    X = np.array(opt) + static.x_star[0]
+    stats = res.optimal
+    assert np.allclose(stats.mean_X[:, 0], X.mean(axis=1),
+                       rtol=1e-12, atol=1e-12)
+    assert np.allclose(stats.second_moment_X, (X * X).mean(axis=1),
+                       rtol=1e-12, atol=1e-12)
 
 
 def test_worker_count_does_not_change_results(sp2):
-    # three chunks on eight threads fill one shared snapshot buffer;
+    # three chunks on eight threads fill one shared terminal record;
     # frequent thread switches interleave their writes
     fb = solve_feedback(sp2, 1.0, 100)
     cfg1 = SimulationConfig(T=1.0, dt=0.01, n_paths=20_000, seed=5,
@@ -368,7 +394,9 @@ def _serve_increments(monkeypatch, inc):
 
 
 def test_weak_euler_order(sp2, monkeypatch):
-    T, N = 4.0, 4000
+    # E|X*|^2 at t = 2, read off the terminal record of a T = 2 run: the
+    # turnpike process does not depend on the horizon
+    T, N = 2.0, 4000
     dts = [0.04, 0.02, 0.01]
     K_fine = int(T / dts[-1])
     fine = np.stack([brownian_increments(7, 0, k, N, dts[-1])
@@ -381,10 +409,8 @@ def test_weak_euler_order(sp2, monkeypatch):
         cfg = SimulationConfig(T=T, dt=dt, n_paths=N, seed=7)
         _serve_increments(monkeypatch, inc)
         raw = run_coupled(fb, [1.5], cfg).raw_turnpike
-        # K // 2 is a snapshot node for K = 100, 200 and 400
-        i = int(np.searchsorted(raw.indices, K // 2))
-        assert raw.indices[i] == K // 2
-        vals.append(np.mean(np.sum(raw.X[i] ** 2, axis=0)))
+        assert raw.indices.tolist() == [K]
+        vals.append(np.mean(np.sum(raw.X[0] ** 2, axis=0)))
     d1 = abs(vals[0] - vals[1])
     d2 = abs(vals[1] - vals[2])
     assert math.log2(d1 / d2) >= 0.8
@@ -441,7 +467,7 @@ def test_nonfinite_state_is_located(sp2, monkeypatch):
 def test_nonfinite_state_in_second_chunk_is_located(sp2, workers,
                                                      monkeypatch):
     # the second chunk writes into columns PATH_CHUNK: of the shared
-    # snapshot buffer; the reported path must carry that offset
+    # terminal record; the reported path must carry that offset
     fb = solve_feedback(sp2, 1.0, 100)
     N = PATH_CHUNK + 8
     cfg = SimulationConfig(T=1.0, dt=0.01, n_paths=N, seed=0,
@@ -454,23 +480,56 @@ def test_nonfinite_state_in_second_chunk_is_located(sp2, workers,
         run_coupled(fb, [1.0], cfg)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_snapshots_are_allocated_once(sp2, workers):
-    # the snapshot buffer is the run's one large allocation: per-chunk
-    # snapshot arrays joined by a copy at the end would double the peak
-    fb = solve_feedback(sp2, 1.0, 100)
-    cfg = SimulationConfig(T=1.0, dt=0.01, n_paths=PATH_CHUNK + 17, seed=3,
-                           workers=workers)
+def _traced_peak(fb, cfg):
+    """tracemalloc's peak over one run_coupled, after a small run has
+    made the first-call allocations (lazy imports, the thread's
+    generator)."""
+    run_coupled(fb, [1.5], SimulationConfig(T=cfg.T, dt=cfg.dt, n_paths=2))
     tracemalloc.start()
     try:
         res = run_coupled(fb, [1.5], cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    snap_bytes = sum(a.nbytes for raw in (res.raw_optimal, res.raw_turnpike)
-                     for a in (raw.X, raw.u))
-    assert snap_bytes > 0
-    assert peak <= 1.25 * snap_bytes
+    return peak, res
+
+
+def _chunk_work_bytes(r, L, K):
+    """The buffers `_run_chunk` holds for L paths of r state rows over K
+    steps: v, the stacked product, the cost terms and the increments (8
+    bytes a path and row each), the finite-check mask (1 byte each), and
+    the path sums S."""
+    return 8 * L * (r + (2 * r - 1) + r + 1) + L * r + 8 * (K + 1) * r * r
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_snapshots_are_allocated_once(sp2, workers):
+    # the run holds the terminal record once, and each running chunk its
+    # work buffers: per-chunk records joined by a copy at the end, or a
+    # per-step allocation of paths' size, would pass the bound
+    fb = solve_feedback(sp2, 1.0, 100)
+    N = PATH_CHUNK + 17
+    cfg = SimulationConfig(T=1.0, dt=0.01, n_paths=N, seed=3, workers=workers)
+    peak, res = _traced_peak(fb, cfg)
+    record = sum(a.nbytes for raw in (res.raw_optimal, res.raw_turnpike)
+                 for a in (raw.X, raw.u))
+    assert record == 2 * (sp2.n + sp2.m) * N * 8
+    lengths = sorted((min(PATH_CHUNK, N - lo) for lo in range(0, N, PATH_CHUNK)),
+                     reverse=True)
+    work = sum(_chunk_work_bytes(2 * sp2.n + 1, L, cfg.n_steps)
+               for L in lengths[:workers])
+    assert peak <= 1.25 * (record + work)
+
+
+def test_run_coupled_peak_does_not_grow_with_the_steps(sp2):
+    # at a fixed path count, four times the steps leave the peak within
+    # 10%: nothing of paths' size is kept per node
+    N = PATH_CHUNK + 17
+    peaks = [_traced_peak(solve_feedback(sp2, 1.0, round(1.0 / dt)),
+                          SimulationConfig(T=1.0, dt=dt, n_paths=N,
+                                           seed=3))[0]
+             for dt in (0.01, 0.0025)]
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def test_ensemble_csv_format(sp2):
@@ -513,8 +572,9 @@ def _reference_coupled(fb, x0, cfg, inc):
     """Every series of run_coupled, evaluated path by path: the closed
     loop's per-node formulas for u, Y and Z, the four gaps against the
     turnpike paths, the optimal per-path running cost, the plain sums
-    over paths and the snapshots of both ensembles, driven by the
-    noise increments inc of shape (n_steps, n_paths)."""
+    over paths and the per-path states and controls of both ensembles at
+    t = T, driven by the noise increments inc of shape
+    (n_steps, n_paths)."""
     p, are, static = fb.problem, fb.are, fb.static
     path = fb.path(cfg.T)
     h = p.hats
@@ -531,8 +591,6 @@ def _reference_coupled(fb, x0, cfg, inc):
                                  "second_moment_u")}
     gaps = {name: [] for name in ("gap_X", "gap_u", "gap_Y", "gap_Z")}
     cost = np.zeros(N)
-    snaps = {"opt": [], "tp": []}
-    snap_idx = set(_snapshot_indices(K).tolist())
     for k in range(K + 1):
         mk, Pk = m_t[k], path.P_of_t[k]
         Acl, Ccl = p.A + p.B @ Th[k], p.C + p.D @ Th[k]
@@ -551,9 +609,6 @@ def _reference_coupled(fb, x0, cfg, inc):
                      + 2.0 * np.einsum("mp,mj,jp->p", up, p.S, Xp)
                      + np.einsum("mp,mj,jp->p", up, p.R, up)
                      + 2.0 * (p.q @ Xp) + 2.0 * (p.r @ up))
-        if k in snap_idx:
-            for side in ("opt", "tp"):
-                snaps[side].append((X[side], u[side]))
         Y = Pk @ (Xt - mk[:, None]) + (path.Pi_of_t[k] @ mk
                                        + path.phiHat_of_t[k] + lam)[:, None]
         Z = Pk @ (Ccl @ Xt + cconst[:, None])
@@ -576,7 +631,8 @@ def _reference_coupled(fb, x0, cfg, inc):
     paths = cost + np.trapezoid(mean_cost, path.mesh)
     series["cost_estimate"] = np.mean(paths)
     series["cost_stderr"] = np.std(paths, ddof=1) / math.sqrt(N)
-    return series, {k: np.array(v) for k, v in gaps.items()}, snaps
+    terminal = {side: (X[side], u[side]) for side in ("opt", "tp")}
+    return series, {k: np.array(v) for k, v in gaps.items()}, terminal
 
 
 @pytest.mark.parametrize("case", ["all_blocks_2x2", "sp2_noisy_long"])
@@ -596,7 +652,7 @@ def test_engine_matches_per_path_reference(case):
                     for k in range(cfg.n_steps)])
     # run_coupled draws the same increments at these addresses
     res = run_coupled(fb, x0, cfg)
-    series, gaps, snaps = _reference_coupled(fb, x0, cfg, inc)
+    series, gaps, terminal = _reference_coupled(fb, x0, cfg, inc)
     for name, want in gaps.items():
         got = getattr(res.optimal, name)
         assert np.all(want > 0.0)
@@ -605,11 +661,11 @@ def test_engine_matches_per_path_reference(case):
         got = getattr(res.optimal, name)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12), name
     for side, raw in (("opt", res.raw_optimal), ("tp", res.raw_turnpike)):
-        want_X = np.array([X for X, _ in snaps[side]])
-        want_u = np.array([u for _, u in snaps[side]])
+        want_X, want_u = terminal[side]
+        assert raw.indices.tolist() == [cfg.n_steps]
         tol = 1e-13 if side == "tp" else 1e-12
-        assert np.max(np.abs(raw.X - want_X)) <= tol
-        assert np.max(np.abs(raw.u - want_u)) <= tol
+        assert np.max(np.abs(raw.X[0] - want_X)) <= tol
+        assert np.max(np.abs(raw.u[0] - want_u)) <= tol
 
 
 @settings(max_examples=10, deadline=None, derandomize=True,
