@@ -65,10 +65,13 @@ class ValueRow:
 
 def record(obj) -> dict:
     """A result record (ArePair, StaticSolution, ValueRow) as its JSON
-    object: one entry per field, arrays as nested lists."""
-    values = {f.name: getattr(obj, f.name) for f in fields(obj)}
-    return {k: v.tolist() if isinstance(v, np.ndarray) else v
-            for k, v in values.items()}
+    object: one entry per field, arrays as nested lists, a complex array
+    (ArePair's spectra) as a list of [re, im] pairs."""
+    def plain(v):
+        if np.iscomplexobj(v):
+            v = np.stack([v.real, v.imag], axis=-1)
+        return v.tolist() if isinstance(v, np.ndarray) else v
+    return {f.name: plain(getattr(obj, f.name)) for f in fields(obj)}
 
 
 def _log_linear(x, g, window):
@@ -274,7 +277,7 @@ def turnpike_pipeline(problem: ProblemData, x0,
     del value["T"]
     avg_gap = value.pop("avg_gap")
     report = {
-        "schema": 5,
+        "schema": 6,
         "horizon": T,
         "trivial_problem": bool(trivial),
         "tolerances": dict(TOLERANCES),

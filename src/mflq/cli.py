@@ -281,7 +281,7 @@ def _publish(config, name, payload, outdir):
 
 def _cmd_are(config, outdir):
     are = riccati.solve_are(config.problem)
-    _publish(config, "are.json", {"schema": 1, **analysis.record(are)},
+    _publish(config, "are.json", {"schema": 2, **analysis.record(are)},
              outdir)
 
 

@@ -68,7 +68,10 @@ MARCH_TOL = 1e-7
 
 @dataclass(frozen=True)
 class ArePair:
-    """Stationary Riccati solutions with gains and residuals."""
+    """Stationary Riccati solutions with gains, residuals, and the n^2
+    complex eigenvalues of each generator that certifies them
+    (`solve_are`): the fluctuation and mean rates mu_f and mu_m are their
+    abscissas, negated."""
 
     P: np.ndarray
     Pi: np.ndarray
@@ -76,6 +79,18 @@ class ArePair:
     ThetaHat: np.ndarray
     residual_P: float
     residual_Pi: float
+    spectrum_P: np.ndarray
+    spectrum_Pi: np.ndarray
+
+    @property
+    def mu_f(self) -> float:
+        """-max Re spectrum_P."""
+        return -float(np.max(self.spectrum_P.real))
+
+    @property
+    def mu_m(self) -> float:
+        """-max Re spectrum_Pi = -2 alpha(Ahat + Bhat ThetaHat)."""
+        return -float(np.max(self.spectrum_Pi.real))
 
 
 @dataclass(frozen=True)
@@ -332,7 +347,7 @@ def _closed(loop, Theta):
 
 def _continuation(maps, loop, M):
     """Newton-Kleinman on the Riccati equation of `maps` from M, continued
-    in a shift of A, and certified: returns (M, Theta, residual).
+    in a shift of A, and certified: returns (M, Theta, residual, spectrum).
 
     The generator of M is that of `loop` closed at M's gain Theta =
     _gain(maps(M)), formed once per iterate (`_newton` hands it on).  A
@@ -344,6 +359,8 @@ def _continuation(maps, loop, M):
     shifted solve fails, or after SHIFT_MAX_STEPS.  The unshifted solve's
     residual is its exit test (`_newton`); its generator must have
     abscissa below -PD_TOL and M its minimum eigenvalue above PD_TOL.
+    spectrum is that generator's eigenvalues, complex even where all are
+    real.
     """
     def generator(M):
         Theta = _gain(maps(M))
@@ -362,12 +379,13 @@ def _continuation(maps, loop, M):
     else:
         raise NumericalFailure("ARE divergence (check A2)")
     M, residual, (L, Theta) = _newton(maps, generator, M, gen)
-    a = np.max(np.linalg.eigvals(L).real)
+    spectrum = np.linalg.eigvals(L).astype(complex)
+    a = np.max(spectrum.real)
     if a >= -PD_TOL:
         raise NumericalFailure(f"ARE gain not stabilizing (abscissa {a:.3e})")
     if np.min(np.linalg.eigvalsh(M)) <= PD_TOL:
         raise NumericalFailure("ARE solution not positive definite")
-    return M, Theta, residual
+    return M, Theta, residual, spectrum
 
 
 def _newton(maps, generator, M, gen, alpha=0.0):
@@ -425,7 +443,7 @@ def solve_are(problem: ProblemData) -> ArePair:
     (Ahat + Bhat ThetaHat, 0), the Lyapunov operator whose abscissa is
     twice that of Ahat + Bhat ThetaHat.  NEWTON_TOL and RESIDUAL_TOL are
     relative to the size of the residual's two terms at the solution they
-    judge (`_newton`).
+    judge (`_newton`).  The pair carries both generators' spectra.
     """
     require_a1(problem)
     hats = problem.hats
@@ -436,12 +454,13 @@ def solve_are(problem: ProblemData) -> ArePair:
             f"eigenvalues {violating}")
     zero = np.zeros((problem.n, problem.n))
     loop_P, loop_Pi = _closed_loops(problem)
-    P, Theta, residual_P = _continuation(
+    P, Theta, residual_P, spectrum_P = _continuation(
         partial(coefficient_maps, problem), loop_P, zero)
-    Pi, ThetaHat, residual_Pi = _continuation(
+    Pi, ThetaHat, residual_Pi, spectrum_Pi = _continuation(
         partial(hat_coefficient_maps, hats, P), loop_Pi, zero)
     return ArePair(P=P, Pi=Pi, Theta=Theta, ThetaHat=ThetaHat,
-                   residual_P=residual_P, residual_Pi=residual_Pi)
+                   residual_P=residual_P, residual_Pi=residual_Pi,
+                   spectrum_P=spectrum_P, spectrum_Pi=spectrum_Pi)
 
 
 def integrate_offsets(problem: ProblemData, are: ArePair, path: RiccatiPath,
@@ -529,13 +548,14 @@ def solve_feedback(problem: ProblemData, T: float, steps: int) -> Feedback:
     """Solve everything the closed-loop feedback needs up to horizon T,
     on the mesh of `steps` intervals h: solve_are, static_opt.solve_static
     at its P, the Riccati march (`_march`) at H = k h, k from
-    `_march_factor` at the eigenvalues `_check_rk4_step` checks, and
-    integrate_offsets on that march, read back at step h.  Raises
-    ValueError before the march when h fails `_check_rk4_step`."""
+    `_march_factor` at the largest modulus rho of the certified spectra
+    (ArePair.spectrum_P, spectrum_Pi), and integrate_offsets on that
+    march, read back at step h.  Raises ValueError before the march when
+    h fails `_check_rk4_step`."""
     are = solve_are(problem)
     k = 1
     if T > 0 and steps >= 1:    # integrate_finite_horizon refuses the rest
-        rho = np.max(np.abs(_check_rk4_step(problem, are, T / steps)))
+        rho = np.max(np.abs(_check_rk4_step(are, T / steps)))
         k = _march_factor(int(steps), T / steps * rho)
     static = static_opt.solve_static(problem, are.P)
     path, k, estimate = _march(problem, T, steps, k)
@@ -556,20 +576,16 @@ def _largest_stable_step(radius, h):
     return lo
 
 
-def _check_rk4_step(problem: ProblemData, are: ArePair,
-                    h: float) -> np.ndarray:
+def _check_rk4_step(are: ArePair, h: float) -> np.ndarray:
     """Raise ValueError, naming h and the largest stable step, unless
     |R((1 + RK4_STEP_MARGIN) h lam)| < 1 for each eigenvalue lam of the
-    generators of both `_closed_loops`, closed at Theta and ThetaHat,
+    certificate generators (are.spectrum_P and are.spectrum_Pi),
     R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 RK4's stability polynomial.
     Near saturation the march is linear in them: a larger step blows up
     or settles on a wrong fixed point.  Returns the eigenvalues, whose
     largest modulus also sizes the march step (`_march_factor`).
     """
-    lams = np.concatenate([
-        np.linalg.eigvals(mean_square_generator(*_closed(loop, gain)))
-        for loop, gain in zip(_closed_loops(problem),
-                              (are.Theta, are.ThetaHat))])
+    lams = np.concatenate([are.spectrum_P, are.spectrum_Pi])
     R = np.array([1 / 24, 1 / 6, 1 / 2, 1.0, 1.0])    # descending powers
 
     def radius(t):
@@ -588,8 +604,9 @@ def _check_euler_step(problem: ProblemData, are: ArePair,
     """Raise ValueError, naming dt and the largest stable step, unless
     rho((I + dt A)⊗(I + dt A) + dt C⊗C) < 1 at the P loop closed at Theta,
     (A, C) = (A + B Theta, C + D Theta), which it returns: the Euler
-    chain's one-step map, I + dt L + dt^2 A⊗A for the generator L that
-    `_check_rk4_step` reads.  The mean loop Ahat + Bhat ThetaHat is
+    chain's one-step map, I + dt L + dt^2 A⊗A for the generator L whose
+    eigenvalues are are.spectrum_P; the dt^2 term keeps its radius from
+    being a function of them alone.  The mean loop Ahat + Bhat ThetaHat is
     exempt: the chain sees it only in forcing terms built from the mean,
     which `propagate_mean` marches by RK4."""
     A, C = _closed(_closed_loops(problem)[0], are.Theta)

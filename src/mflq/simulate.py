@@ -74,8 +74,7 @@ counter-based generator: every increment has the fixed address (seed,
 path-chunk, step), independent of scheduling or worker count.  The
 chunk length depends on the problem's (n, m) alone: PATH_CHUNK = 8192
 paths, fewer where a per-step product would pass BLAS's threading
-threshold (`_chunk_length`; every problem with n <= 4 and m <= 2 keeps
-8192).
+threshold (`_chunk_length`; every problem with n <= 5 keeps 8192).
 So the addresses, and the increments a path receives, depend on
 (seed, n, m), never on the worker count.  Every run maps its chunks
 through one pool of min(workers, chunks) threads, and all reductions
@@ -463,15 +462,16 @@ def _run_chunk(cl, config, chunk_idx, lo, hi, record):
 
 
 def _chunk_length(n, m):
-    """Paths per chunk: PATH_CHUNK, or fewer where a product of
+    """Paths per chunk: PATH_CHUNK, or fewer where a per-step product of
     `_run_chunk` would pass BLAS_SERIAL_MNK.  With r = 2n + 1 rows of the
-    state, the largest products are (r x r) @ (r x L), the F half of
-    the step product where the whole stack would pass it, and the
-    (2(n + m) x r) @ (r x L) terminal record.  The length is part of
-    every increment's address, so it stays a function of (n, m)."""
+    state, the largest per-step products are r x r x L: the path sums
+    v v', the cost terms and the F half of the step product where the
+    whole stack would pass it.  The terminal record's product runs once
+    per chunk and does not size it, so m does not enter.  The length is
+    part of every increment's address, so it stays a function of the
+    problem's size alone."""
     r = 2 * n + 1
-    return max(1, min(PATH_CHUNK,
-                      BLAS_SERIAL_MNK // max(r * r, 2 * (n + m) * r)))
+    return max(1, min(PATH_CHUNK, BLAS_SERIAL_MNK // (r * r)))
 
 
 def run_coupled(feedback: Feedback, x0,

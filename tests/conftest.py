@@ -24,6 +24,15 @@ def random_problem(n, m, G):
         r=0.1 * G((m,)))
 
 
+def are_slow_style():
+    """n=2, C = D = 0 problem with slow stationary closed loops, whose
+    certificate generators have complex eigenvalues."""
+    return make_problem(
+        2, 1, A=[[-0.05, 0.2], [0.0, -0.08]], Abar=[[0.02, 0.0], [0.01, 0.03]],
+        B=[[0.0], [1.0]], Bbar=[[0.1], [0.0]], Q=np.diag([0.02, 0.04]),
+        Qbar=np.diag([0.01, 0.0]), R=[[1.0]], Rbar=[[0.5]])
+
+
 @st.composite
 def small_problems(draw):
     """random_problem with n, m in {1, 2} and entries in [-1, 1], and a

@@ -1,14 +1,12 @@
 """Paper property checks used by the tests only: Riccati monotonicity in
 the horizon, the cross-term normalization, the KKT residuals of the
-static problem, the predicted turnpike rate and the exact moments of the
-Monte Carlo chain."""
+static problem and the exact moments of the Monte Carlo chain."""
 
 from dataclasses import replace
 
 import numpy as np
 
 from mflq import AssumptionViolation, integrate_finite_horizon
-from mflq.model import mean_square_generator
 from mflq.riccati import _sym
 from mflq.simulate import _mean_cost_series, _node_series, closed_loop
 
@@ -79,23 +77,6 @@ def kkt_residual(problem, P, solution):
     return (float(np.max(np.abs(feas), initial=0.0)),
             float(np.max(np.abs(stat_x), initial=0.0)),
             float(np.max(np.abs(stat_u), initial=0.0)))
-
-
-def _abscissa(M):
-    return float(np.max(np.linalg.eigvals(M).real))
-
-
-def predicted_left_rate(feedback):
-    """Decay rate of gap_X + gap_u away from t = 0: the slower of the
-    fluctuation rate -alpha(L_ms(A + B Theta, C + D Theta)) and the mean
-    rate -2 alpha(Ahat + Bhat ThetaHat), alpha the spectral abscissa and
-    L_ms the second-moment generator of the stationary closed loop."""
-    p, are = feedback.problem, feedback.are
-    h = p.hats
-    fluctuation = -_abscissa(mean_square_generator(
-        p.A + p.B @ are.Theta, p.C + p.D @ are.Theta))
-    mean = -2.0 * _abscissa(h.Ahat + h.Bhat @ are.ThetaHat)
-    return min(fluctuation, mean)
 
 
 def exact_moments(feedback, x0, config):

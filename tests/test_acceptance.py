@@ -36,7 +36,6 @@ from paper_checks import (
     horizon_monotonicity_check,
     kkt_residual,
     normalize_cross_terms,
-    predicted_left_rate,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -97,8 +96,11 @@ def test_riccati_profile_decay_rates(sp1, spmf):
         if key not in paths:
             are = solve_are(problem)
             path = integrate_finite_horizon(problem, 10.0, steps=2000)
-            paths[key] = convergence_profile(path, are)
-        prof = paths[key]
+            paths[key] = are, convergence_profile(path, are)
+        are, prof = paths[key]
+        # err_P decays at mu_f, err_Pi at the slower of mu_f and mu_m
+        predicted = are.mu_f if col == 1 else min(are.mu_f, are.mu_m)
+        assert rate == pytest.approx(predicted, abs=1e-12)
         _, right = fit_turnpike_decay(prof[:, col], 10.0, prof[:, 0])
         assert right.r_squared > 0.98
         assert abs(right.lam - rate) / rate < 0.15
@@ -151,7 +153,8 @@ def test_strong_turnpike(coupled_runs):
         # the left rate is the slower of the fluctuation and mean decay
         # rates of the stationary closed loop (the right one is not
         # derived in general)
-        predicted = predicted_left_rate(coupled_runs["feedback"][name])
+        are = coupled_runs["feedback"][name].are
+        predicted = min(are.mu_f, are.mu_m)
         assert abs(left.lam / predicted - 1.0) <= 0.01
         # fitted envelope with 3x slack dominates at >= 95% of nodes
         K_hat = 3.0 * max(left.K, right.K)

@@ -1,4 +1,5 @@
 import collections
+import json
 import math
 from dataclasses import fields
 
@@ -21,9 +22,12 @@ from mflq.analysis import (
     LOG_FLOOR,
     TOLERANCES,
     ValueRow,
+    record,
     turnpike_pipeline,
     value_convergence,
 )
+
+from conftest import are_slow_style
 
 
 def test_tolerances_are_the_module_constants():
@@ -142,7 +146,7 @@ def test_lemma_suite_deterministic():
 def test_trivial_problem_report(sp1):
     cfg = SimulationConfig(T=2.0, dt=0.01, n_paths=200, seed=4)
     report = turnpike_pipeline(sp1, [0.0], cfg)[0]
-    assert report["schema"] == 5
+    assert report["schema"] == 6
     assert report["trivial_problem"] is True
     assert report["gaps"]["decay_fits"] == {}
     assert max(abs(v) for v in report["gaps"]["gap_X"]) < 1e-20
@@ -216,3 +220,24 @@ def test_value_convergence_row_ignores_longer_horizons(sp2):
     alone = value_convergence(sp2, [1.5], (1.0,), cfg)
     both = value_convergence(sp2, [1.5], (1.0, 2.0), cfg)
     assert both[0] == alone[0]
+
+
+@pytest.mark.parametrize("complex_spectrum", [False, True],
+                         ids=["sp2", "are_slow_style"])
+def test_records_are_plain_json(sp2, complex_spectrum):
+    # every record passes json.dumps(allow_nan=False): the CLI maps its
+    # ValueError, and no value of a type JSON lacks (a TypeError) reaches
+    # it.  The spectra, real on sp2 and complex on the slow problem, are
+    # lists of [re, im] pairs
+    p = are_slow_style() if complex_spectrum else sp2
+    cfg = SimulationConfig(T=1.0, dt=0.1, n_paths=20, seed=1)
+    feedback = riccati.solve_feedback(p, 1.0, 10)
+    rows = value_convergence(p, np.zeros(p.n), (1.0,), cfg)
+    for obj in (feedback.are, feedback.static, rows[0]):
+        assert json.loads(json.dumps(record(obj), allow_nan=False)) \
+            == record(obj)
+    are = feedback.are
+    for name in ("spectrum_P", "spectrum_Pi"):
+        spectrum = getattr(are, name)
+        assert record(are)[name] == [[z.real, z.imag] for z in spectrum]
+        assert np.any(spectrum.imag != 0.0) == complex_spectrum

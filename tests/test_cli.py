@@ -447,7 +447,8 @@ def test_dt_is_checked_only_against_marched_horizons(tmp_path, capsys,
                                                      command, fields):
     doc = {"problem": SP2, **fields}
     assert main([command, "--config", _write(tmp_path, doc)]) == 0
-    assert json.loads(capsys.readouterr().out)["schema"] == 1
+    assert json.loads(capsys.readouterr().out)["schema"] == (
+        2 if command == "are" else 1)
 
 
 def test_exit_code_4_on_assumption_failure(tmp_path, capsys):
@@ -565,7 +566,7 @@ def test_turnpike_command_artifacts(tmp_path):
     assert main(["turnpike", "--config", _write(tmp_path, doc),
                  "--out", str(out)]) == 0
     report = json.loads((out / "turnpike_report.json").read_text())
-    assert report["schema"] == 5
+    assert report["schema"] == 6
     assert report["config"]["increments"] == simulate.INCREMENTS
     assert simulate.INCREMENTS.startswith("two-point +-sqrt(dt), Philox")
     assert "assumption_a1" not in report

@@ -27,7 +27,7 @@ from mflq import riccati
 from mflq.model import (_maps, coefficient_maps, hat_coefficient_maps,
                         mean_square_generator)
 
-from conftest import small_problems
+from conftest import are_slow_style, small_problems
 from paper_checks import horizon_monotonicity_check, normalize_cross_terms
 
 SQRT2 = math.sqrt(2.0)
@@ -75,14 +75,6 @@ def test_are_unstabilizable_raises():
         solve_are(p)
 
 
-def _are_slow_style():
-    """n=2, C = D = 0 problem with slow stationary closed loops."""
-    return make_problem(
-        2, 1, A=[[-0.05, 0.2], [0.0, -0.08]], Abar=[[0.02, 0.0], [0.01, 0.03]],
-        B=[[0.0], [1.0]], Bbar=[[0.1], [0.0]], Q=np.diag([0.02, 0.04]),
-        Qbar=np.diag([0.01, 0.0]), R=[[1.0]], Rbar=[[0.5]])
-
-
 def test_are_matches_scipy_care_without_multiplicative_noise(random_2x2):
     # C = D = 0, with the noise moved to the mean blocks so that the Pi
     # equation carries the P-dependent weights of a CARE in (Ahat, Bhat)
@@ -92,7 +84,7 @@ def test_are_matches_scipy_care_without_multiplicative_noise(random_2x2):
     # the double integrator: the zero gain's abscissa is exactly 0
     double_integrator = make_problem(2, 1, A=[[0.0, 1.0], [0.0, 0.0]],
                                      B=[[0.0], [1.0]], Q=np.eye(2), R=[[1.0]])
-    for p in (_are_slow_style(), noisy_mean, double_integrator):
+    for p in (are_slow_style(), noisy_mean, double_integrator):
         are = solve_are(p)
         P = solve_continuous_are(p.A, p.B, p.Q, p.R, s=p.S.T)
         Ah, Bh, Ch, Dh = p.A + p.Abar, p.B + p.Bbar, p.C + p.Cbar, p.D + p.Dbar
@@ -234,7 +226,7 @@ def test_are_shift_step_cap(monkeypatch):
 def test_are_newton_iteration_cap(monkeypatch):
     monkeypatch.setattr(riccati, "NEWTON_MAX_ITER", 1)
     with pytest.raises(NumericalFailure, match="Newton iteration not converged"):
-        solve_are(_are_slow_style())
+        solve_are(are_slow_style())
 
 
 @pytest.mark.parametrize("A, P, message", [
@@ -260,7 +252,9 @@ def test_are_certificates_fire(monkeypatch, A, P, message):
 
 def test_are_forms_each_generator_once(monkeypatch):
     # the generator of each Newton iterate is formed once and handed on:
-    # the shift test, the next Newton step and the certificate read it
+    # the shift test, the next Newton step and the certificate read it;
+    # solve_feedback's RK4 step check and march factor read the certified
+    # spectra off the ArePair and form no generator again
     generator = riccati.mean_square_generator
     seen = []
 
@@ -268,8 +262,27 @@ def test_are_forms_each_generator_once(monkeypatch):
         seen.append(A_cl.tobytes() + C_cl.tobytes())
         return generator(A_cl, C_cl)
     monkeypatch.setattr(riccati, "mean_square_generator", recording)
-    solve_are(_are_slow_style())
-    assert len(seen) == len(set(seen)) > 10
+    for solve in (solve_are, lambda p: solve_feedback(p, 1.0, 100)):
+        seen.clear()
+        solve(are_slow_style())
+        assert len(seen) == len(set(seen)) > 10
+
+
+@pytest.mark.parametrize("name, mu_f, mu_m", [
+    ("sp1", 2.0 * SQRT2, 2.0 * SQRT2),
+    ("sp2", 2.0 * SQRT2, 2.0 * SQRT2),
+    ("spmf", 2.0 * SQRT2, math.sqrt(5.0)),
+    ("sp2_C08", 2.4185946, 3.0585946),
+], ids=["sp1", "sp2", "spmf", "sp2_C08"])
+def test_are_rates_are_the_certificate_abscissas(request, name, mu_f, mu_m):
+    # n = 1: the generators are 2(A + B Theta) + (C + D Theta)^2 and
+    # 2(Ahat + Bhat ThetaHat).  sp1 and sp2: both -2 sqrt 2; spmf: Ahat +
+    # Bhat ThetaHat = -1/2 - Pi = -sqrt(5)/2
+    are = solve_are(request.getfixturevalue(name))
+    assert are.mu_f == pytest.approx(mu_f, abs=1e-7)
+    assert are.mu_m == pytest.approx(mu_m, abs=1e-7)
+    for spectrum in (are.spectrum_P, are.spectrum_Pi):
+        assert spectrum.dtype == complex and spectrum.shape == (1,)
 
 
 def test_finite_horizon_terminal_and_symmetry(sp1):
@@ -360,9 +373,9 @@ def test_rk4_step_check_is_the_real_axis_bound():
     are = solve_are(p)
     lam = 2.0 * (p.A + p.B @ are.Theta)[0, 0]
     limit = _RK4_REAL_LIMIT / ((1.0 + riccati.RK4_STEP_MARGIN) * -lam)
-    riccati._check_rk4_step(p, are, 0.999 * limit)
+    riccati._check_rk4_step(are, 0.999 * limit)
     with pytest.raises(ValueError, match="largest stable step is"):
-        riccati._check_rk4_step(p, are, 1.001 * limit)
+        riccati._check_rk4_step(are, 1.001 * limit)
     with pytest.raises(ValueError, match=(
             r"step h=0\.0016 is outside RK4's stability region .* "
             rf"largest stable step is {limit:.4g}")):
@@ -378,8 +391,9 @@ def _rk4_ray_limit(w):
 
 
 def test_rk4_step_check_names_the_first_root_on_each_ray(monkeypatch):
-    # random left-half-plane spectra, zero gains: the generators are those
-    # of A and Ahat = A + Abar.  The named step is the least over their
+    # random left-half-plane spectra: the pair carries those of the
+    # generators of A and Ahat, closed at zero gains.  The named step is
+    # the least over their
     # eigenvalues lam of t*(lam/|lam|) / ((1 + margin)|lam|), t*(w) the
     # first positive root of |R(t w)|^2 = 1, for every refused step from
     # just above that limit to 50 times it
@@ -398,19 +412,18 @@ def test_rk4_step_check_names_the_first_root_on_each_ray(monkeypatch):
         for M in (A, Ahat):     # into the left half-plane, some near its axis
             M -= (np.max(np.linalg.eigvals(M).real)
                   + size * 10.0 ** rng.uniform(-3.0, 0.0)) * np.eye(3)
-        p = make_problem(3, 3, A=A, Abar=Ahat - A, B=np.eye(3), Q=np.eye(3),
-                         R=np.eye(3))
         zero = np.zeros((3, 3))
+        spectra = [np.linalg.eigvals(mean_square_generator(M, zero))
+                   .astype(complex) for M in (A, Ahat)]
         are = riccati.ArePair(P=zero, Pi=zero, Theta=zero, ThetaHat=zero,
-                              residual_P=0.0, residual_Pi=0.0)
-        lams = np.concatenate([
-            np.linalg.eigvals(mean_square_generator(M, zero))
-            for M in (p.A, p.hats.Ahat)])
+                              residual_P=0.0, residual_Pi=0.0,
+                              spectrum_P=spectra[0], spectrum_Pi=spectra[1])
+        lams = np.concatenate(spectra)
         limit = min(_rk4_ray_limit(lam / abs(lam)) / (scale * abs(lam))
                     for lam in lams)
         for factor in (1.0 + 1e-6, rng.uniform(1.0, 50.0), 50.0):
             with pytest.raises(ValueError, match="largest stable step is"):
-                riccati._check_rk4_step(p, are, factor * limit)
+                riccati._check_rk4_step(are, factor * limit)
             assert named.pop() == pytest.approx(limit, rel=1e-12)
 
 
@@ -433,9 +446,9 @@ def test_rk4_step_check_reads_both_generators(Qbar, steps, wrong):
                                  are)[0, 1:]
     assert errors[("P", "Pi").index(wrong)] > 100.0
     fine = math.ceil(1.0 / bound)
-    riccati._check_rk4_step(p, are, 1.0 / fine)
+    riccati._check_rk4_step(are, 1.0 / fine)
     with pytest.raises(ValueError):
-        riccati._check_rk4_step(p, are, 1.0 / (fine - 1))
+        riccati._check_rk4_step(are, 1.0 / (fine - 1))
     errors = convergence_profile(solve_feedback(p, 1.0, fine).march,
                                  are)[0, 1:]
     assert np.all(errors < 1e-9)
@@ -845,3 +858,25 @@ def test_cross_term_normalization_on_random_problems(drawn):
         assume(False)
     assert np.max(np.abs(are_p.P - are_q.P)) <= 1e-8
     assert np.max(np.abs(are_p.Pi - are_q.Pi)) <= 1e-8
+
+
+@_PROPERTY
+@given(small_problems())
+def test_are_spectra_are_the_certificate_generators(drawn):
+    # the spectra on the pair are those of the two generators formed
+    # afresh at the certified gains, bit for bit
+    p, _ = drawn
+    assume(not validate_assumption_a1(p))
+    try:
+        are = solve_are(p)
+    except MflqError:
+        assume(False)
+    h = p.hats
+    want_P = np.linalg.eigvals(mean_square_generator(
+        p.A + p.B @ are.Theta, p.C + p.D @ are.Theta))
+    want_Pi = np.linalg.eigvals(mean_square_generator(
+        h.Ahat + h.Bhat @ are.ThetaHat, np.zeros((p.n, p.n))))
+    assert np.array_equal(are.spectrum_P, want_P)
+    assert np.array_equal(are.spectrum_Pi, want_Pi)
+    assert are.mu_f == -np.max(want_P.real)
+    assert are.mu_m == -np.max(want_Pi.real)

@@ -121,20 +121,23 @@ def test_brownian_increments_match_fresh_generators_on_threads():
 
 
 def test_chunk_length_keeps_every_step_product_serial():
-    # sp2 and the n=4, m=2 problems keep full chunks; larger problems
-    # get the longest chunk whose per-step products stay at or under
-    # the BLAS threading threshold
+    # every problem with n <= 5 keeps full chunks; larger problems get
+    # the longest chunk whose per-step products, r x r x L for the
+    # r = 2n + 1 rows of the state, stay at or under the BLAS threading
+    # threshold.  The terminal record's product runs once per chunk and
+    # does not shorten it
     assert _chunk_length(1, 1) == PATH_CHUNK
     assert _chunk_length(4, 2) == PATH_CHUNK
+    assert _chunk_length(4, 3) == PATH_CHUNK
+    assert _chunk_length(5, 1) == PATH_CHUNK
     assert _chunk_length(6, 1) < PATH_CHUNK
     for n in range(1, 13):
         for m in range(1, 7):
             r = 2 * n + 1
-            widest = max(r * r, 2 * (n + m) * r)
             L = _chunk_length(n, m)
             assert 1 <= L <= PATH_CHUNK
-            assert widest * L <= BLAS_SERIAL_MNK
-            assert L == PATH_CHUNK or widest * (L + 1) > BLAS_SERIAL_MNK
+            assert r * r * L <= BLAS_SERIAL_MNK
+            assert L == PATH_CHUNK or r * r * (L + 1) > BLAS_SERIAL_MNK
 
 
 def test_worker_count_does_not_change_results_in_short_chunks():
