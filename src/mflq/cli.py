@@ -42,6 +42,7 @@ from . import analysis, riccati, simulate, static_opt
 from .errors import AssumptionViolation, MflqError, NumericalFailure
 from .model import (ProblemData, exact_shape, json_integer, json_number,
                     problem_from_dict, require_a1)
+from .simulate import _write_table
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -254,14 +255,11 @@ def _artifact_header(config):
 
 
 def _write_csv(config, path, header, rows):
-    """Write a CSV artifact: the two `# ` header comments, the column
-    names, then one line of plain floats per row."""
+    """Write a CSV artifact (`simulate._write_table`) under the two `# `
+    header comments, each entry of `rows` as a plain float."""
     with _create(path) as fh:
-        for line in _artifact_header(config):
-            fh.write(f"# {line}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        _write_table(fh, header, (map(float, row) for row in rows),
+                     _artifact_header(config))
 
 
 def _write_json_artifact(config, name, payload, outdir):

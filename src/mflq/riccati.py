@@ -103,23 +103,23 @@ class RiccatiPath:
     P_of_t: np.ndarray
     Pi_of_t: np.ndarray
 
-    def tail(self, T: float) -> RiccatiPath:
+    def tail(self, T: float, dt: float | None = None) -> RiccatiPath:
         """The path of horizon T, of this type: the last K + 1 nodes
-        (2K + 1 half steps), K = T / h for the step h, on the mesh of
-        [0, T].  The data depend on T - t alone, so this equals a fresh
-        march to T with step h, and a fresh feedback path read at step h
-        off a march with the same step H = k h (`solve_feedback`).
-        Raises ValueError unless T is a node (`_whole_steps`) up to
+        (2K + 1 half steps), K = T / dt, on the mesh of [0, T].  dt is
+        the path's step h (the default) or a step its caller has matched
+        to h to rounding, as `simulate.closed_loop` does: a horizon that
+        is a whole number of dt to rounding may be none of h.  The data
+        depend on T - t alone, so this equals a fresh march to T with
+        step h, and a fresh feedback path read at step h off a march with
+        the same step H = k h (`solve_feedback`).  Raises ValueError
+        unless T is a whole number of steps dt (`_whole_steps`) up to
         self.T.
         """
-        return self._tail(T, _whole_steps(T, self.T / (len(self.mesh) - 1)))
-
-    def _tail(self, T: float, K: int | None) -> RiccatiPath:
-        """`tail` of the last K steps, given as the path of horizon T."""
+        h = self.T / (len(self.mesh) - 1)
+        K = _whole_steps(T, h if dt is None else dt)
         if K is None or not K < len(self.mesh):
-            raise ValueError(
-                f"horizon T={T} is not a node of the path "
-                f"(step {self.T / (len(self.mesh) - 1)} up to T={self.T})")
+            raise ValueError(f"horizon T={T} is not a node of the path "
+                             f"(step {h} up to T={self.T})")
         arrays = {f.name: getattr(self, f.name)[
                       -(K if f.name.endswith("_of_t") else 2 * K) - 1:]
                   for f in fields(self) if f.name not in ("T", "mesh")}
@@ -159,9 +159,10 @@ class Feedback:
     march_step: float
     march_error_estimate: float | None
 
-    def path(self, T: float) -> FeedbackPath:
-        """The path of horizon T, the march's tail (RiccatiPath.tail)."""
-        return self.march.tail(T)
+    def path(self, T: float, dt: float | None = None) -> FeedbackPath:
+        """The path of horizon T in steps dt, the march's tail
+        (RiccatiPath.tail)."""
+        return self.march.tail(T, dt)
 
 
 def _whole_steps(T: float, h: float) -> int | None:
@@ -333,14 +334,17 @@ def integrate_finite_horizon(problem: ProblemData, T: float,
 
 
 def _closed_loops(problem):
-    """The closed loops (A, B, C, D) of P and (Ahat, Bhat, 0, 0) of Pi."""
+    """The loops (A, B, C, D) of P, (Ahat, Bhat, 0, 0) of Pi's
+    certificate, and (Ahat, Bhat, Chat, Dhat) of the mean."""
     h = problem.hats
     return ((problem.A, problem.B, problem.C, problem.D),
-            (h.Ahat, h.Bhat, np.zeros_like(h.Ahat), np.zeros_like(h.Bhat)))
+            (h.Ahat, h.Bhat, np.zeros_like(h.Ahat), np.zeros_like(h.Bhat)),
+            (h.Ahat, h.Bhat, h.Chat, h.Dhat))
 
 
 def _closed(loop, Theta):
-    """(A + B Theta, C + D Theta): the loop (A, B, C, D) closed at Theta."""
+    """(A + B Theta, C + D Theta): the loop (A, B, C, D) closed at Theta,
+    or at each gain of a stack of them."""
     A, B, C, D = loop
     return A + B @ Theta, C + D @ Theta
 
@@ -453,7 +457,7 @@ def solve_are(problem: ProblemData) -> ArePair:
             f"ARE divergence (check A2): mean system not stabilizable, "
             f"eigenvalues {violating}")
     zero = np.zeros((problem.n, problem.n))
-    loop_P, loop_Pi = _closed_loops(problem)
+    loop_P, loop_Pi, _ = _closed_loops(problem)
     P, Theta, residual_P, spectrum_P = _continuation(
         partial(coefficient_maps, problem), loop_P, zero)
     Pi, ThetaHat, residual_Pi, spectrum_Pi = _continuation(
@@ -497,9 +501,10 @@ def integrate_offsets(problem: ProblemData, are: ArePair, path: RiccatiPath,
     # dphiHat/ds = Mhat phiHat + ghat with s = T - t: reverse the stacks
     maps = hat_coefficient_maps(hats, P_half, Pi_half)
     ThetaHat = _gain(maps)
-    Mhat = (hats.Ahat + hats.Bhat @ ThetaHat).mT
+    AclHat, CclHat = _closed(_closed_loops(problem)[2], ThetaHat)
+    Mhat = AclHat.mT
     dP = (P_half - are.P) @ sig
-    ghat = np.einsum('kji,kj->ki', hats.Chat + hats.Dhat @ ThetaHat, dP)
+    ghat = np.einsum('kji,kj->ki', CclHat, dP)
     phiHat = _rk4_linear(Mhat[::-1], ghat[::-1], -lam, h, K)[::-1].copy()
     phi_half = _hermite(
         phiHat, (Mhat[::2] @ phiHat[..., None])[..., 0] + ghat[::2], -h, 1)

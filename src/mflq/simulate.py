@@ -93,8 +93,8 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .model import ProblemData, exact_shape
-from .riccati import (Feedback, FeedbackPath, _check_euler_step,
-                      _rk4_linear, _whole_steps)
+from .riccati import (Feedback, FeedbackPath, _check_euler_step, _closed,
+                      _closed_loops, _rk4_linear, _whole_steps)
 
 __all__ = [
     "SimulationConfig",
@@ -167,11 +167,10 @@ class EnsembleStats:
 @dataclass(frozen=True)
 class RawPaths:
     """Per-path states and controls at the horizon's end: X is
-    (1, n, n_paths) and u is (1, m, n_paths) at the one node
-    mesh = [T], whose position on the full mesh is indices = [K]."""
+    (1, n, n_paths) and u is (1, m, n_paths).  The leading axis is the
+    one node t = T; it stays so that X.shape[2] is the path count, which
+    perfbench/trace_child.py reads."""
 
-    mesh: np.ndarray
-    indices: np.ndarray
     X: np.ndarray
     u: np.ndarray
 
@@ -234,12 +233,11 @@ def propagate_mean(problem: ProblemData, path: FeedbackPath,
     dm/dt = [Ahat + Bhat ThetaHat_T(t)] m + Bhat thetaHat_T(t), with the
     gains read from the feedback path's half-step stacks.
     """
-    hats = problem.hats
     x0 = exact_shape("x0", x0, (problem.n,))
     x_star = exact_shape("x_star", x_star, (problem.n,))
     K = len(path.mesh) - 1
-    Acl = hats.Ahat + np.einsum("im,kmn->kin", hats.Bhat, path.ThetaHat_half)
-    return _rk4_linear(Acl, path.thetaHat_half @ hats.Bhat.T,
+    Acl = _closed(_closed_loops(problem)[2], path.ThetaHat_half)[0]
+    return _rk4_linear(Acl, path.thetaHat_half @ problem.hats.Bhat.T,
                        x0 - x_star, path.T / K, K)
 
 
@@ -280,10 +278,11 @@ class ClosedLoop:
 
 def closed_loop(feedback: Feedback, x0, T: float, dt: float) -> ClosedLoop:
     """The coupled pair's coefficients on the horizon T cut from the
-    feedback's march, from X(0) = x0: the mean m_t of `propagate_mean`
-    and the per-node matrices below.  Raises ValueError unless dt is the
-    march's step and T a whole number of them in it (`_whole_steps`),
-    and unless the Euler chain is stable at dt (`_check_euler_step`).
+    feedback's march in steps dt (`Feedback.path`), from X(0) = x0: the
+    mean m_t of `propagate_mean` and the per-node matrices below.  Raises
+    ValueError unless dt is the march's step and T a whole number of them
+    in it (`_whole_steps`), and unless the Euler chain is stable at dt
+    (`_check_euler_step`).
 
     The Euler step of v = (Xt - Xs, Xs, 1) is v <- F_k v + (G_k v) dW with
 
@@ -311,22 +310,20 @@ def closed_loop(feedback: Feedback, x0, T: float, dt: float) -> ClosedLoop:
         raise ValueError(f"simulation step dt={dt} does not match "
                          f"the feedback path's step {h}")
     Atp, Ctp = _check_euler_step(problem, are, dt)
-    K = _whole_steps(T, dt)
-    path = march._tail(T, K)
+    path = feedback.path(T, dt)
     m_t = propagate_mean(problem, path, x0, static.x_star)
     n, m = problem.n, problem.m
-    K1 = K + 1
+    K1 = len(path.mesh)
     hats = problem.hats
-    A, B, C, D = problem.A, problem.B, problem.C, problem.D
+    B, D = problem.B, problem.D
+    loop_P, _, loop_mean = _closed_loops(problem)
     Th, ThH = path.Theta_of_t, path.ThetaHat_half[::2]
     off = path.thetaHat_half[::2]                        # (K+1, m)
     P_t, Pi_t = path.P_of_t, path.Pi_of_t
     x_star, u_star = static.x_star, static.u_star
     sig = static.sigma_star
-    Acl = A + np.einsum("im,kmn->kin", B, Th)            # (K+1, n, n)
-    Ccl = C + np.einsum("im,kmn->kin", D, Th)
-    AclHat = hats.Ahat + np.einsum("im,kmn->kin", hats.Bhat, ThH)
-    CclHat = hats.Chat + np.einsum("im,kmn->kin", hats.Dhat, ThH)
+    Acl, Ccl = _closed(loop_P, Th)                       # (K+1, n, n)
+    AclHat, CclHat = _closed(loop_mean, ThH)
     dconst = np.einsum("kij,kj->ki", AclHat - Acl, m_t) + off @ hats.Bhat.T
     c0 = np.einsum("kij,kj->ki", CclHat - Ccl, m_t) + off @ hats.Dhat.T
     uconst = np.einsum("kij,kj->ki", ThH - Th, m_t) + off
@@ -362,7 +359,7 @@ def closed_loop(feedback: Feedback, x0, T: float, dt: float) -> ClosedLoop:
                          np.einsum("kij,kj->ki", P_t, c0) + dP @ sig),
     }
     snap = np.concatenate(
-        [maps[name][K] for name in ("X_opt", "u_opt", "X_tp", "u_tp")])
+        [maps[name][-1] for name in ("X_opt", "u_opt", "X_tp", "u_tp")])
 
     w = np.full(K1, dt)
     w[0] = w[-1] = 0.5 * dt
@@ -423,7 +420,8 @@ def _run_chunk(cl, config, chunk_idx, lo, hi, record):
     rows = 2 * r - 1
     FG = cl.FG[:, :rows]
     # the stacked product runs in its F and G halves where it would pass
-    # BLAS's threading threshold, as at n = 4 in full chunks
+    # BLAS's threading threshold, as from n = 4 in full chunks; there the
+    # halves are also the faster path on one thread (README, Numerics)
     blocks = ((slice(0, rows),) if rows * r * L <= BLAS_SERIAL_MNK
               else (slice(0, r), slice(r, rows)))
     S = np.empty((K + 1, r, r))
@@ -515,24 +513,31 @@ def run_coupled(feedback: Feedback, x0,
            for name in ("gap_X", "gap_u", "gap_Y", "gap_Z")})
     n, m = problem.n, problem.m
     raw_opt, raw_tp = (
-        RawPaths(mesh=mesh[K:], indices=np.array([K]),
-                 X=record[:, lo:lo + n], u=record[:, lo + n:lo + n + m])
+        RawPaths(X=record[:, lo:lo + n], u=record[:, lo + n:lo + n + m])
         for lo in (0, n + m))
     return CoupledResult(optimal=optimal, raw_optimal=raw_opt,
                          raw_turnpike=raw_tp)
 
 
-def write_ensemble_csv(stats: EnsembleStats, fh, header_comments=()) -> None:
-    for line in header_comments:
+def _write_table(fh, header, rows, comments=()) -> None:
+    """Write a CSV table to fh: one `# ` line per comment, the column
+    names, then one line per row of Python floats, each as its repr."""
+    for line in comments:
         fh.write(f"# {line}\n")
+    fh.write(",".join(header) + "\n")
+    for row in rows:
+        fh.write(",".join(map(repr, row)) + "\n")
+
+
+def write_ensemble_csv(stats: EnsembleStats, fh, header_comments=()) -> None:
+    """Write the node series of `stats` as a CSV table (`_write_table`):
+    t, the mean state, the second moments and the four gaps."""
     n = stats.mean_X.shape[1]
-    cols = [f"meanX{i}" for i in range(n)]
-    header = ["t"] + cols + ["m2X", "m2u"]
-    series = [stats.mesh] + [stats.mean_X[:, i] for i in range(n)] \
-        + [stats.second_moment_X, stats.second_moment_u]
+    header = ["t"] + [f"meanX{i}" for i in range(n)] + ["m2X", "m2u"]
+    series = [stats.mesh, *stats.mean_X.T,
+              stats.second_moment_X, stats.second_moment_u]
     for name in ("gap_X", "gap_u", "gap_Y", "gap_Z"):
         header.append(name.replace("_", ""))
         series.append(getattr(stats, name))
-    fh.write(",".join(header) + "\n")
-    for row in np.column_stack(series).tolist():
-        fh.write(",".join(map(repr, row)) + "\n")
+    _write_table(fh, header, np.column_stack(series).tolist(),
+                 header_comments)

@@ -35,6 +35,12 @@ class StaticSolution:
     sigma_star: np.ndarray
 
 
+def _diffusion_offset(problem: ProblemData, x, u) -> np.ndarray:
+    """Chat x + Dhat u + sigma: the diffusion offset at (x, u)."""
+    h = problem.hats
+    return h.Chat @ x + h.Dhat @ u + problem.sigma
+
+
 def evaluate_F(problem: ProblemData, P: np.ndarray,
                x: np.ndarray, u: np.ndarray) -> float:
     """Static cost at a point (x, u), including the diffusion term."""
@@ -42,7 +48,7 @@ def evaluate_F(problem: ProblemData, P: np.ndarray,
     n, m = problem.n, problem.m
     x, u = exact_shape("x", x, (n,)), exact_shape("u", u, (m,))
     P = exact_shape("P", P, (n, n))
-    w = h.Chat @ x + h.Dhat @ u + problem.sigma
+    w = _diffusion_offset(problem, x, u)
     return float(
         x @ h.Qhat @ x + u @ h.Rhat @ u + 2.0 * (u @ h.Shat @ x)
         + 2.0 * (problem.q @ x) + 2.0 * (problem.r @ u)
@@ -95,10 +101,9 @@ def solve_static(problem: ProblemData, P: np.ndarray) -> StaticSolution:
         raise NumericalFailure(f"static problem: KKT residual {residual:.3g} "
                                f"above KKT_RESIDUAL_TOL * {scale:.3g}")
     x, u, lam = np.split(sol, [problem.n, problem.n + problem.m])
-    h = problem.hats
     return StaticSolution(
         x_star=x, u_star=u, lambda_star=lam,
         V=evaluate_F(problem, P, x, u),
-        sigma_star=h.Chat @ x + h.Dhat @ u + problem.sigma,
+        sigma_star=_diffusion_offset(problem, x, u),
     )
 

@@ -30,6 +30,8 @@ from mflq import (
 )
 from mflq.analysis import value_convergence
 from mflq.cli import main as cli_main
+from mflq.model import _SHAPES
+from mflq.simulate import PATH_CHUNK
 
 from paper_checks import (
     exact_moments,
@@ -82,13 +84,18 @@ def test_stationary_riccati_oracles(sp1, spmf):
     assert elapsed < 1.0
 
 
-def test_riccati_profile_decay_rates(sp1, spmf):
+def test_riccati_profile_decay_rates(sp1, spmf, sp2_C08, all_blocks_4x2):
     t0 = time.monotonic()
+    # rate None: the predicted rate itself, where no closed form is at hand
     cases = [
         (sp1, 1, 2.0 * SQRT2),   # state-weight profile
         (sp1, 2, 2.0 * SQRT2),   # mean-weight profile, no coupling
         (spmf, 1, 2.0 * SQRT2),
         (spmf, 2, SQRT5),        # mean-weight profile under coupling
+        (sp2_C08, 1, None),      # multiplicative state noise
+        (sp2_C08, 2, None),
+        (all_blocks_4x2, 1, None),
+        (all_blocks_4x2, 2, None),
     ]
     paths = {}
     for problem, col, rate in cases:
@@ -100,6 +107,8 @@ def test_riccati_profile_decay_rates(sp1, spmf):
         are, prof = paths[key]
         # err_P decays at mu_f, err_Pi at the slower of mu_f and mu_m
         predicted = are.mu_f if col == 1 else min(are.mu_f, are.mu_m)
+        if rate is None:
+            rate = predicted
         assert rate == pytest.approx(predicted, abs=1e-12)
         _, right = fit_turnpike_decay(prof[:, col], 10.0, prof[:, 0])
         assert right.r_squared > 0.98
@@ -260,18 +269,36 @@ def test_value_identity_on_exact_moments(sp2, spmf_b):
         assert abs(lin - want) <= 1e-5
 
 
-def test_artifact_determinism_across_workers(tmp_path):
+def _determinism_blobs(tmp_path, command, doc, artifacts, worker_counts):
+    """The concatenated artifacts of one CLI run per worker count."""
+    blobs = []
+    for i, workers in enumerate(worker_counts):
+        cfgfile = tmp_path / f"{command}{i}.json"
+        cfgfile.write_text(json.dumps({**doc, "workers": workers}))
+        out = tmp_path / f"{command}{i}"
+        assert cli_main([command, "--config", str(cfgfile),
+                        "--out", str(out)]) == 0
+        blobs.append(b"".join((out / name).read_bytes()
+                              for name in artifacts))
+    return blobs
+
+
+def test_artifact_determinism_across_workers(tmp_path, all_blocks_4x2):
     problem = {"n": 1, "m": 1, "A": [[-1.0]], "B": [[1.0]], "Q": [[1.0]],
                "R": [[1.0]], "b": [1.0], "sigma": [0.5]}
-    blobs = []
-    for tag, workers in (("w1", 1), ("w8", 8), ("w1b", 1)):
-        doc = {"problem": problem, "T": 2.0, "x0": [1.5], "dt": 0.01,
-               "n_paths": 10_000, "workers": workers}
-        cfgfile = tmp_path / f"{tag}.json"
-        cfgfile.write_text(json.dumps(doc))
-        out = tmp_path / tag
-        assert cli_main(["turnpike", "--config", str(cfgfile),
-                        "--out", str(out)]) == 0
-        blobs.append((out / "turnpike_report.json").read_bytes()
-                     + (out / "ensemble.csv").read_bytes())
+    doc = {"problem": problem, "T": 2.0, "x0": [1.5], "dt": 0.01,
+           "n_paths": 10_000}
+    blobs = _determinism_blobs(
+        tmp_path, "turnpike", doc, ("turnpike_report.json", "ensemble.csv"),
+        (1, 8, 1))
     assert blobs[0] == blobs[1] == blobs[2]
+    # m = 2, where the loops' sums over the controls round; two chunks
+    p = all_blocks_4x2
+    problem = {"n": p.n, "m": p.m, **{name: getattr(p, name).tolist()
+                                      for name in _SHAPES}}
+    doc = {"problem": problem, "horizons": [0.5, 1.0], "x0": [1.0] * p.n,
+           "dt": 0.05, "n_paths": PATH_CHUNK + 17}
+    blobs = _determinism_blobs(
+        tmp_path, "value-convergence", doc,
+        ("value_convergence.json", "value_convergence.csv"), (1, 2))
+    assert blobs[0] == blobs[1]

@@ -25,7 +25,7 @@ from mflq import (
     solve_static,
     validate_assumption_a1,
 )
-from mflq import simulate
+from mflq import riccati, simulate
 from mflq.analysis import turnpike_pipeline
 from mflq.simulate import (
     BLAS_SERIAL_MNK,
@@ -314,8 +314,8 @@ def test_turnpike_stationary_variance(sp2):
     cfg = SimulationConfig(T=10.0, dt=0.01, n_paths=8000, seed=12)
     raw = run_coupled(fb, [1.5], cfg).raw_turnpike
     # E|X*|^2 around x*^2 + sigma*^2/(2 sqrt 2) at stationarity, read
-    # off the last snapshot node, t = T
-    assert raw.indices[-1] == cfg.n_steps
+    # off the terminal record, t = T
+    assert raw.X.shape == (1, 1, cfg.n_paths)
     target = 0.25 + 0.25 / (2.0 * SQRT2)
     assert np.mean(raw.X[-1] ** 2) == pytest.approx(target, rel=0.1)
 
@@ -412,7 +412,7 @@ def test_weak_euler_order(sp2, monkeypatch):
         cfg = SimulationConfig(T=T, dt=dt, n_paths=N, seed=7)
         _serve_increments(monkeypatch, inc)
         raw = run_coupled(fb, [1.5], cfg).raw_turnpike
-        assert raw.indices.tolist() == [K]
+        assert raw.X.shape == (1, 1, N)
         vals.append(np.mean(np.sum(raw.X[0] ** 2, axis=0)))
     d1 = abs(vals[0] - vals[1])
     d2 = abs(vals[1] - vals[2])
@@ -453,6 +453,37 @@ def test_closed_loop_cuts_by_the_config_steps(sp2):
         fb.path(cfg.T)
     res = run_coupled(fb, [1.5], cfg)
     assert len(res.optimal.mesh) == 11 and res.optimal.mesh[-1] == cfg.T
+
+
+def test_closed_loop_gap_block_is_the_closed_p_loop(all_blocks_4x2):
+    # F's gap block is I + dt (A + B Theta_T) as riccati._closed forms
+    # it, to the last bit, at m = 2 where another spelling of the sum
+    # rounds differently
+    p, T, dt = all_blocks_4x2, 2.0, 0.01
+    fb = solve_feedback(p, T, 200)
+    cl = simulate.closed_loop(fb, np.ones(p.n), T, dt)
+    Acl = riccati._closed(riccati._closed_loops(p)[0],
+                          fb.path(T).Theta_of_t)[0]
+    assert np.array_equal(cl.F[:, :p.n, :p.n], np.eye(p.n) + dt * Acl)
+
+
+def test_mean_march_reads_the_offsets_mean_loop(all_blocks_4x2,
+                                                monkeypatch):
+    # integrate_offsets marches phiHat in s = T - t with the transpose of
+    # Ahat + Bhat ThetaHat_T; propagate_mean marches m with the same array
+    p, T = all_blocks_4x2, 2.0
+    loops = []
+    rk4_linear = riccati._rk4_linear
+
+    def spy(M, *args):
+        loops.append(M)
+        return rk4_linear(M, *args)
+    monkeypatch.setattr(riccati, "_rk4_linear", spy)
+    monkeypatch.setattr(simulate, "_rk4_linear", spy)
+    fb = solve_feedback(p, T, 200)
+    propagate_mean(p, fb.path(T), np.ones(p.n), fb.static.x_star)
+    offsets, mean = loops
+    assert np.array_equal(offsets[::-1].mT, mean)
 
 
 def test_nonfinite_state_is_located(sp2, monkeypatch):
@@ -665,7 +696,7 @@ def test_engine_matches_per_path_reference(case):
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12), name
     for side, raw in (("opt", res.raw_optimal), ("tp", res.raw_turnpike)):
         want_X, want_u = terminal[side]
-        assert raw.indices.tolist() == [cfg.n_steps]
+        assert raw.X.shape == (1, p.n, N) and raw.u.shape == (1, p.m, N)
         tol = 1e-13 if side == "tp" else 1e-12
         assert np.max(np.abs(raw.X[0] - want_X)) <= tol
         assert np.max(np.abs(raw.u[0] - want_u)) <= tol
